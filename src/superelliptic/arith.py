@@ -15,6 +15,8 @@ Conventions:
   raises :class:`ValueError`.
 * ``Poly`` is an immutable sparse map ``exponent -> QuadNum`` with no explicit
   zero coefficients.  The zero polynomial has no degree (``degree`` raises).
+* ``is_separable_mod_p`` works on dense integer coefficient lists over a prime
+  field F_p; it backs the fast separability certificate in :mod:`family`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "is_square_free",
     "poly_gcd",
     "is_separable",
+    "is_separable_mod_p",
 ]
 
 
@@ -195,10 +198,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def x_power(e: int, coeff: NumberLike = 1) -> "Poly":
-        return Poly([(e, coeff)])
-
-    @staticmethod
     def constant(c: NumberLike) -> "Poly":
         return Poly([(0, c)])
 
@@ -342,3 +341,31 @@ def is_separable(p: Poly) -> bool:
         return True
     g = poly_gcd(p, p.derivative())
     return g.degree == 0
+
+
+def is_separable_mod_p(coeffs: list[int], p: int) -> bool:
+    """True when f = sum coeffs[e] x^e has gcd(f, f') = 1 over F_p (p prime).
+
+    ``coeffs`` is dense, lowest degree first.  The zero polynomial is not
+    separable.  Euclid's algorithm on residues: no coefficient growth.
+    """
+    f = _trim_mod([c % p for c in coeffs])
+    if not f:
+        return False
+    g = _trim_mod([e * c % p for e, c in enumerate(f)][1:])
+    while g:
+        lead_inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            q = f[-1] * lead_inv % p
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % p
+            _trim_mod(f)
+        f, g = g, f
+    return len(f) == 1
+
+
+def _trim_mod(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs

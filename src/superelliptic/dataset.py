@@ -242,9 +242,22 @@ def from_json(text: str) -> Dataset:
     version = payload.get("version")
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {version!r}")
-    records = [_record_from_json(o) for o in payload["families"]]
-    named = [_named_from_json(o) for o in payload.get("named_curves", ())]
+    records = _rows_from_json("families", payload["families"], _record_from_json)
+    named = _rows_from_json("named_curves", payload.get("named_curves", ()), _named_from_json)
     return Dataset(records, named, version=version)
+
+
+def _rows_from_json(name: str, objs, parse) -> list:
+    """Parse each row; a malformed one is a ValueError naming its place and field."""
+    out = []
+    for i, obj in enumerate(objs):
+        try:
+            out.append(parse(obj))
+        except KeyError as exc:
+            raise ValueError(f"{name}[{i}]: missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{name}[{i}]: {exc}") from None
+    return out
 
 
 def export_csv(dataset: Dataset, genus: int) -> str:

@@ -11,10 +11,18 @@ hence the genus.
 (level, branch count) pairs for a given genus, whether or not each admits the
 y^n = f(x) normal form (``normal_form_admissible`` decides that).
 
-``separability_probe`` instantiates the parameters at fixed distinct primes
-(5, 7, 11, ... by parameter index) and checks that the resulting polynomial
-has the expected degree and no repeated roots; failures are reported, not
-raised, so a verification run can collect them.
+``separability_probe`` sets the parameters to fixed distinct primes (5, 7,
+11, ... by parameter index) and checks that the resulting polynomial has the
+expected degree and no repeated roots: a modular certificate plus exact
+fallback.  The certificate reduces the template straight to F_p for the prime
+p = 2^61 - 1, sending sqrt(-3) to a fixed square root of -3 mod p, and runs
+Euclid on f and f' there.  When the degree survives and gcd(f, f') = 1 mod p,
+the discriminant of f is a unit at a prime above p, hence nonzero, and f is
+separable over Q(sqrt(-3)); that answer is final.  Every other outcome (degree
+drop or common factor mod p, a denominator divisible by p, another radicand,
+a missing parameter) runs the exact computation over Q(sqrt(-3)), whose
+messages are the probe's.  Failures are reported, not raised, so a
+verification run can collect them.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
 
-from .arith import Poly, QuadNum
+from .arith import Poly, QuadNum, is_separable, is_separable_mod_p
 
 __all__ = [
     "FixedCoeff",
@@ -45,6 +53,11 @@ __all__ = [
 
 PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97, 101, 103)
+
+# The certificate's prime: p = 2^61 - 1 is 1 mod 3, so -3 is a square mod p,
+# and 3 mod 4, so one of its square roots is (-3)^((p+1)/4).
+CERTIFICATE_PRIME = 2**61 - 1
+SQRT_MINUS_3_MOD_P = pow(-3, (CERTIFICATE_PRIME + 1) // 4, CERTIFICATE_PRIME)
 
 
 class NonSuperellipticError(ValueError):
@@ -228,13 +241,21 @@ def _term_to_json(t: Term) -> dict:
 def _term_from_json(data: dict) -> Term:
     c = data["c"]
     if c["kind"] == "fixed":
-        b = Fraction(c.get("b", "0"))
+        a, b = _rational_from_json("a", c["a"]), _rational_from_json("b", c.get("b", "0"))
         d = int(c["d"]) if "d" in c else 1
-        return Term(int(data["e"]), FixedCoeff(QuadNum(Fraction(c["a"]), b, d)))
+        return Term(int(data["e"]), FixedCoeff(QuadNum(a, b, d)))
     if c["kind"] == "param":
         return Term(int(data["e"]),
-                    ParamCoeff(int(c["i"]), Fraction(c.get("scale", "1"))))
+                    ParamCoeff(int(c["i"]), _rational_from_json("scale", c.get("scale", "1"))))
     raise ValueError(f"unknown coefficient kind {c.get('kind')!r}")
+
+
+def _rational_from_json(key: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"coefficient field {key!r} is not a rational number: "
+                         f"{text!r}") from None
 
 
 def branch_count(level: int, template: EquationTemplate) -> int:
@@ -332,24 +353,81 @@ def probe_assignment(template: EquationTemplate) -> dict[int, int]:
 class ProbeResult:
     ok: bool
     messages: tuple[str, ...]
-    poly: Poly
 
 
 def separability_probe(level: int, template: EquationTemplate,
                        values: Mapping[int, Union[int, Fraction, QuadNum]] | None = None) -> ProbeResult:
-    """Instantiate at the probe assignment and check degree and separability."""
-    from .arith import is_separable
-
-    messages = []
-    poly = template.instantiate(values)
-    if poly.is_zero or poly.degree != template.degree:
-        messages.append(
-            f"instantiated degree {'0' if poly.is_zero else poly.degree} "
-            f"!= template degree {template.degree}")
-    elif not is_separable(poly):
-        messages.append("instantiated polynomial has a repeated root")
+    """Check degree and separability at the probe assignment (see module doc)."""
+    if values is None:
+        values = probe_assignment(template)
+    messages = [] if _separable_mod_p(template, values) else _exact_probe(template, values)
     try:
         branch_count(level, template)
-    except NonSuperellipticError as exc:
+    except ValueError as exc:
         messages.append(str(exc))
-    return ProbeResult(not messages, tuple(messages), poly)
+    return ProbeResult(not messages, tuple(messages))
+
+
+def _exact_probe(template: EquationTemplate, values: Mapping) -> list[str]:
+    poly = template.instantiate(values)
+    if poly.is_zero or poly.degree != template.degree:
+        return [f"instantiated degree {'0' if poly.is_zero else poly.degree} "
+                f"!= template degree {template.degree}"]
+    if not is_separable(poly):
+        return ["instantiated polynomial has a repeated root"]
+    return []
+
+
+def _separable_mod_p(template: EquationTemplate, values: Mapping) -> bool:
+    """True only when f at ``values`` keeps its degree and gcd(f, f') = 1 mod p."""
+    f = _reduce_mod_p(template, values)
+    return f is not None and is_separable_mod_p(f, CERTIFICATE_PRIME)
+
+
+def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | None:
+    """f at ``values`` in F_p[x], dense and lowest degree first.
+
+    None when a coefficient has no image in F_p, a parameter has no value, or
+    a factor's leading coefficient vanishes mod p (the degree would drop).
+    """
+    p = CERTIFICATE_PRIME
+    product = [1]
+    for factor in template.factors:
+        dense = [0] * (1 + max(t.exponent for t in factor))
+        for t in factor:
+            if isinstance(t.coeff, FixedCoeff):
+                c = _number_mod_p(t.coeff.value)
+            elif t.coeff.index in values:
+                value = _number_mod_p(QuadNum.coerce(values[t.coeff.index]))
+                scale = _rational_mod_p(t.coeff.scale)
+                c = None if value is None or scale is None else value * scale % p
+            else:
+                return None
+            if c is None:
+                return None
+            dense[t.exponent] = c
+        if not dense[-1]:
+            return None
+        out = [0] * (len(product) + len(dense) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(dense):
+                out[i + j] += a * b
+        product = [c % p for c in out]
+    return product
+
+
+def _number_mod_p(value: QuadNum) -> int | None:
+    """Image of a + b*sqrt(d) under sqrt(-3) -> SQRT_MINUS_3_MOD_P, if it has one."""
+    if value.d not in (1, -3):
+        return None
+    a, b = _rational_mod_p(value.a), _rational_mod_p(value.b)
+    if a is None or b is None:
+        return None
+    return (a + b * SQRT_MINUS_3_MOD_P) % CERTIFICATE_PRIME
+
+
+def _rational_mod_p(q: Fraction) -> int | None:
+    p = CERTIFICATE_PRIME
+    if q.denominator % p == 0:
+        return None
+    return q.numerator * pow(q.denominator, -1, p) % p

@@ -369,8 +369,6 @@ ALL_TABLES: dict[int, tuple] = {
     7: GENUS7, 8: GENUS8, 9: GENUS9, 10: GENUS10,
 }
 
-GENERA = tuple(sorted(ALL_TABLES))
-
 # ---------------------------------------------------------------------------
 # Named zero-dimensional curves mentioned alongside the genus-3/4 tables
 # (supplementary; not part of the 224 rows).

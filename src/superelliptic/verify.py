@@ -6,7 +6,8 @@ forces one), the locus dimension must match the signature length, the
 defining polynomial must have the stated genus at the stated level with one
 free coefficient per dimension, the level/branch-point pair must be one of
 the admissible splittings of the genus, cone orders must divide the group
-order, the polynomial must stay separable under a rational probe, and the
+order, the polynomial must stay separable at the probe point (a modular
+certificate plus exact fallback, see :mod:`superelliptic.family`), and the
 recomputed verdict must agree with the printed highlighting.
 
 Findings that match the documented deviation registries in
@@ -21,9 +22,8 @@ from dataclasses import dataclass, field, replace
 from . import tables
 from .classify import Classification, classify
 from .dataset import Dataset, FamilyRecord, SignatureResolution, repair_signature
-from .family import (NonSuperellipticError, branch_count, branch_residues,
-                     enumerate_levels, genus_of_family, normal_form_admissible,
-                     separability_probe)
+from .family import (branch_count, branch_residues, enumerate_levels,
+                     genus_of_family, normal_form_admissible, separability_probe)
 from .groups import LabelError
 from .signature import (InconsistentSignatureError, cyclic_branch_data_valid,
                         moduli_dimension, quotient_genus)
@@ -191,7 +191,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             add("residues",
                 f"branch residues {residues} are not valid cyclic-cover data "
                 f"at level {record.level}")
-    except NonSuperellipticError as exc:
+    except ValueError as exc:      # NonSuperellipticError, or a level below 2
         add("genus", str(exc))
 
     if record.equation.parameter_count != record.delta:

@@ -176,3 +176,41 @@ def test_timestamps_flag_adds_marker(capsys) -> None:
     code, out, _ = run(capsys, "levels", "--genus", "2", "--timestamps")
     assert code == 0
     assert out.startswith("# generated 20")
+
+
+def _edited_export(tmp_path, edit) -> str:
+    from superelliptic.dataset import load_embedded, to_json
+    payload = json.loads(to_json(load_embedded()))
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def _first_fixed_coeff(payload) -> dict:
+    return next(u["c"] for u in payload["families"][0]["equation"]["factors"][0]
+                if u["c"]["kind"] == "fixed")
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda p: _first_fixed_coeff(p).update(a="1/0"), "'a'"),
+    (lambda p: p["families"][7].pop("nr"), "'nr'"),
+    (lambda p: p["families"][7]["equation"]["factors"][0][0]["c"].pop("kind"), "'kind'"),
+])
+def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, field) -> None:
+    path = _edited_export(tmp_path, edit)
+    for argv in (["list", "--data", path], ["verify", "--data", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: invalid dataset: families[")
+        assert field in err
+
+
+def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
+    path = _edited_export(tmp_path, lambda p: p["families"][0].update(level=1))
+    code, out, _ = run(capsys, "verify", "--data", path)
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("[failure]")]
+    assert failures and all(" genus 3 nr 1 " in line for line in failures)
+    assert "level must be at least 2, got 1" in out
+    assert "total: 224 rows, " in out

@@ -5,15 +5,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
-from superelliptic.arith import QuadNum
-from superelliptic.family import (EquationTemplate, FixedCoeff,
+from superelliptic import family
+from superelliptic.arith import QuadNum, is_separable, is_separable_mod_p
+from superelliptic.dataset import load_embedded
+from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
+                                  EquationTemplate, FixedCoeff,
                                   NonSuperellipticError, ParamCoeff, Term,
                                   branch_count, branch_residues,
                                   enumerate_levels, genus_of_family,
                                   normal_form_admissible, probe_assignment,
                                   separability_probe, superelliptic_genus)
-from superelliptic.tables import F1, f, spread, t
+from superelliptic.tables import F1, X, f, spread, t
+
+P = CERTIFICATE_PRIME
 
 
 def test_template_shape() -> None:
@@ -183,3 +191,110 @@ def test_template_json_round_trip() -> None:
     ):
         data = tmpl.to_json_dict()
         assert EquationTemplate.from_json_dict(data) == tmpl
+
+
+# -- the modular certificate and its exact fallback ------------------------------
+
+def certified(tmpl: EquationTemplate, values=None) -> bool:
+    return family._separable_mod_p(tmpl, probe_assignment(tmpl) if values is None else values)
+
+
+def exact_probe(monkeypatch, level: int, tmpl: EquationTemplate, values=None):
+    """The probe with the certificate switched off: the exact path alone."""
+    with monkeypatch.context() as m:
+        m.setattr(family, "_separable_mod_p", lambda *_: False)
+        return separability_probe(level, tmpl, values)
+
+
+def test_certificate_prime_has_a_square_root_of_minus_3() -> None:
+    assert sympy.isprime(P)
+    assert P % 3 == 1 and P % 4 == 3
+    assert SQRT_MINUS_3_MOD_P ** 2 % P == P - 3
+
+
+def test_fast_and_exact_probes_agree_on_every_row(monkeypatch) -> None:
+    rows = load_embedded().records
+    assert len(rows) == 224
+    for r in rows:
+        assert certified(r.equation), r.key
+        assert separability_probe(r.level, r.equation) == \
+            exact_probe(monkeypatch, r.level, r.equation), r.key
+
+
+def _drop_constant(tmpl: EquationTemplate) -> EquationTemplate | None:
+    """x*(...+c)*... with the fixed constant c dropped, so x^2 divides f."""
+    if len(tmpl.factors) < 2:
+        return None
+    first, second, *rest = tmpl.factors
+    if (first != X or len(second) < 2
+            or not any(u.exponent == 0 and isinstance(u.coeff, FixedCoeff) for u in second)):
+        return None
+    second = tuple(u for u in second if u.exponent != 0)
+    return EquationTemplate((first, second, *rest), tmpl.radicand)
+
+
+def test_dropped_constant_fails_both_paths_alike(monkeypatch) -> None:
+    shaped = [(r, bad) for r in load_embedded()
+              if (bad := _drop_constant(r.equation)) is not None]
+    assert len(shaped) == 102
+    for r, bad in shaped:
+        assert not certified(bad), r.key
+        fast = separability_probe(r.level, bad)
+        assert not fast.ok
+        assert fast == exact_probe(monkeypatch, r.level, bad), r.key
+
+
+@pytest.mark.parametrize("tmpl,values", [
+    (t(f(1, (0, 1)), f(0, (3, ("a1", P)))), {1: 1}),           # (x+1)(P*x^3+1): degree drops mod P
+    (t(f(2, (1, "a1"), (0, 1))), {1: P + 2}),                   # x^2+(P+2)x+1 = (x+1)^2 mod P
+    (t(f(2, (1, Fraction(1, P)), 0)), None),                    # denominator P
+    (t(f(2, (0, ("sqrt", 1, 5)))), None),                       # sqrt(5) has no image
+    (t(f(2, (0, -P))), None),                                   # x^2 - P: x^2 mod P
+])
+def test_forced_fallbacks_return_the_exact_result(monkeypatch, tmpl, values) -> None:
+    assert not certified(tmpl, values)
+    result = separability_probe(2, tmpl, values)
+    assert result == exact_probe(monkeypatch, 2, tmpl, values)
+    assert result.ok
+
+
+def test_missing_parameter_falls_back_to_the_exact_error() -> None:
+    tmpl = t(f(2, (1, "a1"), (0, "a2")))
+    assert not certified(tmpl, {1: 2})
+    with pytest.raises(KeyError, match="a_2"):
+        separability_probe(2, tmpl, {1: 2})
+
+
+def test_separable_mod_p_on_coefficient_lists() -> None:
+    assert is_separable_mod_p([-1, 0, 1], P)           # x^2 - 1
+    assert not is_separable_mod_p([1, 2, 1], P)        # (x + 1)^2
+    assert not is_separable_mod_p([P, 0, 1], P)        # x^2 mod P
+    assert is_separable_mod_p([5], P)
+    assert not is_separable_mod_p([P, 2 * P], P)       # zero mod P
+
+
+_INTEGER = st.one_of(st.integers(-6, 6), st.sampled_from((P, -P, 2 * P)))
+_NUMBER = st.one_of(
+    _INTEGER.map(QuadNum),
+    st.tuples(_INTEGER, st.integers(-3, 3)).map(lambda ab: QuadNum(ab[0], ab[1], -3)))
+
+
+@st.composite
+def _factors(draw, max_degree: int = 4) -> tuple[Term, ...]:
+    coeffs = draw(st.lists(_NUMBER, min_size=1, max_size=max_degree + 1))
+    terms = tuple(Term(e, FixedCoeff(c)) for e, c in enumerate(coeffs) if c)
+    return terms or (Term(0, FixedCoeff.of(1)),)
+
+
+@given(st.lists(_factors(), min_size=1, max_size=3))
+def test_certificate_never_accepts_an_inseparable_polynomial(factors) -> None:
+    tmpl = EquationTemplate(tuple(factors))
+    if certified(tmpl):
+        poly = tmpl.instantiate({})
+        assert poly.degree == tmpl.degree
+        assert is_separable(poly)
+
+
+@given(_factors(), _factors().filter(lambda h: max(u.exponent for u in h) > 0))
+def test_certificate_rejects_every_square_factor(g, h) -> None:
+    assert not certified(EquationTemplate((g, h, h)))

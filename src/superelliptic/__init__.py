@@ -12,34 +12,32 @@ from __future__ import annotations
 
 from .arith import Poly, QuadNum, is_separable, poly_gcd
 from .classify import Classification, Reason, Verdict, classify
-from .dataset import (Block, Dataset, FamilyRecord, NamedCurve,
-                      SignatureResolution, classify_record, effective_signature,
-                      export_csv, from_json, load_embedded, repair_signature,
-                      to_json)
+from .dataset import (Dataset, FamilyRecord, NamedCurve, SignatureResolution,
+                      classify_record, effective_signature, export_csv,
+                      from_json, load_embedded, repair_signature, to_json)
 from .family import (EquationTemplate, FixedCoeff, NonSuperellipticError,
-                     ParamCoeff, Term, branch_count, branch_residues,
-                     enumerate_levels, genus_of_family, normal_form_admissible,
+                     ParamCoeff, Term, branch_count, enumerate_levels,
+                     genus_of_family, normal_form_admissible,
                      separability_probe, superelliptic_genus)
 from .groups import (GroupLabel, LabelError, ReducedGroup, ReducedKind,
-                     full_group_order, parse_group_label)
+                     parse_group_label)
 from .signature import (InconsistentSignatureError, Signature, SignatureRepair,
-                        complete_signature, cyclic_branch_data_valid,
-                        moduli_dimension, quotient_genus)
+                        complete_signature, moduli_dimension, quotient_genus)
 from .verify import Finding, RowResult, VerifyReport, verify_dataset, verify_row
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "Classification", "Dataset", "EquationTemplate", "FamilyRecord",
+    "Classification", "Dataset", "EquationTemplate", "FamilyRecord",
     "Finding", "FixedCoeff", "GroupLabel", "InconsistentSignatureError",
     "LabelError", "NamedCurve", "NonSuperellipticError", "ParamCoeff", "Poly",
     "QuadNum", "Reason", "ReducedGroup", "ReducedKind", "RowResult",
     "Signature", "SignatureRepair", "SignatureResolution", "Term", "Verdict",
-    "VerifyReport", "branch_count", "branch_residues", "classify",
-    "classify_record", "complete_signature", "cyclic_branch_data_valid",
-    "effective_signature", "enumerate_levels", "export_csv", "from_json",
-    "full_group_order", "genus_of_family", "is_separable", "load_embedded",
-    "moduli_dimension", "normal_form_admissible", "parse_group_label",
-    "poly_gcd", "quotient_genus", "repair_signature", "separability_probe",
-    "superelliptic_genus", "to_json", "verify_dataset", "verify_row",
+    "VerifyReport", "branch_count", "classify", "classify_record",
+    "complete_signature", "effective_signature", "enumerate_levels",
+    "export_csv", "from_json", "genus_of_family", "is_separable",
+    "load_embedded", "moduli_dimension", "normal_form_admissible",
+    "parse_group_label", "poly_gcd", "quotient_genus", "repair_signature",
+    "separability_probe", "superelliptic_genus", "to_json", "verify_dataset",
+    "verify_row",
 ]

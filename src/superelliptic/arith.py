@@ -260,18 +260,6 @@ class Poly:
             raise ValueError("cannot normalise the zero polynomial")
         return self.scale(self.leading_coefficient.inverse())
 
-    def evaluate(self, x: NumberLike) -> QuadNum:
-        x = QuadNum.coerce(x)
-        total = _ZERO
-        for e, c in self._coeffs.items():
-            term = c
-            # small exponents only; repeated squaring is not worth it here
-            p = _ONE
-            for _ in range(e):
-                p = p * x
-            total = total + term * p
-        return total
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")

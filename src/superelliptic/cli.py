@@ -18,8 +18,8 @@ from datetime import datetime, timezone
 
 from . import tables
 from .classify import classify
-from .dataset import (Dataset, export_csv, from_json, load_embedded,
-                      repair_signature, to_json)
+from .dataset import (Dataset, classify_record, export_csv, from_json,
+                      load_embedded, repair_signature, to_json)
 from .family import branch_count, enumerate_levels, normal_form_admissible
 from .verify import verify_dataset
 
@@ -132,8 +132,7 @@ def _format_table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _record_summary(record) -> dict:
-    resolution = repair_signature(record)
+def _record_summary(record, resolution) -> dict:
     verdict = classify(record.reduced_group(), resolution.effective, record.delta)
     out = {
         "genus": record.genus,
@@ -162,7 +161,7 @@ def _cmd_list(args) -> int:
     records = [r for g in genera for r in ds.genus_rows(g)
                if not args.blue_only or r.highlighted]
     if args.format == "json":
-        payload = {"rows": [_record_summary(r) for r in records]}
+        payload = {"rows": [_record_summary(r, repair_signature(r)) for r in records]}
         if args.timestamps:
             payload["generated_at"] = _timestamp()
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -206,9 +205,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     ds = _load_dataset(args)
-    record = ds.get(args.genus, args.nr)
-    resolution = repair_signature(record)
-    verdict = classify(record.reduced_group(), resolution.effective, record.delta)
+    verdict = classify_record(ds.get(args.genus, args.nr))
     if args.format == "json":
         payload = verdict.to_json_dict()
         if args.timestamps:
@@ -247,8 +244,8 @@ def _cmd_levels(args) -> int:
 def _cmd_row(args) -> int:
     ds = _load_dataset(args)
     record = ds.get(args.genus, args.nr)
-    summary = _record_summary(record)
     resolution = repair_signature(record)
+    summary = _record_summary(record, resolution)
     summary["signature_status"] = resolution.status
     summary["effective_signature"] = resolution.effective.render()
     summary["branch_points"] = branch_count(record.level, record.equation)

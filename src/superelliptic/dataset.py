@@ -13,13 +13,12 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from . import tables
 from .classify import Classification, classify
 from .family import EquationTemplate
-from .groups import GroupLabel, ReducedGroup, parse_group_label
+from .groups import GroupLabel, ReducedGroup, ReducedKind, parse_group_label
 from .signature import Signature, SignatureRepair, complete_signature
 
 DATASET_VERSION = "v1"
@@ -28,23 +27,13 @@ CSV_COLUMNS = ("Nr", "reduced_group", "full_group", "order", "n", "m",
                "signature", "delta", "blue", "equation")
 
 
-class Block(Enum):
-    """Which block of a genus table a row belongs to (its reduced-group type)."""
-
-    CYCLIC = "cyclic"
-    DIHEDRAL = "dihedral"
-    TETRAHEDRAL = "tetrahedral"
-    OCTAHEDRAL = "octahedral"
-    ICOSAHEDRAL = "icosahedral"
-
-
 @dataclass(frozen=True)
 class FamilyRecord:
     """One row of a genus table, fields as printed (equation possibly corrected)."""
 
     genus: int
     number: int
-    block: Block
+    block: ReducedKind    # never TRIVIAL: C_1 is the cyclic block with m = 1
     label_text: str
     level: int
     m: int | None
@@ -58,21 +47,15 @@ class FamilyRecord:
         return (self.genus, self.number)
 
     def reduced_group(self) -> ReducedGroup:
-        if self.block is Block.CYCLIC:
+        if self.block is ReducedKind.CYCLIC:
             if self.m is None or self.m < 1:
                 raise ValueError(f"row {self.key}: cyclic block needs m >= 1")
             return ReducedGroup.cyclic(self.m)
-        if self.block is Block.DIHEDRAL:
+        if self.block is ReducedKind.DIHEDRAL:
             if self.m is None or self.m < 2:
                 raise ValueError(f"row {self.key}: dihedral block needs m >= 2")
             return ReducedGroup.dihedral(self.m)
-        from .groups import ReducedKind
-        kind = {
-            Block.TETRAHEDRAL: ReducedKind.TETRAHEDRAL,
-            Block.OCTAHEDRAL: ReducedKind.OCTAHEDRAL,
-            Block.ICOSAHEDRAL: ReducedKind.ICOSAHEDRAL,
-        }[self.block]
-        return ReducedGroup(kind)
+        return ReducedGroup(self.block)
 
     def group_order(self) -> int:
         return self.level * self.reduced_group().order
@@ -165,8 +148,8 @@ class Dataset:
         return dict(sorted(Counter(r.level for r in self.genus_rows(genus)).items()))
 
     def count_by_block(self, genus: int) -> dict[str, int]:
-        counts = Counter(r.block.value for r in self.genus_rows(genus))
-        return {b: counts[b] for b in (x.value for x in Block) if counts[b]}
+        counts = Counter(r.block for r in self.genus_rows(genus))
+        return {b.value: counts[b] for b in ReducedKind if counts[b]}
 
     def highlighted_numbers(self, genus: int) -> tuple[int, ...]:
         return tuple(r.number for r in self.genus_rows(genus) if r.highlighted)
@@ -196,16 +179,34 @@ def _record_to_json(record: FamilyRecord) -> dict:
 def _record_from_json(obj: dict) -> FamilyRecord:
     return FamilyRecord(
         genus=obj["genus"],
-        number=obj["nr"],
-        block=Block(obj["block"]),
+        number=_int_field(obj, "nr"),
+        block=_block_from_json(obj["block"]),
         label_text=obj["label"],
-        level=obj["level"],
-        m=obj["m"],
+        level=_int_field(obj, "level"),
+        m=_int_field(obj, "m", nullable=True),
         signature=Signature.parse(obj["signature"]),
-        delta=obj["dim"],
+        delta=_int_field(obj, "dim"),
         equation=EquationTemplate.from_json_dict(obj["equation"]),
         highlighted=obj["highlighted"],
     )
+
+
+def _int_field(obj: dict, key: str, nullable: bool = False) -> int | None:
+    value = obj[key]
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        expected = "an integer or null" if nullable else "an integer"
+        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _block_from_json(value) -> ReducedKind:
+    # The tables write a trivial reduced group as the cyclic block with m = 1.
+    blocks = [k.value for k in ReducedKind if k is not ReducedKind.TRIVIAL]
+    if value not in blocks:
+        raise ValueError(f"field 'block' must be one of {', '.join(blocks)}, got {value!r}")
+    return ReducedKind(value)
 
 
 def _named_to_json(curve: NamedCurve) -> dict:
@@ -288,7 +289,7 @@ def _build_records() -> tuple[FamilyRecord, ...]:
             out.append(FamilyRecord(
                 genus=genus,
                 number=nr,
-                block=Block(block),
+                block=block,
                 label_text=label,
                 level=level,
                 m=m,

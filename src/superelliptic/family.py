@@ -45,7 +45,6 @@ __all__ = [
     "genus_of_family",
     "enumerate_levels",
     "normal_form_admissible",
-    "branch_residues",
     "probe_assignment",
     "separability_probe",
     "ProbeResult",
@@ -324,21 +323,6 @@ def normal_form_admissible(level: int, branch_points: int) -> bool:
     if level < 2 or branch_points < 3:
         raise ValueError("need level >= 2 and at least 3 branch points")
     return branch_points % level == 0 or gcd(level, branch_points - 1) == 1
-
-
-def branch_residues(level: int, template: EquationTemplate) -> tuple[int, ...]:
-    """Local rotation exponents of the cyclic cover at its branch points.
-
-    In normal form every finite root is simple (exponent 1); when the level
-    does not divide the degree, infinity carries the balancing exponent
-    -degree mod level.
-    """
-    deg = branch_count(level, template)  # validates the shape
-    finite = template.degree
-    residues = [1] * finite
-    if deg == finite + 1:
-        residues.append((-finite) % level)
-    return tuple(residues)
 
 
 def probe_assignment(template: EquationTemplate) -> dict[int, int]:

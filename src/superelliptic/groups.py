@@ -22,7 +22,6 @@ from enum import Enum
 __all__ = [
     "ReducedKind",
     "ReducedGroup",
-    "full_group_order",
     "GroupLabel",
     "LabelError",
     "parse_group_label",
@@ -36,10 +35,6 @@ class ReducedKind(Enum):
     TETRAHEDRAL = "tetrahedral"   # A_4
     OCTAHEDRAL = "octahedral"     # S_4
     ICOSAHEDRAL = "icosahedral"   # A_5
-
-    @property
-    def is_cyclic_or_trivial(self) -> bool:
-        return self in (ReducedKind.TRIVIAL, ReducedKind.CYCLIC)
 
 
 _FIXED_ORDERS = {
@@ -91,7 +86,7 @@ class ReducedGroup:
 
     @property
     def is_cyclic_or_trivial(self) -> bool:
-        return self.kind.is_cyclic_or_trivial
+        return self.kind in (ReducedKind.TRIVIAL, ReducedKind.CYCLIC)
 
     def describe(self) -> str:
         if self.kind is ReducedKind.TRIVIAL:
@@ -106,13 +101,6 @@ class ReducedGroup:
 
     def __str__(self) -> str:
         return self.describe()
-
-
-def full_group_order(level: int, reduced: ReducedGroup) -> int:
-    """Order of the full automorphism group: level times reduced order."""
-    if level < 2:
-        raise ValueError(f"level must be at least 2, got {level}")
-    return level * reduced.order
 
 
 class LabelError(ValueError):

@@ -30,7 +30,6 @@ __all__ = [
     "moduli_dimension",
     "complete_signature",
     "SignatureRepair",
-    "cyclic_branch_data_valid",
 ]
 
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
@@ -241,19 +240,3 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
                                ambiguous=len(replaced) > 1)
 
     return SignatureRepair("unrepairable", sig)
-
-
-def cyclic_branch_data_valid(n: int, residues: tuple[int, ...]) -> bool:
-    """Validity of branch data for a degree-n cyclic cover of the line.
-
-    Each local rotation exponent must be a unit modulo n (so every branch
-    point is totally ramified at level n) and the exponents must sum to zero
-    modulo n (so the cover is unbranched at the remaining points).
-    """
-    from math import gcd
-
-    if n < 2:
-        raise ValueError(f"cover degree must be at least 2, got {n}")
-    if not residues:
-        return False
-    return all(gcd(r % n, n) == 1 for r in residues) and sum(residues) % n == 0

@@ -22,15 +22,7 @@ from fractions import Fraction
 
 from .arith import QuadNum
 from .family import EquationTemplate, FixedCoeff, ParamCoeff, Term
-
-CYCLIC_BLOCK = "cyclic"
-DIHEDRAL_BLOCK = "dihedral"
-TETRAHEDRAL_BLOCK = "tetrahedral"
-OCTAHEDRAL_BLOCK = "octahedral"
-ICOSAHEDRAL_BLOCK = "icosahedral"
-
-BLOCKS = (CYCLIC_BLOCK, DIHEDRAL_BLOCK, TETRAHEDRAL_BLOCK,
-          OCTAHEDRAL_BLOCK, ICOSAHEDRAL_BLOCK)
+from .groups import ReducedKind
 
 
 def _coeff(spec):
@@ -73,7 +65,8 @@ X = f(1)
 # pencil with tetrahedral reduced symmetry that several genera share.
 F1 = f(12, (10, ("a1", -1)), (8, -33), (6, ("a1", 2)), (4, -33), (2, ("a1", -1)), 0)
 
-C, D, A4, S4, A5 = BLOCKS
+C, D, A4, S4, A5 = (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL, ReducedKind.TETRAHEDRAL,
+                     ReducedKind.OCTAHEDRAL, ReducedKind.ICOSAHEDRAL)
 
 # (nr, block, label, level n, printed m, printed signature, printed delta,
 #  equation template, highlighted as possibly-not-definable)

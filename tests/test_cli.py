@@ -196,6 +196,17 @@ def _first_fixed_coeff(payload) -> dict:
     (lambda p: _first_fixed_coeff(p).update(a="1/0"), "'a'"),
     (lambda p: p["families"][7].pop("nr"), "'nr'"),
     (lambda p: p["families"][7]["equation"]["factors"][0][0]["c"].pop("kind"), "'kind'"),
+    pytest.param(lambda p: p["families"][7].update(nr="8"), "field 'nr'", id="nr-str"),
+    pytest.param(lambda p: p["families"][7].update(level="2"), "field 'level'",
+                 id="level-str"),
+    pytest.param(lambda p: p["families"][7].update(level=True), "field 'level'",
+                 id="level-bool"),
+    pytest.param(lambda p: p["families"][7].update(dim="1"), "field 'dim'", id="dim-str"),
+    pytest.param(lambda p: p["families"][7].update(m="2"), "field 'm'", id="m-str"),
+    pytest.param(lambda p: p["families"][7].update(block="trivial"), "field 'block'",
+                 id="block-trivial"),
+    pytest.param(lambda p: p["families"][7].update(block="hexagonal"), "field 'block'",
+                 id="block-hexagonal"),
 ])
 def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, field) -> None:
     path = _edited_export(tmp_path, edit)
@@ -212,5 +223,6 @@ def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("[failure]")]
     assert failures and all(" genus 3 nr 1 " in line for line in failures)
-    assert "level must be at least 2, got 1" in out
+    assert sum("level must be at least 2, got 1" in line for line in failures) == 1
+    assert "(separability)" not in out
     assert "total: 224 rows, " in out

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from superelliptic.dataset import (Block, export_csv, from_json, load_embedded,
+from superelliptic.dataset import (export_csv, from_json, load_embedded,
                                    repair_signature, to_json)
 from superelliptic.family import genus_of_family
+from superelliptic.groups import ReducedKind
 
 EXPECTED_ROW_COUNTS = {3: 5, 4: 9, 5: 20, 6: 36, 7: 27, 8: 22, 9: 50, 10: 55}
 
@@ -41,7 +42,7 @@ def test_row_numbers_are_contiguous(ds) -> None:
 
 
 def test_blocks_are_grouped_in_printed_order(ds) -> None:
-    rank = {b: i for i, b in enumerate(Block)}
+    rank = {b: i for i, b in enumerate(ReducedKind)}
     for genus in ds.genera:
         ranks = [rank[r.block] for r in ds.genus_rows(genus)]
         assert ranks == sorted(ranks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -15,8 +16,8 @@ from superelliptic.dataset import load_embedded
 from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
                                   EquationTemplate, FixedCoeff,
                                   NonSuperellipticError, ParamCoeff, Term,
-                                  branch_count, branch_residues,
-                                  enumerate_levels, genus_of_family,
+                                  branch_count, enumerate_levels,
+                                  genus_of_family,
                                   normal_form_admissible, probe_assignment,
                                   separability_probe, superelliptic_genus)
 from superelliptic.tables import F1, X, f, spread, t
@@ -129,6 +130,28 @@ def test_normal_form_admissibility() -> None:
     assert normal_form_admissible(11, 3)
 
 
+def test_genus_implies_admissible_splitting_and_cyclic_branch_data() -> None:
+    # verify reports a row's shape under "genus" alone; this is why no
+    # separate splitting, normal-form or branch-residue check is needed.
+    for level in range(2, 40):
+        for degree in range(1, 90):
+            try:
+                genus = genus_of_family(level, t(f(degree)))
+            except ValueError:
+                continue
+            if genus < 2:
+                continue
+            points = branch_count(level, t(f(degree)))
+            assert normal_form_admissible(level, points)
+            assert (level, points) in enumerate_levels(genus)
+            # residues 1 at the roots, -degree at infinity when it branches:
+            # all units mod level, summing to 0 mod level
+            if points == degree + 1:
+                assert gcd(level, degree) == 1
+            else:
+                assert points == degree and degree % level == 0
+
+
 @pytest.mark.parametrize("level,tmpl,genus", [
     (2, t(F1), 5),
     (3, t(F1), 10),
@@ -152,12 +175,6 @@ def test_printed_equation_defects_change_the_genus() -> None:
     with pytest.raises(NonSuperellipticError):
         genus_of_family(4, t(spread(6, 1, 5)))
     assert genus_of_family(4, t(f(1), spread(6, 1, 5))) == 9
-
-
-def test_branch_residues() -> None:
-    assert branch_residues(2, t(f(12, 0))) == tuple([1] * 12)
-    assert branch_residues(2, t(f(1), f(10, (5, "a1"), 0))) == tuple([1] * 11) + (1,)
-    assert branch_residues(5, t(f(1), f(2, (0, -1)))) == (1, 1, 1, 2)
 
 
 def test_separability_probe_accepts_generic_family() -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from superelliptic.groups import (LabelError, ReducedGroup, ReducedKind,
-                                  full_group_order, parse_group_label)
+                                  parse_group_label)
 
 
 def test_reduced_group_construction() -> None:
@@ -34,13 +34,6 @@ def test_reduced_group_cyclicity_flag() -> None:
     assert ReducedGroup.cyclic(9).is_cyclic_or_trivial
     assert not ReducedGroup.dihedral(2).is_cyclic_or_trivial
     assert not ReducedGroup(ReducedKind.ICOSAHEDRAL).is_cyclic_or_trivial
-
-
-def test_full_group_order() -> None:
-    assert full_group_order(3, ReducedGroup.dihedral(3)) == 18
-    assert full_group_order(2, ReducedGroup(ReducedKind.ICOSAHEDRAL)) == 120
-    with pytest.raises(ValueError):
-        full_group_order(1, ReducedGroup.cyclic(2))
 
 
 # (printed label, expected order); all appear in the tables or the named list.

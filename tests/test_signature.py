@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from superelliptic.signature import (InconsistentSignatureError, Signature,
-                                     complete_signature, cyclic_branch_data_valid,
-                                     moduli_dimension, quotient_genus)
+                                     complete_signature, moduli_dimension,
+                                     quotient_genus)
 
 
 def test_parse_render_round_trip() -> None:
@@ -132,10 +132,3 @@ def test_consistent_signature_untouched() -> None:
 def test_unrepairable_signature() -> None:
     repair = complete_signature(6, 6, Signature.parse("2^3,3^2,6^2"))
     assert repair.status == "unrepairable"
-
-
-def test_cyclic_branch_data() -> None:
-    assert cyclic_branch_data_valid(5, (1, 1, 1, 1, 1))
-    assert cyclic_branch_data_valid(2, tuple([1] * 12))
-    assert not cyclic_branch_data_valid(5, (1, 1, 1))        # sum not 0 mod 5
-    assert not cyclic_branch_data_valid(4, (2, 1, 1))        # gcd(2, 4) > 1

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from superelliptic.dataset import load_embedded
+from superelliptic.family import EquationTemplate
 from superelliptic.signature import Signature
 from superelliptic.tables import f, t
 from superelliptic.verify import verify_dataset, verify_row
@@ -85,6 +86,20 @@ def test_tampered_equation_is_caught(ds) -> None:
     result = verify_row(row)
     codes = {x.code for x in result.findings if x.severity == "failure"}
     assert "genus" in codes
+
+
+def test_parameter_indices_must_run_from_one(ds) -> None:
+    # a_2 renamed to a_99: still five free coefficients, but not a_1..a_5
+    row = ds.get(3, 1)
+    data = row.equation.to_json_dict()
+    for factor in data["factors"]:
+        for term in factor:
+            if term["c"]["kind"] == "param" and term["c"]["i"] == 2:
+                term["c"]["i"] = 99
+    result = verify_row(dataclasses.replace(row, equation=EquationTemplate.from_json_dict(data)))
+    failures = [x for x in result.findings if x.severity == "failure"]
+    assert [x.code for x in failures] == ["parameters"]
+    assert "a_1, a_3, a_4, a_5, a_99, expected a_1 to a_5" in failures[0].message
 
 
 def test_tampered_highlighting_is_caught(ds) -> None:

@@ -60,7 +60,7 @@ class QuadNum:
         b = Fraction(b)
         if b == 0:
             d = 1
-        if d == 1:
+        elif d == 1:
             a, b = a + b, Fraction(0)  # sqrt(1) = 1
         elif not is_square_free(d):
             raise ValueError(f"radicand {d} is not square-free")
@@ -82,12 +82,6 @@ class QuadNum:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.a
 
     def _common_radicand(self, other: "QuadNum") -> int:
         if self.d == 1:

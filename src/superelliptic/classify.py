@@ -17,8 +17,8 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .groups import ReducedGroup
 from .signature import Signature
@@ -46,8 +46,7 @@ THEOREM_TEXT = {
 _NO_CRITERION = "no applicable sufficiency criterion"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     reason: Reason | None
     theorem: str

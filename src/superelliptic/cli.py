@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 
 from . import tables
 from .classify import classify
@@ -93,6 +92,8 @@ def _load_dataset(args) -> Dataset:
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone  # imported on use: most calls print no time
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -188,8 +189,8 @@ def _cmd_verify(args) -> int:
         payload = {
             "ok": report.ok,
             "rows_checked": len(report.rows),
-            "failures": [f.__dict__ for f in report.failures],
-            "warnings": [f.__dict__ for f in report.warnings],
+            "failures": [f._asdict() for f in report.failures],
+            "warnings": [f._asdict() for f in report.warnings],
         }
         if args.timestamps:
             payload["generated_at"] = _timestamp()
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid dataset: {exc}", file=sys.stderr)
         return EXIT_IO
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -8,12 +8,10 @@ dataset losslessly to JSON and per-genus CSV.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import tables
 from .classify import Classification, classify
@@ -27,8 +25,7 @@ CSV_COLUMNS = ("Nr", "reduced_group", "full_group", "order", "n", "m",
                "signature", "delta", "blue", "equation")
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """One row of a genus table, fields as printed (equation possibly corrected)."""
 
     genus: int
@@ -64,8 +61,7 @@ class FamilyRecord:
         return parse_group_label(self.label_text, context_order=self.group_order())
 
 
-@dataclass(frozen=True)
-class SignatureResolution:
+class SignatureResolution(NamedTuple):
     """How a printed signature became the effective one used downstream."""
 
     printed: Signature
@@ -84,8 +80,7 @@ class SignatureResolution:
         return self.repair.status
 
 
-@dataclass(frozen=True)
-class NamedCurve:
+class NamedCurve(NamedTuple):
     """A single curve called out next to a table rather than inside it."""
 
     genus: int
@@ -144,13 +139,6 @@ class Dataset:
         except KeyError:
             raise KeyError(f"no row {number} in the genus-{genus} table") from None
 
-    def count_by_level(self, genus: int) -> dict[int, int]:
-        return dict(sorted(Counter(r.level for r in self.genus_rows(genus)).items()))
-
-    def count_by_block(self, genus: int) -> dict[str, int]:
-        counts = Counter(r.block for r in self.genus_rows(genus))
-        return {b.value: counts[b] for b in ReducedKind if counts[b]}
-
     def highlighted_numbers(self, genus: int) -> tuple[int, ...]:
         return tuple(r.number for r in self.genus_rows(genus) if r.highlighted)
 
@@ -179,24 +167,22 @@ def _record_to_json(record: FamilyRecord) -> dict:
 def _record_from_json(obj: dict) -> FamilyRecord:
     return FamilyRecord(
         genus=obj["genus"],
-        number=_int_field(obj, "nr"),
+        number=_field(obj, "nr", "an integer", int),
         block=_block_from_json(obj["block"]),
-        label_text=obj["label"],
-        level=_int_field(obj, "level"),
-        m=_int_field(obj, "m", nullable=True),
+        label_text=_field(obj, "label", "a string", str),
+        level=_field(obj, "level", "an integer", int),
+        m=_field(obj, "m", "an integer or null", int, type(None)),
         signature=Signature.parse(obj["signature"]),
-        delta=_int_field(obj, "dim"),
+        delta=_field(obj, "dim", "an integer", int),
         equation=EquationTemplate.from_json_dict(obj["equation"]),
-        highlighted=obj["highlighted"],
+        highlighted=_field(obj, "highlighted", "true or false", bool),
     )
 
 
-def _int_field(obj: dict, key: str, nullable: bool = False) -> int | None:
+def _field(obj: dict, key: str, expected: str, *types: type):
+    """``obj[key]``, whose type must be exactly one of ``types``: true is no integer."""
     value = obj[key]
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        expected = "an integer or null" if nullable else "an integer"
+    if type(value) not in types:
         raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
     return value
 
@@ -263,6 +249,8 @@ def _rows_from_json(name: str, objs, parse) -> list:
 
 def export_csv(dataset: Dataset, genus: int) -> str:
     """One genus table as CSV (CRLF rows, signatures quoted as needed)."""
+    import csv  # imported on use: most calls write no CSV
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(CSV_COLUMNS)

@@ -27,10 +27,9 @@ verification run can collect them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .arith import Poly, QuadNum, is_separable, is_separable_mod_p
 
@@ -63,8 +62,7 @@ class NonSuperellipticError(ValueError):
     """The (level, degree) combination admits no y^n = f(x) normal form."""
 
 
-@dataclass(frozen=True)
-class FixedCoeff:
+class FixedCoeff(NamedTuple):
     """An exact constant coefficient."""
 
     value: QuadNum
@@ -77,19 +75,24 @@ class FixedCoeff:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class ParamCoeff:
+# A NamedTuple may not define __new__: the subclass below checks the fields.
+class _ParamCoeff(NamedTuple):
+    index: int
+    scale: Fraction
+
+
+class ParamCoeff(_ParamCoeff):
     """A formal parameter a_i, optionally scaled by an exact rational."""
 
-    index: int
-    scale: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"parameter index must be positive, got {self.index}")
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale == 0:
+    def __new__(cls, index: int, scale: Fraction = Fraction(1)) -> "ParamCoeff":
+        if index < 1:
+            raise ValueError(f"parameter index must be positive, got {index}")
+        scale = Fraction(scale)
+        if scale == 0:
             raise ValueError("parameter scale must be nonzero")
+        return super().__new__(cls, index, scale)
 
     def render(self) -> str:
         name = f"a_{self.index}"
@@ -103,18 +106,26 @@ class ParamCoeff:
 Coefficient = Union[FixedCoeff, ParamCoeff]
 
 
-@dataclass(frozen=True)
-class Term:
+class _Term(NamedTuple):
     exponent: int
     coeff: Coefficient
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ValueError(f"negative exponent {self.exponent}")
+
+class Term(_Term):
+    __slots__ = ()
+
+    def __new__(cls, exponent: int, coeff: Coefficient) -> "Term":
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent}")
+        return super().__new__(cls, exponent, coeff)
 
 
-@dataclass(frozen=True)
-class EquationTemplate:
+class _EquationTemplate(NamedTuple):
+    factors: tuple[tuple[Term, ...], ...]
+    radicand: int
+
+
+class EquationTemplate(_EquationTemplate):
     """f(x) as an ordered product of factors, each an ordered list of terms.
 
     Term order inside a factor is display order (kept as authored); the
@@ -122,16 +133,17 @@ class EquationTemplate:
     coefficient (1 when none is).
     """
 
-    factors: tuple[tuple[Term, ...], ...]
-    radicand: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.factors or any(not f for f in self.factors):
+    def __new__(cls, factors: tuple[tuple[Term, ...], ...],
+                radicand: int = 1) -> "EquationTemplate":
+        if not factors or any(not f for f in factors):
             raise ValueError("template needs at least one non-empty factor")
-        for factor in self.factors:
+        for factor in factors:
             exps = [t.exponent for t in factor]
             if len(set(exps)) != len(exps):
                 raise ValueError("duplicate exponent inside one factor")
+        return super().__new__(cls, factors, radicand)
 
     # -- invariants --------------------------------------------------------
 
@@ -333,8 +345,7 @@ def probe_assignment(template: EquationTemplate) -> dict[int, int]:
     return {idx: PROBE_PRIMES[pos] for pos, idx in enumerate(indices)}
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     ok: bool
     messages: tuple[str, ...]
 

@@ -16,8 +16,8 @@ handles both.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "ReducedKind",
@@ -45,22 +45,24 @@ _FIXED_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class ReducedGroup:
+# A NamedTuple may not define __new__: the subclass below checks the fields.
+class _ReducedGroup(NamedTuple):
+    kind: ReducedKind
+    m: int | None  # C_m: order m; dihedral: half the order; else None
+
+
+class ReducedGroup(_ReducedGroup):
     """A finite subgroup of the Moebius group, up to conjugacy."""
 
-    kind: ReducedKind
-    m: int | None = None  # C_m: order m; dihedral: half the order; else None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is ReducedKind.CYCLIC:
-            if self.m is None or self.m < 2:
-                raise ValueError("cyclic reduced group needs m >= 2")
-        elif self.kind is ReducedKind.DIHEDRAL:
-            if self.m is None or self.m < 2:
-                raise ValueError("dihedral reduced group needs m >= 2")
-        elif self.m is not None:
-            raise ValueError(f"{self.kind.value} reduced group takes no parameter")
+    def __new__(cls, kind: ReducedKind, m: int | None = None) -> "ReducedGroup":
+        if kind in (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL):
+            if m is None or m < 2:
+                raise ValueError(f"{kind.value} reduced group needs m >= 2")
+        elif m is not None:
+            raise ValueError(f"{kind.value} reduced group takes no parameter")
+        return super().__new__(cls, kind, m)
 
     @classmethod
     def trivial(cls) -> "ReducedGroup":
@@ -107,8 +109,7 @@ class LabelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupLabel:
+class GroupLabel(NamedTuple):
     """A full-group label as printed, with its order when determinable.
 
     ``recognized`` is True when the name itself pins the order down (C_k, D_k,

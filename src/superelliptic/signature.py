@@ -20,8 +20,8 @@ preference picks one when several exist.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Signature",
@@ -35,21 +35,25 @@ __all__ = [
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Signature:
-    """A multiset of cone-point orders, stored as sorted (order, multiplicity)."""
-
+# A NamedTuple may not define __new__: the subclass below checks the fields.
+class _Signature(NamedTuple):
     entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+
+class Signature(_Signature):
+    """A multiset of cone-point orders, stored as sorted (order, multiplicity)."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[int, int], ...]) -> "Signature":
         merged: dict[int, int] = {}
-        for order, mult in self.entries:
+        for order, mult in entries:
             if order < 2:
                 raise ValueError(f"cone order must be at least 2, got {order}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             merged[order] = merged.get(order, 0) + mult
-        object.__setattr__(self, "entries", tuple(sorted(merged.items())))
+        return super().__new__(cls, tuple(sorted(merged.items())))
 
     # -- construction ------------------------------------------------------
 
@@ -166,8 +170,7 @@ def moduli_dimension(g0: int, r: int) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class SignatureRepair:
+class SignatureRepair(NamedTuple):
     """Outcome of :func:`complete_signature`.
 
     status is one of ``consistent`` (no edit needed), ``completed`` (one order
@@ -180,7 +183,7 @@ class SignatureRepair:
     signature: Signature
     candidates: tuple[Signature, ...] = ()
     edit: str | None = None
-    ambiguous: bool = field(default=False)
+    ambiguous: bool = False
 
     @property
     def changed(self) -> bool:

@@ -19,12 +19,14 @@ source at run time; the rows below *are* the dataset.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .arith import QuadNum
 from .family import EquationTemplate, FixedCoeff, ParamCoeff, Term
 from .groups import ReducedKind
 
 
+@cache
 def _coeff(spec):
     if isinstance(spec, (int, Fraction)):
         return FixedCoeff.of(spec)
@@ -43,7 +45,7 @@ def f(*terms) -> tuple[Term, ...]:
     out = []
     for term in terms:
         if isinstance(term, int):
-            out.append(Term(term, FixedCoeff.of(1)))
+            out.append(Term(term, _coeff(1)))
         else:
             e, spec = term
             out.append(Term(e, _coeff(spec)))

@@ -23,7 +23,7 @@ failure.  Strict mode promotes warnings to failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import tables
 from .classify import Classification, classify
@@ -36,8 +36,7 @@ FAILURE = "failure"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str
     code: str
     genus: int
@@ -49,8 +48,7 @@ class Finding:
                 f"({self.code}): {self.message}")
 
 
-@dataclass(frozen=True)
-class RowResult:
+class RowResult(NamedTuple):
     record: FamilyRecord
     resolution: SignatureResolution
     classification: Classification | None
@@ -61,9 +59,9 @@ class RowResult:
         return not any(f.severity == FAILURE for f in self.findings)
 
 
-@dataclass
 class VerifyReport:
-    rows: list[RowResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.rows: list[RowResult] = []
 
     @property
     def findings(self) -> tuple[Finding, ...]:
@@ -118,7 +116,8 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     findings: list[Finding] = []
 
     def add(code: str, message: str, downgradable: bool = False) -> None:
-        severity = WARNING if downgradable and _documented(record, code) else FAILURE
+        documented = downgradable and not strict and _documented(record, code)
+        severity = WARNING if documented else FAILURE
         findings.append(Finding(severity, code, record.genus, record.number, message))
 
     reduced = record.reduced_group()
@@ -211,10 +210,6 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
                 "is not highlighted" if computed_highlight else
                 "recomputation proves definability but the row is highlighted")
         add("classification", side + detail, downgradable=True)
-
-    if strict:
-        findings = [replace(f, severity=FAILURE) if f.severity == WARNING else f
-                    for f in findings]
 
     return RowResult(record, resolution, classification, tuple(findings))
 

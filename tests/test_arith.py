@@ -98,7 +98,7 @@ def _to_sympy(p: Poly, x: sp.Symbol) -> sp.Expr:
     total = sp.Integer(0)
     for e, c in p.items():
         assert c.is_rational
-        total += sp.Rational(str(c.rational_value)) * x**e
+        total += sp.Rational(str(c.a)) * x**e
     return total
 
 

@@ -207,6 +207,11 @@ def _first_fixed_coeff(payload) -> dict:
                  id="block-trivial"),
     pytest.param(lambda p: p["families"][7].update(block="hexagonal"), "field 'block'",
                  id="block-hexagonal"),
+    pytest.param(lambda p: p["families"][7].update(label=5), "field 'label'", id="label-int"),
+    pytest.param(lambda p: p["families"][7].update(highlighted="no"), "field 'highlighted'",
+                 id="highlighted-str"),
+    pytest.param(lambda p: p["families"][7].update(highlighted=1), "field 'highlighted'",
+                 id="highlighted-int"),
 ])
 def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, field) -> None:
     path = _edited_export(tmp_path, edit)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from superelliptic.dataset import (export_csv, from_json, load_embedded,
@@ -64,19 +66,23 @@ def test_lookup(ds) -> None:
 
 
 def test_count_by_level(ds) -> None:
-    assert ds.count_by_level(3) == {2: 3, 3: 1, 4: 1}
-    assert ds.count_by_level(5) == {2: 19, 11: 1}
-    assert ds.count_by_level(10) == {2: 19, 3: 19, 5: 5, 6: 9, 11: 2, 21: 1}
+    def count(genus):
+        return Counter(r.level for r in ds.genus_rows(genus))
+
+    assert count(3) == {2: 3, 3: 1, 4: 1}
+    assert count(5) == {2: 19, 11: 1}
+    assert count(10) == {2: 19, 3: 19, 5: 5, 6: 9, 11: 2, 21: 1}
 
 
 def test_count_by_block(ds) -> None:
-    assert ds.count_by_block(3) == {"cyclic": 4, "dihedral": 1}
-    assert ds.count_by_block(5) == {"cyclic": 7, "dihedral": 10,
-                                    "tetrahedral": 1, "octahedral": 1,
-                                    "icosahedral": 1}
-    assert ds.count_by_block(10) == {"cyclic": 23, "dihedral": 27,
-                                     "tetrahedral": 2, "octahedral": 2,
-                                     "icosahedral": 1}
+    def count(genus):
+        return Counter(r.block.value for r in ds.genus_rows(genus))
+
+    assert count(3) == {"cyclic": 4, "dihedral": 1}
+    assert count(5) == {"cyclic": 7, "dihedral": 10, "tetrahedral": 1,
+                        "octahedral": 1, "icosahedral": 1}
+    assert count(10) == {"cyclic": 23, "dihedral": 27, "tetrahedral": 2,
+                         "octahedral": 2, "icosahedral": 1}
 
 
 def test_group_orders_match_level_times_reduced(ds) -> None:

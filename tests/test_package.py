@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves and every demo runs."""
+"""The public surface: every exported name resolves, every demo runs, the
+records are immutable values and a CLI call imports only what it needs."""
 
 from __future__ import annotations
 
@@ -12,6 +13,11 @@ from pathlib import Path
 import pytest
 
 import superelliptic
+from superelliptic.dataset import classify_record, load_embedded, repair_signature
+from superelliptic.family import FixedCoeff, ParamCoeff, Term, separability_probe
+from superelliptic.groups import ReducedGroup, ReducedKind
+from superelliptic.signature import Signature
+from superelliptic.verify import verify_row
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = [superelliptic] + [
@@ -31,3 +37,58 @@ def test_demo_runs(demo: Path) -> None:
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _records() -> list:
+    ds = load_embedded()
+    row = ds.get(6, 11)
+    result = verify_row(row)
+    resolution = repair_signature(row)
+    term = row.equation.factors[0][0]
+    return [row, row.signature, row.reduced_group(), row.label(), row.equation, term,
+            term.coeff, ParamCoeff(2, -1), resolution, resolution.repair,
+            classify_record(row), result, result.findings[0],
+            separability_probe(row.level, row.equation), ds.named_curves[0]]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_hashable_values(record) -> None:
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    copy = type(record)(*record)
+    assert copy == record and hash(copy) == hash(record)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Term(-1, FixedCoeff.of(1)),
+    lambda: ReducedGroup(ReducedKind.CYCLIC, 1),
+    lambda: ReducedGroup(ReducedKind.TETRAHEDRAL, 2),
+    lambda: Signature(((1, 2),)),
+])
+def test_validated_records_still_reject_bad_fields(build) -> None:
+    with pytest.raises(ValueError):
+        build()
+
+
+def _modules_after(code: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                           "print(' '.join(sorted(sys.modules)))"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_call_imports_no_heavy_modules() -> None:
+    heavy = {"dataclasses", "inspect", "csv", "datetime"}
+    bare = _modules_after("")
+    for argv in (["list", "--genus", "3"], ["levels", "--genus", "5"]):
+        loaded = _modules_after("import io, contextlib\n"
+                                "from superelliptic.cli import main\n"
+                                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                                f"    assert main({argv!r}) == 0")
+        assert "superelliptic.tables" in loaded
+        assert heavy & loaded <= heavy & bare, argv

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from superelliptic.dataset import load_embedded
@@ -51,6 +49,13 @@ def test_strict_mode_promotes_warnings(ds) -> None:
     assert report.warnings == ()
 
 
+def test_strict_row_findings_are_the_warnings_made_failures(ds) -> None:
+    for record in ds:
+        promoted = tuple(x._replace(severity="failure")
+                         for x in verify_row(record).findings)
+        assert verify_row(record, strict=True).findings == promoted
+
+
 def test_genus_filter(ds) -> None:
     report = verify_dataset(ds, genera=[3, 4])
     assert len(report.rows) == 14
@@ -74,7 +79,7 @@ def test_clean_row_has_no_findings(ds) -> None:
 
 
 def test_tampered_dimension_is_caught(ds) -> None:
-    row = dataclasses.replace(ds.get(3, 4), delta=2)
+    row = ds.get(3, 4)._replace(delta=2)
     result = verify_row(row)
     codes = {x.code for x in result.findings if x.severity == "failure"}
     assert "dimension" in codes
@@ -82,7 +87,7 @@ def test_tampered_dimension_is_caught(ds) -> None:
 
 
 def test_tampered_equation_is_caught(ds) -> None:
-    row = dataclasses.replace(ds.get(3, 4), equation=t(f(6, (2, "a1"), 0)))
+    row = ds.get(3, 4)._replace(equation=t(f(6, (2, "a1"), 0)))
     result = verify_row(row)
     codes = {x.code for x in result.findings if x.severity == "failure"}
     assert "genus" in codes
@@ -96,14 +101,14 @@ def test_parameter_indices_must_run_from_one(ds) -> None:
         for term in factor:
             if term["c"]["kind"] == "param" and term["c"]["i"] == 2:
                 term["c"]["i"] = 99
-    result = verify_row(dataclasses.replace(row, equation=EquationTemplate.from_json_dict(data)))
+    result = verify_row(row._replace(equation=EquationTemplate.from_json_dict(data)))
     failures = [x for x in result.findings if x.severity == "failure"]
     assert [x.code for x in failures] == ["parameters"]
     assert "a_1, a_3, a_4, a_5, a_99, expected a_1 to a_5" in failures[0].message
 
 
 def test_tampered_highlighting_is_caught(ds) -> None:
-    row = dataclasses.replace(ds.get(3, 4), highlighted=True)
+    row = ds.get(3, 4)._replace(highlighted=True)
     result = verify_row(row)
     failures = [x for x in result.findings if x.severity == "failure"]
     assert [x.code for x in failures] == ["classification"]
@@ -112,7 +117,7 @@ def test_tampered_highlighting_is_caught(ds) -> None:
 def test_undocumented_misprint_is_a_failure(ds) -> None:
     # same single-entry misprint shape as the documented ones, but on a row
     # that is not in the registry, so it must not be downgraded
-    row = dataclasses.replace(ds.get(3, 4), signature=Signature.parse("2,3^2,12"))
+    row = ds.get(3, 4)._replace(signature=Signature.parse("2,3^2,12"))
     result = verify_row(row)
     assert any(x.code == "signature" and x.severity == "failure"
                for x in result.findings)

@@ -37,7 +37,7 @@ def main() -> None:
         flag = "  [several edits balance; chose the published-style one]" \
             if repair.ambiguous else ""
         print(f"  genus {row.genus:2d} row {row.number:2d}: "
-              f"{row.signature.render()!r} -> {repair.signature.render()!r} "
+              f"{row.signature.render()!r} -> {repair.effective.render()!r} "
               f"({repair.edit}){flag}")
         if repair.ambiguous:
             alts = ", ".join(s.render() for s in repair.candidates)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from .arith import Poly, QuadNum, is_separable, poly_gcd
 from .classify import Classification, Reason, Verdict, classify
-from .dataset import (Dataset, FamilyRecord, NamedCurve, SignatureResolution,
-                      classify_record, effective_signature, export_csv,
-                      from_json, load_embedded, repair_signature, to_json)
+from .dataset import (Dataset, FamilyRecord, NamedCurve, classify_record,
+                      export_csv, from_json, load_embedded, repair_signature,
+                      to_json)
 from .family import (EquationTemplate, FixedCoeff, NonSuperellipticError,
                      ParamCoeff, Term, branch_count, enumerate_levels,
                      genus_of_family, normal_form_admissible,
@@ -32,9 +32,9 @@ __all__ = [
     "Finding", "FixedCoeff", "GroupLabel", "InconsistentSignatureError",
     "LabelError", "NamedCurve", "NonSuperellipticError", "ParamCoeff", "Poly",
     "QuadNum", "Reason", "ReducedGroup", "ReducedKind", "RowResult",
-    "Signature", "SignatureRepair", "SignatureResolution", "Term", "Verdict",
-    "VerifyReport", "branch_count", "classify", "classify_record",
-    "complete_signature", "effective_signature", "enumerate_levels",
+    "Signature", "SignatureRepair", "Term", "Verdict", "VerifyReport",
+    "branch_count", "classify", "classify_record", "complete_signature",
+    "enumerate_levels",
     "export_csv", "from_json", "genus_of_family", "is_separable",
     "load_embedded", "moduli_dimension", "normal_form_admissible",
     "parse_group_label", "poly_gcd", "quotient_genus", "repair_signature",

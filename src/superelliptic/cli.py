@@ -105,19 +105,16 @@ def _emit(text: str, out_path: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _row_cells(record) -> list[str]:
-    return [
-        str(record.number),
-        "*" if record.highlighted else "",
-        record.reduced_group().describe(),
-        record.label_text,
-        str(record.group_order()),
-        str(record.level),
-        "" if record.m is None else str(record.m),
-        record.signature.render(),
-        str(record.delta),
-        record.equation.render(),
-    ]
+def _emit_json(args, payload: dict, out_path: str | None = None) -> None:
+    if args.timestamps:
+        payload["generated_at"] = _timestamp()
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+
+
+def _emit_lines(args, lines: list[str]) -> None:
+    if args.timestamps:
+        lines = [f"# generated {_timestamp()}", *lines]
+    _emit("\n".join(lines) + "\n")
 
 
 _LIST_HEADER = ["Nr", "", "reduced", "full group", "order", "n", "m",
@@ -162,22 +159,22 @@ def _cmd_list(args) -> int:
     records = [r for g in genera for r in ds.genus_rows(g)
                if not args.blue_only or r.highlighted]
     if args.format == "json":
-        payload = {"rows": [_record_summary(r, repair_signature(r)) for r in records]}
-        if args.timestamps:
-            payload["generated_at"] = _timestamp()
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, {"rows": [_record_summary(r, repair_signature(r)) for r in records]})
         return EXIT_OK
     chunks = []
-    if args.timestamps:
-        chunks.append(f"# generated {_timestamp()}")
     for genus in genera:
         rows = [r for r in records if r.genus == genus]
         if not rows:
             continue
         chunks.append(f"genus {genus} ({len(rows)} rows; * = possibly not "
                       f"definable over the field of moduli)")
-        chunks.append(_format_table([_LIST_HEADER] + [_row_cells(r) for r in rows]))
-    _emit("\n".join(chunks) + "\n")
+        table = [_LIST_HEADER]
+        for r in rows:
+            cells = r.cells()
+            cells.insert(1, "*" if r.highlighted else "")
+            table.append(cells)
+        chunks.append(_format_table(table))
+    _emit_lines(args, chunks)
     return EXIT_OK
 
 
@@ -186,21 +183,14 @@ def _cmd_verify(args) -> int:
     genera = [args.genus] if args.genus is not None else None
     report = verify_dataset(ds, genera=genera, strict=args.strict)
     if args.format == "json":
-        payload = {
+        _emit_json(args, {
             "ok": report.ok,
             "rows_checked": len(report.rows),
             "failures": [f._asdict() for f in report.failures],
             "warnings": [f._asdict() for f in report.warnings],
-        }
-        if args.timestamps:
-            payload["generated_at"] = _timestamp()
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        })
     else:
-        lines = []
-        if args.timestamps:
-            lines.append(f"# generated {_timestamp()}")
-        lines.append(report.render(verbose=args.verbose))
-        _emit("\n".join(lines) + "\n")
+        _emit_lines(args, [report.render(verbose=args.verbose)])
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
@@ -208,10 +198,7 @@ def _cmd_classify(args) -> int:
     ds = _load_dataset(args)
     verdict = classify_record(ds.get(args.genus, args.nr))
     if args.format == "json":
-        payload = verdict.to_json_dict()
-        if args.timestamps:
-            payload["generated_at"] = _timestamp()
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, verdict.to_json_dict())
     else:
         if verdict.is_definable:
             text = f"definable ({verdict.theorem})"
@@ -226,19 +213,14 @@ def _cmd_levels(args) -> int:
     rows = [{"level": n, "branch_points": b,
              "normal_form": normal_form_admissible(n, b)} for n, b in pairs]
     if args.format == "json":
-        payload = {"genus": args.genus, "levels": rows}
-        if args.timestamps:
-            payload["generated_at"] = _timestamp()
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, {"genus": args.genus, "levels": rows})
     else:
         lines = []
-        if args.timestamps:
-            lines.append(f"# generated {_timestamp()}")
         for row in rows:
             note = "" if row["normal_form"] else "  (no normal form)"
             lines.append(f"level {row['level']}: {row['branch_points']} "
                          f"branch points{note}")
-        _emit("\n".join(lines) + "\n")
+        _emit_lines(args, lines)
     return EXIT_OK
 
 
@@ -252,20 +234,13 @@ def _cmd_row(args) -> int:
     summary["branch_points"] = branch_count(record.level, record.equation)
     summary["parameters"] = record.equation.parameter_count
     if args.format == "json":
-        if args.timestamps:
-            summary["generated_at"] = _timestamp()
-        _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, summary)
     else:
-        lines = []
-        if args.timestamps:
-            lines.append(f"# generated {_timestamp()}")
         order = ("genus", "nr", "block", "reduced_group", "full_group", "order",
                  "level", "m", "signature", "signature_status",
                  "effective_signature", "branch_points", "dim", "parameters",
                  "equation", "verdict", "reason", "theorem", "highlighted")
-        for key in order:
-            lines.append(f"{key}: {summary[key]}")
-        _emit("\n".join(lines) + "\n")
+        _emit_lines(args, [f"{key}: {summary[key]}" for key in order])
     return EXIT_OK
 
 
@@ -280,12 +255,10 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
         _emit(to_json(ds), args.out)
         return EXIT_OK
     if args.what == "blue":
-        payload = {str(g): list(ds.highlighted_numbers(g)) for g in ds.genera}
-        if args.timestamps:
-            payload["generated_at"] = _timestamp()
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit_json(args, {str(g): list(ds.highlighted_numbers(g)) for g in ds.genera},
+                   args.out)
         return EXIT_OK
-    payload = {
+    _emit_json(args, {
         "signature_misprints": sorted(list(k) for k in tables.SIGNATURE_MISPRINTS),
         "manual_signature_corrections": [
             {"genus": g, "nr": n, "corrected": fix, "reason": why}
@@ -304,10 +277,7 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
             for g, n, note in sorted(tables.COSMETIC_NOTES)],
         "prose_level_tally": {str(g): {str(k): v for k, v in t.items()}
                               for g, t in tables.PROSE_LEVEL_TALLY.items()},
-    }
-    if args.timestamps:
-        payload["generated_at"] = _timestamp()
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    }, args.out)
     return EXIT_OK
 
 

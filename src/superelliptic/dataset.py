@@ -60,24 +60,12 @@ class FamilyRecord(NamedTuple):
     def label(self) -> GroupLabel:
         return parse_group_label(self.label_text, context_order=self.group_order())
 
-
-class SignatureResolution(NamedTuple):
-    """How a printed signature became the effective one used downstream."""
-
-    printed: Signature
-    effective: Signature
-    repair: SignatureRepair
-    manual_note: str | None = None
-
-    @property
-    def changed(self) -> bool:
-        return self.effective != self.printed
-
-    @property
-    def status(self) -> str:
-        if self.manual_note is not None:
-            return "manually_corrected"
-        return self.repair.status
+    def cells(self) -> list[str]:
+        """The printed columns shared by ``list`` and the CSV export."""
+        return [str(self.number), self.reduced_group().describe(), self.label_text,
+                str(self.group_order()), str(self.level),
+                "" if self.m is None else str(self.m), self.signature.render(),
+                str(self.delta), self.equation.render()]
 
 
 class NamedCurve(NamedTuple):
@@ -90,35 +78,31 @@ class NamedCurve(NamedTuple):
     note: str
 
 
-def repair_signature(record: FamilyRecord) -> SignatureResolution:
-    """Resolve a row's printed signature to the one its own data forces."""
+def repair_signature(record: FamilyRecord) -> SignatureRepair:
+    """Resolve a row's printed signature to the one its own data forces.
+
+    This is :func:`complete_signature`'s repair, except that an unrepairable
+    row with a documented manual correction comes back ``manually_corrected``.
+    """
     repair = complete_signature(record.genus, record.group_order(), record.signature)
-    if repair.status != "unrepairable":
-        return SignatureResolution(record.signature, repair.signature, repair)
     manual = tables.MANUAL_SIGNATURE_CORRECTIONS.get(record.key)
-    if manual is not None:
+    if repair.status == "unrepairable" and manual is not None:
         corrected, note = manual
-        return SignatureResolution(record.signature, Signature.parse(corrected),
-                                   repair, manual_note=note)
-    return SignatureResolution(record.signature, record.signature, repair)
-
-
-def effective_signature(record: FamilyRecord) -> Signature:
-    return repair_signature(record).effective
+        return SignatureRepair("manually_corrected", Signature.parse(corrected), edit=note)
+    return repair
 
 
 def classify_record(record: FamilyRecord) -> Classification:
-    return classify(record.reduced_group(), effective_signature(record), record.delta)
+    return classify(record.reduced_group(), repair_signature(record).effective, record.delta)
 
 
 class Dataset:
     """All rows plus the named curves, with lookup and serialization."""
 
-    def __init__(self, records, named_curves=(), version: str = DATASET_VERSION):
+    def __init__(self, records, named_curves=()):
         self.records: tuple[FamilyRecord, ...] = tuple(
             sorted(records, key=lambda r: r.key))
         self.named_curves: tuple[NamedCurve, ...] = tuple(named_curves)
-        self.version = version
         self._by_key = {r.key: r for r in self.records}
         if len(self._by_key) != len(self.records):
             raise ValueError("duplicate (genus, number) keys in dataset")
@@ -165,7 +149,7 @@ def _record_to_json(record: FamilyRecord) -> dict:
 
 
 def _record_from_json(obj: dict) -> FamilyRecord:
-    return FamilyRecord(
+    record = FamilyRecord(
         genus=obj["genus"],
         number=_field(obj, "nr", "an integer", int),
         block=_block_from_json(obj["block"]),
@@ -177,6 +161,10 @@ def _record_from_json(obj: dict) -> FamilyRecord:
         equation=EquationTemplate.from_json_dict(obj["equation"]),
         highlighted=_field(obj, "highlighted", "true or false", bool),
     )
+    if record.level < 1:
+        raise ValueError(f"field 'level' must be at least 1, got {record.level}")
+    record.reduced_group()  # a bad block/m pair fails here, not at first use
+    return record
 
 
 def _field(obj: dict, key: str, expected: str, *types: type):
@@ -217,7 +205,7 @@ def _named_from_json(obj: dict) -> NamedCurve:
 
 def to_json(dataset: Dataset) -> str:
     payload = {
-        "version": dataset.version,
+        "version": DATASET_VERSION,
         "families": [_record_to_json(r) for r in dataset.records],
         "named_curves": [_named_to_json(c) for c in dataset.named_curves],
     }
@@ -231,7 +219,7 @@ def from_json(text: str) -> Dataset:
         raise ValueError(f"unsupported dataset version {version!r}")
     records = _rows_from_json("families", payload["families"], _record_from_json)
     named = _rows_from_json("named_curves", payload.get("named_curves", ()), _named_from_json)
-    return Dataset(records, named, version=version)
+    return Dataset(records, named)
 
 
 def _rows_from_json(name: str, objs, parse) -> list:
@@ -255,18 +243,9 @@ def export_csv(dataset: Dataset, genus: int) -> str:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(CSV_COLUMNS)
     for r in dataset.genus_rows(genus):
-        writer.writerow([
-            r.number,
-            r.reduced_group().describe(),
-            r.label_text,
-            r.group_order(),
-            r.level,
-            "" if r.m is None else r.m,
-            r.signature.render(),
-            r.delta,
-            "yes" if r.highlighted else "no",
-            r.equation.render(),
-        ])
+        cells = r.cells()
+        cells.insert(8, "yes" if r.highlighted else "no")
+        writer.writerow(cells)
     return buf.getvalue()
 
 

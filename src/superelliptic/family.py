@@ -85,6 +85,7 @@ class ParamCoeff(_ParamCoeff):
     """A formal parameter a_i, optionally scaled by an exact rational."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, index: int, scale: Fraction = Fraction(1)) -> "ParamCoeff":
         if index < 1:
@@ -113,6 +114,7 @@ class _Term(NamedTuple):
 
 class Term(_Term):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, exponent: int, coeff: Coefficient) -> "Term":
         if exponent < 0:
@@ -122,30 +124,36 @@ class Term(_Term):
 
 class _EquationTemplate(NamedTuple):
     factors: tuple[tuple[Term, ...], ...]
-    radicand: int
 
 
 class EquationTemplate(_EquationTemplate):
     """f(x) as an ordered product of factors, each an ordered list of terms.
 
-    Term order inside a factor is display order (kept as authored); the
-    radicand records the square root used by any non-rational fixed
-    coefficient (1 when none is).
+    Term order inside a factor is display order (kept as authored).
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
-    def __new__(cls, factors: tuple[tuple[Term, ...], ...],
-                radicand: int = 1) -> "EquationTemplate":
+    def __new__(cls, factors: tuple[tuple[Term, ...], ...]) -> "EquationTemplate":
         if not factors or any(not f for f in factors):
             raise ValueError("template needs at least one non-empty factor")
         for factor in factors:
             exps = [t.exponent for t in factor]
             if len(set(exps)) != len(exps):
                 raise ValueError("duplicate exponent inside one factor")
-        return super().__new__(cls, factors, radicand)
+        return super().__new__(cls, factors)
 
     # -- invariants --------------------------------------------------------
+
+    @property
+    def radicand(self) -> int:
+        """d of the first non-rational fixed coefficient sqrt(d); 1 when none is."""
+        for factor in self.factors:
+            for t in factor:
+                if isinstance(t.coeff, FixedCoeff) and not t.coeff.value.is_rational:
+                    return t.coeff.value.d
+        return 1
 
     @property
     def degree(self) -> int:
@@ -205,10 +213,13 @@ class EquationTemplate(_EquationTemplate):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EquationTemplate":
-        factors = tuple(
-            tuple(_term_from_json(t) for t in factor) for factor in data["factors"]
-        )
-        return cls(factors, int(data.get("radicand", 1)))
+        template = cls(tuple(
+            tuple(_term_from_json(t) for t in factor) for factor in data["factors"]))
+        radicand = data.get("radicand", template.radicand)
+        if radicand != template.radicand:
+            raise ValueError(f"field 'radicand' is {radicand!r}, but the coefficients "
+                             f"give {template.radicand}")
+        return template
 
     def __str__(self) -> str:
         return self.render()

@@ -55,6 +55,7 @@ class ReducedGroup(_ReducedGroup):
     """A finite subgroup of the Moebius group, up to conjugacy."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, kind: ReducedKind, m: int | None = None) -> "ReducedGroup":
         if kind in (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL):

@@ -44,6 +44,7 @@ class Signature(_Signature):
     """A multiset of cone-point orders, stored as sorted (order, multiplicity)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, entries: tuple[tuple[int, int], ...]) -> "Signature":
         merged: dict[int, int] = {}
@@ -110,17 +111,6 @@ class Signature(_Signature):
         return sum((Fraction(mult) * (1 - Fraction(1, order)) for order, mult in self.entries),
                    Fraction(0))
 
-    # -- edits (used by the repair search) ------------------------------------
-
-    def with_appended(self, order: int) -> "Signature":
-        return Signature(self.entries + ((order, 1),))
-
-    def with_replaced(self, old: int, new: int) -> "Signature":
-        orders = list(self.orders)
-        orders.remove(old)
-        orders.append(new)
-        return Signature.of(*orders)
-
     def __str__(self) -> str:
         return self.render()
 
@@ -174,20 +164,22 @@ class SignatureRepair(NamedTuple):
     """Outcome of :func:`complete_signature`.
 
     status is one of ``consistent`` (no edit needed), ``completed`` (one order
-    appended), ``corrected`` (one order replaced), ``unrepairable``.  The
-    chosen signature is in ``signature`` (the input itself when no repair was
+    appended), ``corrected`` (one order replaced), ``unrepairable``, or
+    ``manually_corrected`` (set by :func:`superelliptic.dataset.repair_signature`
+    from a documented correction, whose reason is in ``edit``).  The signature
+    to use downstream is ``effective`` (the input itself when no repair was
     possible); every consistent single-edit alternative is in ``candidates``.
     """
 
     status: str
-    signature: Signature
+    effective: Signature
     candidates: tuple[Signature, ...] = ()
     edit: str | None = None
     ambiguous: bool = False
 
     @property
     def changed(self) -> bool:
-        return self.status in ("completed", "corrected")
+        return self.status in ("completed", "corrected", "manually_corrected")
 
 
 def _divisors(k: int) -> list[int]:
@@ -213,7 +205,7 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
 
     appended: list[tuple[Signature, str]] = []
     for c in allowed:
-        cand = sig.with_appended(c)
+        cand = Signature(sig.entries + ((c, 1),))
         if _quotient_genus_exact(genus, group_order, cand) == 0:
             appended.append((cand, f"appended {c}"))
     if appended:
@@ -224,11 +216,13 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
 
     replaced: list[tuple[int, int, Signature]] = []
     seen: set[Signature] = set()
-    for old in sorted(set(sig.orders)):
+    for old, _ in sig.entries:
+        rest = list(sig.orders)
+        rest.remove(old)
         for new in allowed:
             if new == old:
                 continue
-            cand = sig.with_replaced(old, new)
+            cand = Signature.of(*rest, new)
             if cand in seen:
                 continue
             if _quotient_genus_exact(genus, group_order, cand) == 0:

@@ -27,10 +27,11 @@ from typing import NamedTuple
 
 from . import tables
 from .classify import Classification, classify
-from .dataset import Dataset, FamilyRecord, SignatureResolution, repair_signature
+from .dataset import Dataset, FamilyRecord, repair_signature
 from .family import genus_of_family, separability_probe
 from .groups import LabelError
-from .signature import InconsistentSignatureError, moduli_dimension, quotient_genus
+from .signature import (InconsistentSignatureError, SignatureRepair, moduli_dimension,
+                        quotient_genus)
 
 FAILURE = "failure"
 WARNING = "warning"
@@ -50,7 +51,7 @@ class Finding(NamedTuple):
 
 class RowResult(NamedTuple):
     record: FamilyRecord
-    resolution: SignatureResolution
+    resolution: SignatureRepair
     classification: Classification | None
     findings: tuple[Finding, ...]
 
@@ -79,8 +80,8 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary_lines(self) -> list[str]:
-        lines = []
+    def render(self, verbose: bool = False) -> str:
+        lines = [f.render() for f in self.findings if f.severity == FAILURE or verbose]
         by_genus: dict[int, list[RowResult]] = {}
         for row in self.rows:
             by_genus.setdefault(row.record.genus, []).append(row)
@@ -92,11 +93,6 @@ class VerifyReport:
                          f"{nfail} failure(s), {nwarn} warning(s)")
         lines.append(f"total: {len(self.rows)} rows, {len(self.failures)} "
                      f"failure(s), {len(self.warnings)} warning(s)")
-        return lines
-
-    def render(self, verbose: bool = False) -> str:
-        lines = [f.render() for f in self.findings if f.severity == FAILURE or verbose]
-        lines.extend(self.summary_lines())
         return "\n".join(lines)
 
 
@@ -125,7 +121,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     try:
         label = record.label()
-        if label.recognized and label.order is not None and label.order != order:
+        if label.recognized and label.order != order:
             add("label",
                 f"printed group {record.label_text!r} has order {label.order}, "
                 f"but level {record.level} over {reduced.describe()} forces "
@@ -135,15 +131,14 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     resolution = repair_signature(record)
     if resolution.status in ("completed", "corrected"):
-        note = resolution.repair.edit or "repaired"
-        suffix = " (repair choice is ambiguous)" if resolution.repair.ambiguous else ""
+        suffix = " (repair choice is ambiguous)" if resolution.ambiguous else ""
         add("signature",
             f"printed signature {record.signature} does not balance the genus "
-            f"relation; {note}{suffix}", downgradable=True)
+            f"relation; {resolution.edit}{suffix}", downgradable=True)
     elif resolution.status == "manually_corrected":
         add("signature",
             f"printed signature {record.signature} is beyond single-edit "
-            f"repair; corrected to {resolution.effective} ({resolution.manual_note})",
+            f"repair; corrected to {resolution.effective} ({resolution.edit})",
             downgradable=True)
     elif resolution.status == "unrepairable":
         add("signature",

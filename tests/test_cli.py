@@ -178,6 +178,29 @@ def test_timestamps_flag_adds_marker(capsys) -> None:
     assert out.startswith("# generated 20")
 
 
+@pytest.mark.parametrize("argv", [
+    ["list", "--genus", "3"], ["verify", "--genus", "3"],
+    ["classify", "--genus", "3", "--nr", "1"], ["levels", "--genus", "3"],
+    ["row", "--genus", "3", "--nr", "1"],
+], ids=lambda argv: argv[0])
+def test_timestamps_flag_adds_generated_at_to_json(capsys, argv) -> None:
+    code, out, _ = run(capsys, *argv, "--format", "json", "--timestamps")
+    assert code == 0
+    assert json.loads(out)["generated_at"].startswith("20")
+
+
+@pytest.mark.parametrize("what,stamped", [
+    ("blue", True), ("errata", True), ("dataset", False), ("csv", False),
+])
+def test_timestamps_flag_on_exports(capsys, what, stamped) -> None:
+    code, out, _ = run(capsys, "export", "--what", what, "--genus", "3", "--timestamps")
+    assert code == 0
+    assert ("generated_at" in out) is stamped
+    plain = run(capsys, "export", "--what", what, "--genus", "3")[1]
+    if not stamped:
+        assert out == plain
+
+
 def _edited_export(tmp_path, edit) -> str:
     from superelliptic.dataset import load_embedded, to_json
     payload = json.loads(to_json(load_embedded()))
@@ -212,6 +235,15 @@ def _first_fixed_coeff(payload) -> dict:
                  id="highlighted-str"),
     pytest.param(lambda p: p["families"][7].update(highlighted=1), "field 'highlighted'",
                  id="highlighted-int"),
+    pytest.param(lambda p: p["families"][7].update(level=0), "field 'level'", id="level-zero"),
+    pytest.param(lambda p: p["families"][7].update(level=-2), "field 'level'",
+                 id="level-negative"),
+    pytest.param(lambda p: p["families"][7].update(m=None), "cyclic block needs m",
+                 id="cyclic-m-null"),
+    pytest.param(lambda p: p["families"][11].update(m=1), "dihedral block needs m",
+                 id="dihedral-m-one"),
+    pytest.param(lambda p: p["families"][7]["equation"].update(radicand=5), "'radicand'",
+                 id="radicand-disagrees"),
 ])
 def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, field) -> None:
     path = _edited_export(tmp_path, edit)

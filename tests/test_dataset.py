@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
 
+from superelliptic import tables
 from superelliptic.dataset import (export_csv, from_json, load_embedded,
                                    repair_signature, to_json)
 from superelliptic.family import genus_of_family
@@ -103,9 +105,8 @@ def test_m_column_as_printed(ds) -> None:
 
 
 def test_signature_repair_statuses(ds) -> None:
-    statuses = {}
-    for record in ds:
-        statuses[record.key] = repair_signature(record).status
+    repairs = {record.key: repair_signature(record) for record in ds}
+    statuses = {k: r.status for k, r in repairs.items()}
     corrected = sorted(k for k, s in statuses.items() if s == "corrected")
     assert corrected == [(5, 5), (9, 8), (9, 9), (9, 11), (9, 12), (9, 13),
                          (10, 8), (10, 9), (10, 12), (10, 13), (10, 14)]
@@ -113,6 +114,8 @@ def test_signature_repair_statuses(ds) -> None:
     assert manual == [(6, 11)]
     assert all(s == "consistent" for k, s in statuses.items()
                if k not in corrected and k not in manual)
+    assert sorted(k for k, r in repairs.items() if r.changed) == sorted(corrected + manual)
+    assert repairs[(6, 11)].edit == tables.MANUAL_SIGNATURE_CORRECTIONS[(6, 11)][1]
 
 
 def test_effective_signatures_of_repaired_rows(ds) -> None:
@@ -153,6 +156,14 @@ def test_json_round_trip_is_lossless_and_stable(ds) -> None:
     assert clone.named_curves == ds.named_curves
     assert to_json(clone) == text
     assert text.endswith("\n")
+
+
+def test_radicand_is_derived_when_omitted(ds) -> None:
+    text = to_json(ds)
+    payload = json.loads(text)
+    for row in payload["families"]:
+        del row["equation"]["radicand"]
+    assert to_json(from_json(json.dumps(payload))) == text
 
 
 def test_json_version_guard(ds) -> None:

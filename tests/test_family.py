@@ -37,13 +37,13 @@ def test_template_render_edge_cases() -> None:
     assert t(f(12, (0, -1))).render() == "x^12-1"
     assert t(f(1), f(10, (5, 11), (0, -1))).render() == "x(x^10+11x^5-1)"
     assert t(F1).render() == "x^12-a_1x^10-33x^8+2a_1x^6-33x^4-a_1x^2+1"
-    quartic = t(f(4, (2, ("sqrt", 2, -3)), 0), rad=-3)
+    quartic = t(f(4, (2, ("sqrt", 2, -3)), 0))
     assert quartic.render() == "x^4+2*sqrt(-3)x^2+1"
 
 
 def test_template_validation() -> None:
     with pytest.raises(ValueError):
-        EquationTemplate((), 1)
+        EquationTemplate(())
     with pytest.raises(ValueError):
         t(f(2, (2, "a1"), 0))      # duplicate exponent inside one factor
     with pytest.raises(ValueError):
@@ -71,7 +71,8 @@ def test_instantiate_explicit_values() -> None:
 
 
 def test_instantiate_radical_coefficient() -> None:
-    quartic = t(f(4, (2, ("sqrt", 2, -3)), 0), rad=-3)
+    quartic = t(f(4, (2, ("sqrt", 2, -3)), 0))
+    assert quartic.radicand == -3 and t(F1).radicand == 1
     poly = quartic.instantiate()
     assert poly.coefficient(2) == QuadNum(0, 2, -3)
 
@@ -155,7 +156,7 @@ def test_genus_implies_admissible_splitting_and_cyclic_branch_data() -> None:
 @pytest.mark.parametrize("level,tmpl,genus", [
     (2, t(F1), 5),
     (3, t(F1), 10),
-    (2, t(f(4, (2, ("sqrt", 2, -3)), 0), F1, rad=-3), 7),
+    (2, t(f(4, (2, ("sqrt", 2, -3)), 0), F1), 7),
     (2, t(f(1), f(4, (0, -1)), F1), 8),
     (2, t(f(8, (4, 14), 0), F1), 9),
     (2, t(f(20, (15, -228), (10, 494), (5, 228), 0)), 9),
@@ -203,7 +204,7 @@ def test_template_json_round_trip() -> None:
     for tmpl in (
         t(f(1), f(6, (2, "a1"), (4, "a2"), 0)),
         t(F1),
-        t(f(4, (2, ("sqrt", 2, -3)), 0), F1, rad=-3),
+        t(f(4, (2, ("sqrt", 2, -3)), 0), F1),
         t(f(4, (2, ("a1", -1)), (0, Fraction(1, 3)))),
     ):
         data = tmpl.to_json_dict()
@@ -247,7 +248,7 @@ def _drop_constant(tmpl: EquationTemplate) -> EquationTemplate | None:
             or not any(u.exponent == 0 and isinstance(u.coeff, FixedCoeff) for u in second)):
         return None
     second = tuple(u for u in second if u.exponent != 0)
-    return EquationTemplate((first, second, *rest), tmpl.radicand)
+    return EquationTemplate((first, second, *rest))
 
 
 def test_dropped_constant_fails_both_paths_alike(monkeypatch) -> None:

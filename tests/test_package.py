@@ -14,7 +14,8 @@ import pytest
 
 import superelliptic
 from superelliptic.dataset import classify_record, load_embedded, repair_signature
-from superelliptic.family import FixedCoeff, ParamCoeff, Term, separability_probe
+from superelliptic.family import (EquationTemplate, FixedCoeff, ParamCoeff, Term,
+                                  separability_probe)
 from superelliptic.groups import ReducedGroup, ReducedKind
 from superelliptic.signature import Signature
 from superelliptic.verify import verify_row
@@ -46,7 +47,7 @@ def _records() -> list:
     resolution = repair_signature(row)
     term = row.equation.factors[0][0]
     return [row, row.signature, row.reduced_group(), row.label(), row.equation, term,
-            term.coeff, ParamCoeff(2, -1), resolution, resolution.repair,
+            term.coeff, ParamCoeff(2, -1), resolution,
             classify_record(row), result, result.findings[0],
             separability_probe(row.level, row.equation), ds.named_curves[0]]
 
@@ -67,6 +68,12 @@ def test_records_are_immutable_hashable_values(record) -> None:
     lambda: ReducedGroup(ReducedKind.CYCLIC, 1),
     lambda: ReducedGroup(ReducedKind.TETRAHEDRAL, 2),
     lambda: Signature(((1, 2),)),
+    # _replace goes through _make, which must re-run the checks too
+    lambda: Signature(((2, 1),))._replace(entries=((1, 1),)),
+    lambda: ReducedGroup.cyclic(3)._replace(m=1),
+    lambda: Term(2, FixedCoeff.of(1))._replace(exponent=-1),
+    lambda: ParamCoeff(1)._replace(index=0),
+    lambda: EquationTemplate(((Term(1, FixedCoeff.of(1)),),))._replace(factors=()),
 ])
 def test_validated_records_still_reject_bad_fields(build) -> None:
     with pytest.raises(ValueError):

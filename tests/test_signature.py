@@ -96,14 +96,14 @@ def test_misprint_repair(genus: int, order: int, printed: str, expected: str,
                          ambiguous: bool) -> None:
     repair = complete_signature(genus, order, Signature.parse(printed))
     assert repair.status == "corrected"
-    assert repair.signature.render() == expected
+    assert repair.effective.render() == expected
     assert repair.ambiguous is ambiguous
     if ambiguous:
         assert len(repair.candidates) >= 2
     # idempotent: the corrected signature needs no further repair
-    again = complete_signature(genus, order, repair.signature)
+    again = complete_signature(genus, order, repair.effective)
     assert again.status == "consistent"
-    assert again.signature == repair.signature
+    assert again.effective == repair.effective
 
 
 def test_repair_ambiguous_candidates_all_balance() -> None:
@@ -117,7 +117,7 @@ def test_repair_by_appending() -> None:
     # drop the largest order from a quasiplatonic row and repair recovers it
     repair = complete_signature(5, 22, Signature.parse("2,11"))
     assert repair.status == "completed"
-    assert repair.signature.render() == "2,11,22"
+    assert repair.effective.render() == "2,11,22"
     assert repair.edit == "appended 22"
 
 
@@ -125,7 +125,7 @@ def test_consistent_signature_untouched() -> None:
     sig = Signature.parse("2,3^2,6")
     repair = complete_signature(3, 6, sig)
     assert repair.status == "consistent"
-    assert repair.signature is sig
+    assert repair.effective is sig
     assert not repair.changed
 
 

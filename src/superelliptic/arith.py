@@ -71,6 +71,10 @@ class QuadNum:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadNum is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy would restore the slots through __setattr__
+        return (QuadNum, (self.a, self.b, self.d))
+
     # -- helpers ---------------------------------------------------------
 
     @staticmethod

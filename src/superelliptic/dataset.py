@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import tables
 from .classify import Classification, classify
-from .family import EquationTemplate
+from .family import EquationTemplate, _field
 from .groups import GroupLabel, ReducedGroup, ReducedKind, parse_group_label
 from .signature import Signature, SignatureRepair, complete_signature
 
@@ -82,13 +82,16 @@ def repair_signature(record: FamilyRecord) -> SignatureRepair:
     """Resolve a row's printed signature to the one its own data forces.
 
     This is :func:`complete_signature`'s repair, except that an unrepairable
-    row with a documented manual correction comes back ``manually_corrected``.
+    row whose documented manual correction balances comes back
+    ``manually_corrected``.
     """
-    repair = complete_signature(record.genus, record.group_order(), record.signature)
+    order = record.group_order()
+    repair = complete_signature(record.genus, order, record.signature)
     manual = tables.MANUAL_SIGNATURE_CORRECTIONS.get(record.key)
     if repair.status == "unrepairable" and manual is not None:
-        corrected, note = manual
-        return SignatureRepair("manually_corrected", Signature.parse(corrected), edit=note)
+        corrected = Signature.parse(manual[0])
+        if complete_signature(record.genus, order, corrected).status == "consistent":
+            return SignatureRepair("manually_corrected", corrected, edit=manual[1])
     return repair
 
 
@@ -165,14 +168,6 @@ def _record_from_json(obj: dict) -> FamilyRecord:
         raise ValueError(f"field 'level' must be at least 1, got {record.level}")
     record.reduced_group()  # a bad block/m pair fails here, not at first use
     return record
-
-
-def _field(obj: dict, key: str, expected: str, *types: type):
-    """``obj[key]``, whose type must be exactly one of ``types``: true is no integer."""
-    value = obj[key]
-    if type(value) not in types:
-        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
-    return value
 
 
 def _block_from_json(value) -> ReducedKind:

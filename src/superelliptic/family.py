@@ -261,21 +261,32 @@ def _term_to_json(t: Term) -> dict:
 
 
 def _term_from_json(data: dict) -> Term:
-    c = data["c"]
+    c, e = data["c"], _field(data, "e", "an integer", int)
     if c["kind"] == "fixed":
         a, b = _rational_from_json("a", c["a"]), _rational_from_json("b", c.get("b", "0"))
-        d = int(c["d"]) if "d" in c else 1
-        return Term(int(data["e"]), FixedCoeff(QuadNum(a, b, d)))
+        d = _field(c, "d", "an integer", int) if "d" in c else 1
+        return Term(e, FixedCoeff(QuadNum(a, b, d)))
     if c["kind"] == "param":
-        return Term(int(data["e"]),
-                    ParamCoeff(int(c["i"]), _rational_from_json("scale", c.get("scale", "1"))))
+        return Term(e, ParamCoeff(_field(c, "i", "an integer", int),
+                                  _rational_from_json("scale", c.get("scale", "1"))))
     raise ValueError(f"unknown coefficient kind {c.get('kind')!r}")
 
 
-def _rational_from_json(key: str, text: str) -> Fraction:
+def _field(obj: dict, key: str, expected: str, *types: type):
+    """``obj[key]``, whose type must be exactly one of ``types``: true is no integer."""
+    value = obj[key]
+    if type(value) not in types:
+        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _rational_from_json(key: str, text) -> Fraction:
+    if type(text) not in (str, int):  # a float is inexact, and true is no number
+        raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
+                         f"got {text!r}")
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"coefficient field {key!r} is not a rational number: "
                          f"{text!r}") from None
 

@@ -11,8 +11,8 @@ The module solves the Riemann--Hurwitz relation
 
 exactly (Fractions throughout), computes the dimension of the corresponding
 locus in moduli (3*g0 - 3 + r), tests the odd-multiplicity property, and
-repairs misprinted signatures: given a genus and group order, it first tries
-appending one cone order and then replacing exactly one, targeting a genus-zero
+repairs misprinted signatures: given a genus and group order, it appends one
+cone order or else replaces one, solving for the order that gives a genus-zero
 quotient.  All consistent single-edit repairs are reported; a deterministic
 preference picks one when several exist.
 """
@@ -167,8 +167,9 @@ class SignatureRepair(NamedTuple):
     appended), ``corrected`` (one order replaced), ``unrepairable``, or
     ``manually_corrected`` (set by :func:`superelliptic.dataset.repair_signature`
     from a documented correction, whose reason is in ``edit``).  The signature
-    to use downstream is ``effective`` (the input itself when no repair was
-    possible); every consistent single-edit alternative is in ``candidates``.
+    to use downstream is ``effective``: it balances over a genus-0 quotient
+    unless the status is ``unrepairable`` (then it is the input itself).
+    Every consistent single-edit alternative is in ``candidates``.
     """
 
     status: str
@@ -182,58 +183,43 @@ class SignatureRepair(NamedTuple):
         return self.status in ("completed", "corrected", "manually_corrected")
 
 
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(2, k + 1) if k % d == 0]
-
-
 def complete_signature(genus: int, group_order: int, sig: Signature) -> SignatureRepair:
     """Repair a misprinted signature so that the quotient has genus zero.
 
-    The search is deliberately narrow, mirroring how these misprints arise:
-    first try appending a single cone order (a dropped entry), then try
-    replacing exactly one entry (a garbled digit).  Candidate orders are
-    divisors of the group order.  When several replacements balance, the one
-    replacing the largest printed order is preferred (ties broken by smaller
-    replacement); all consistent candidates are reported and ``ambiguous`` is
+    The repair is deliberately narrow, mirroring how these misprints arise:
+    append one cone order (a dropped entry), else replace one (a garbled
+    digit).  With g0 the printed (rational) quotient genus, a genus-0 quotient
+    lacks ramification d = 2*g0, so an appended c solves 1 - 1/c = d and o
+    replaced by c solves 1/o - 1/c = d; c counts if it is an integer >= 2
+    dividing the group order.  Replacing the largest printed order is
+    preferred; all balancing replacements are reported and ``ambiguous`` is
     set.  Idempotent: a consistent signature comes back unchanged.
     """
     g0 = _quotient_genus_exact(genus, group_order, sig)
     if g0 == 0:
         return SignatureRepair("consistent", sig)
+    d = 2 * g0
 
-    allowed = _divisors(group_order)
+    def cone_order(inverse: Fraction) -> int | None:
+        # The c with 1/c == inverse, if it is an allowed cone order.
+        c = inverse.denominator
+        return c if inverse.numerator == 1 and c >= 2 and group_order % c == 0 else None
 
-    appended: list[tuple[Signature, str]] = []
-    for c in allowed:
-        cand = Signature(sig.entries + ((c, 1),))
-        if _quotient_genus_exact(genus, group_order, cand) == 0:
-            appended.append((cand, f"appended {c}"))
-    if appended:
-        sigs = tuple(s for s, _ in appended)
-        chosen, edit = appended[0]
-        return SignatureRepair("completed", chosen, sigs, edit,
-                               ambiguous=len(appended) > 1)
+    c = cone_order(1 - d)
+    if c is not None:
+        chosen = Signature(sig.entries + ((c, 1),))
+        return SignatureRepair("completed", chosen, (chosen,), f"appended {c}")
 
-    replaced: list[tuple[int, int, Signature]] = []
-    seen: set[Signature] = set()
-    for old, _ in sig.entries:
-        rest = list(sig.orders)
-        rest.remove(old)
-        for new in allowed:
-            if new == old:
-                continue
-            cand = Signature.of(*rest, new)
-            if cand in seen:
-                continue
-            if _quotient_genus_exact(genus, group_order, cand) == 0:
-                seen.add(cand)
-                replaced.append((old, new, cand))
+    replaced: list[tuple[str, Signature]] = []
+    for old, _ in reversed(sig.entries):  # largest printed order first
+        new = cone_order(Fraction(1, old) - d)
+        if new is not None:
+            rest = list(sig.orders)
+            rest.remove(old)
+            replaced.append((f"replaced {old} with {new}", Signature.of(*rest, new)))
     if replaced:
-        replaced.sort(key=lambda t: (-t[0], t[1]))
-        old, new, chosen = replaced[0]
-        return SignatureRepair("corrected", chosen,
-                               tuple(c for _, _, c in replaced),
-                               f"replaced {old} with {new}",
+        edit, chosen = replaced[0]
+        return SignatureRepair("corrected", chosen, tuple(s for _, s in replaced), edit,
                                ambiguous=len(replaced) > 1)
 
     return SignatureRepair("unrepairable", sig)

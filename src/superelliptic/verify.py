@@ -30,8 +30,7 @@ from .classify import Classification, classify
 from .dataset import Dataset, FamilyRecord, repair_signature
 from .family import genus_of_family, separability_probe
 from .groups import LabelError
-from .signature import (InconsistentSignatureError, SignatureRepair, moduli_dimension,
-                        quotient_genus)
+from .signature import SignatureRepair, moduli_dimension
 
 FAILURE = "failure"
 WARNING = "warning"
@@ -146,18 +145,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             f"relation and no single edit fixes it")
 
     eff = resolution.effective
-    balanced = False
-    try:
-        g0 = quotient_genus(record.genus, order, eff)
-        if g0 != 0:
-            add("signature", f"effective signature gives quotient genus {g0}, "
-                             f"expected 0")
-        else:
-            balanced = True
-    except InconsistentSignatureError as exc:
-        add("signature", f"effective signature does not balance: {exc}")
-
-    if balanced:
+    if resolution.status != "unrepairable":   # eff balances over a genus-0 quotient
         dim = moduli_dimension(0, eff.point_count)
         if dim != record.delta:
             add("dimension",

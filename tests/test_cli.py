@@ -215,6 +215,15 @@ def _first_fixed_coeff(payload) -> dict:
                 if u["c"]["kind"] == "fixed")
 
 
+def _first_param_coeff(payload) -> dict:
+    return next(u["c"] for factor in payload["families"][0]["equation"]["factors"]
+                for u in factor if u["c"]["kind"] == "param")
+
+
+def _first_term(payload) -> dict:
+    return payload["families"][0]["equation"]["factors"][0][0]
+
+
 @pytest.mark.parametrize("edit,field", [
     (lambda p: _first_fixed_coeff(p).update(a="1/0"), "'a'"),
     (lambda p: p["families"][7].pop("nr"), "'nr'"),
@@ -244,6 +253,17 @@ def _first_fixed_coeff(payload) -> dict:
                  id="dihedral-m-one"),
     pytest.param(lambda p: p["families"][7]["equation"].update(radicand=5), "'radicand'",
                  id="radicand-disagrees"),
+    pytest.param(lambda p: _first_term(p).update(e=6.9), "field 'e'", id="e-float"),
+    pytest.param(lambda p: _first_term(p).update(e=True), "field 'e'", id="e-bool"),
+    pytest.param(lambda p: _first_param_coeff(p).update(i=1.5), "field 'i'", id="i-float"),
+    pytest.param(lambda p: _first_fixed_coeff(p).update(d=-3.0), "field 'd'", id="d-float"),
+    pytest.param(lambda p: _first_fixed_coeff(p).update(a=0.1), "field 'a'", id="a-float"),
+    pytest.param(lambda p: _first_fixed_coeff(p).update(a=True), "field 'a'", id="a-bool"),
+    pytest.param(lambda p: _first_fixed_coeff(p).update(b=0.5), "field 'b'", id="b-float"),
+    pytest.param(lambda p: _first_param_coeff(p).update(scale=0.5), "field 'scale'",
+                 id="scale-float"),
+    pytest.param(lambda p: _first_param_coeff(p).update(scale=False), "field 'scale'",
+                 id="scale-bool"),
 ])
 def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, field) -> None:
     path = _edited_export(tmp_path, edit)

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,13 @@ def test_records_are_immutable_hashable_values(record) -> None:
         record.extra = None
     copy = type(record)(*record)
     assert copy == record and hash(copy) == hash(record)
+
+
+def test_rows_survive_pickle_and_deepcopy() -> None:
+    # QuadNum forbids attribute assignment, so both must rebuild it by its constructor
+    for row in load_embedded():
+        assert pickle.loads(pickle.dumps(row)) == row
+        assert deepcopy(row) == row
 
 
 @pytest.mark.parametrize("build", [

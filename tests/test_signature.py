@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from superelliptic.signature import (InconsistentSignatureError, Signature,
-                                     complete_signature, moduli_dimension,
-                                     quotient_genus)
+from superelliptic.signature import (InconsistentSignatureError, Signature, SignatureRepair,
+                                     _quotient_genus_exact, complete_signature,
+                                     moduli_dimension, quotient_genus)
 
 
 def test_parse_render_round_trip() -> None:
@@ -132,3 +134,62 @@ def test_consistent_signature_untouched() -> None:
 def test_unrepairable_signature() -> None:
     repair = complete_signature(6, 6, Signature.parse("2^3,3^2,6^2"))
     assert repair.status == "unrepairable"
+
+
+def _reference_repair(genus: int, group_order: int, sig: Signature) -> SignatureRepair:
+    """Repair by search, as the package did before the closed form: try every
+    divisor >= 2 of |G| as an appended order, then as a replacement for each
+    printed order, solving the genus relation for every candidate."""
+    g0 = _quotient_genus_exact(genus, group_order, sig)
+    if g0 == 0:
+        return SignatureRepair("consistent", sig)
+    allowed = [d for d in range(2, group_order + 1) if group_order % d == 0]
+
+    appended: list[tuple[Signature, str]] = []
+    for c in allowed:
+        cand = Signature(sig.entries + ((c, 1),))
+        if _quotient_genus_exact(genus, group_order, cand) == 0:
+            appended.append((cand, f"appended {c}"))
+    if appended:
+        chosen, edit = appended[0]
+        return SignatureRepair("completed", chosen, tuple(s for s, _ in appended), edit,
+                               ambiguous=len(appended) > 1)
+
+    replaced: list[tuple[int, int, Signature]] = []
+    seen: set[Signature] = set()
+    for old, _ in sig.entries:
+        rest = list(sig.orders)
+        rest.remove(old)
+        for new in allowed:
+            cand = Signature.of(*rest, new)
+            if new != old and cand not in seen \
+                    and _quotient_genus_exact(genus, group_order, cand) == 0:
+                seen.add(cand)
+                replaced.append((old, new, cand))
+    if replaced:
+        replaced.sort(key=lambda t: (-t[0], t[1]))
+        old, new, chosen = replaced[0]
+        return SignatureRepair("corrected", chosen, tuple(c for _, _, c in replaced),
+                               f"replaced {old} with {new}", ambiguous=len(replaced) > 1)
+    return SignatureRepair("unrepairable", sig)
+
+
+def test_closed_form_repair_matches_divisor_search() -> None:
+    # |G| of the misprinted rows and their neighbours, one to three printed
+    # orders from the divisors of |G| plus 5 (an order the closed form may
+    # answer with a non-divisor), genus 2-7: 2,118 cases
+    outcomes: Counter = Counter()
+    for order in (6, 12, 22, 28, 30):
+        pool = sorted({d for d in range(2, order + 1) if order % d == 0} | {5})
+        for r in (1, 2, 3):
+            for orders in itertools.combinations_with_replacement(pool, r):
+                sig = Signature.of(*orders)
+                for genus in range(2, 8):
+                    repair = complete_signature(genus, order, sig)
+                    assert repair == _reference_repair(genus, order, sig), (genus, order, sig)
+                    outcomes[repair.status, repair.ambiguous] += 1
+    assert sum(outcomes.values()) == 2118
+    # every outcome occurs, an ambiguous correction included
+    assert set(outcomes) == {("consistent", False), ("completed", False),
+                             ("corrected", False), ("corrected", True),
+                             ("unrepairable", False)}

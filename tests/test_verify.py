@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
 from superelliptic.signature import Signature
@@ -121,6 +122,37 @@ def test_undocumented_misprint_is_a_failure(ds) -> None:
     result = verify_row(row)
     assert any(x.code == "signature" and x.severity == "failure"
                for x in result.findings)
+
+
+def test_unrepairable_signature_is_one_failure(ds) -> None:
+    # 2^9 with |G| = 6 at genus 3: quotient genus -11/12, and no single edit balances
+    row = ds.get(3, 4)._replace(signature=Signature.parse("2^9"))
+    result = verify_row(row)
+    assert result.resolution.status == "unrepairable"
+    signature = [x for x in result.findings if x.code == "signature"]
+    assert [x.severity for x in signature] == ["failure"]
+    assert signature[0].message.endswith("no single edit fixes it")
+    assert "dimension" not in {x.code for x in result.findings}
+
+
+def test_unbalanced_manual_correction_is_not_applied(ds) -> None:
+    # m = 4 makes |G| = 8, where the documented 2^4,6^2 no longer balances
+    row = ds.get(6, 11)._replace(m=4)
+    result = verify_row(row)
+    assert result.resolution.status == "unrepairable"
+    assert result.resolution.effective == row.signature
+    assert result.classification == classify(row.reduced_group(), row.signature, row.delta)
+    signature = [x for x in result.findings if x.code == "signature"]
+    assert [x.severity for x in signature] == ["failure"]
+    assert "no single edit fixes it" in signature[0].message
+
+
+def test_unparsable_label_is_a_failure_even_when_documented(ds) -> None:
+    # (6, 20) has a documented label discrepancy; that covers a wrong order only
+    row = ds.get(6, 20)._replace(label_text="D_10 × Q_8")
+    labels = [x for x in verify_row(row).findings if x.code == "label"]
+    assert [(x.severity, x.message) for x in labels] == [
+        ("failure", "unrecognized group label atom 'Q_8'")]
 
 
 def test_report_summary_rendering(ds) -> None:

@@ -12,12 +12,11 @@ Exit codes: 0 success, 1 verification failures, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import tables
 from .classify import classify
-from .dataset import (Dataset, classify_record, export_csv, from_json,
+from .dataset import (Dataset, classify_record, dump_json, export_csv, from_json,
                       load_embedded, repair_signature, to_json)
 from .family import branch_count, enumerate_levels, normal_form_admissible
 from .verify import verify_dataset
@@ -108,7 +107,7 @@ def _emit(text: str, out_path: str | None = None) -> None:
 def _emit_json(args, payload: dict, out_path: str | None = None) -> None:
     if args.timestamps:
         payload["generated_at"] = _timestamp()
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(dump_json(payload), out_path)
 
 
 def _emit_lines(args, lines: list[str]) -> None:

@@ -23,11 +23,18 @@ drop or common factor mod p, a denominator divisible by p, another radicand,
 a missing parameter) runs the exact computation over Q(sqrt(-3)), whose
 messages are the probe's.  Failures are reported, not raised, so a
 verification run can collect them.
+
+``EquationTemplate.from_json_dict`` reads the lossless JSON form.  Each term's
+fields are type-checked exactly (``true`` is no integer, ``1.0`` no exact
+rational) before a memo keyed on those JSON scalars is consulted, so the
+table's 1,300-odd terms cost one ``Fraction`` parse per distinct string and
+one ``Term`` per distinct term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Mapping, NamedTuple, Union
 
@@ -215,14 +222,18 @@ class EquationTemplate(_EquationTemplate):
     def from_json_dict(cls, data: dict) -> "EquationTemplate":
         template = cls(tuple(
             tuple(_term_from_json(t) for t in factor) for factor in data["factors"]))
-        radicand = data.get("radicand", template.radicand)
-        if radicand != template.radicand:
+        derived = template.radicand
+        radicand = data.get("radicand", derived)
+        if radicand != derived:
             raise ValueError(f"field 'radicand' is {radicand!r}, but the coefficients "
-                             f"give {template.radicand}")
+                             f"give {derived}")
         return template
 
     def __str__(self) -> str:
         return self.render()
+
+
+_ONE, _MINUS_ONE = QuadNum(1), QuadNum(-1)
 
 
 def _render_factor(factor: tuple[Term, ...]) -> str:
@@ -233,9 +244,9 @@ def _render_factor(factor: tuple[Term, ...]) -> str:
             text = c.render()
         else:
             x = "x" if t.exponent == 1 else f"x^{t.exponent}"
-            if isinstance(c, FixedCoeff) and c.value == QuadNum(1):
+            if isinstance(c, FixedCoeff) and c.value == _ONE:
                 text = x
-            elif isinstance(c, FixedCoeff) and c.value == QuadNum(-1):
+            elif isinstance(c, FixedCoeff) and c.value == _MINUS_ONE:
                 text = f"-{x}"
             else:
                 coeff_text = c.render()
@@ -261,15 +272,27 @@ def _term_to_json(t: Term) -> dict:
 
 
 def _term_from_json(data: dict) -> Term:
+    # Each field is checked, in order, before the memo sees it: true == 1 and
+    # 1.0 == 1 hash alike, so an unchecked key could hit a valid term's entry.
     c, e = data["c"], _field(data, "e", "an integer", int)
     if c["kind"] == "fixed":
-        a, b = _rational_from_json("a", c["a"]), _rational_from_json("b", c.get("b", "0"))
+        a, b = _rational_text("a", c["a"]), _rational_text("b", c.get("b", "0"))
         d = _field(c, "d", "an integer", int) if "d" in c else 1
-        return Term(e, FixedCoeff(QuadNum(a, b, d)))
+        return _fixed_term(e, a, b, d)
     if c["kind"] == "param":
-        return Term(e, ParamCoeff(_field(c, "i", "an integer", int),
-                                  _rational_from_json("scale", c.get("scale", "1"))))
+        return _param_term(e, _field(c, "i", "an integer", int),
+                           _rational_text("scale", c.get("scale", "1")))
     raise ValueError(f"unknown coefficient kind {c.get('kind')!r}")
+
+
+@cache
+def _fixed_term(e: int, a: str | int, b: str | int, d: int) -> Term:
+    return Term(e, FixedCoeff(QuadNum(_rational(a), _rational(b), d)))
+
+
+@cache
+def _param_term(e: int, i: int, scale: str | int) -> Term:
+    return Term(e, ParamCoeff(i, _rational(scale)))
 
 
 def _field(obj: dict, key: str, expected: str, *types: type):
@@ -280,15 +303,23 @@ def _field(obj: dict, key: str, expected: str, *types: type):
     return value
 
 
-def _rational_from_json(key: str, text) -> Fraction:
+def _rational_text(key: str, text) -> str | int:
+    """``text`` itself, once it is known to spell an exact rational."""
     if type(text) not in (str, int):  # a float is inexact, and true is no number
         raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
                          f"got {text!r}")
+    if _rational(text) is None:
+        raise ValueError(f"coefficient field {key!r} is not a rational number: "
+                         f"{text!r}")
+    return text
+
+
+@cache
+def _rational(text: str | int) -> Fraction | None:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"coefficient field {key!r} is not a rational number: "
-                         f"{text!r}") from None
+        return None
 
 
 def branch_count(level: int, template: EquationTemplate) -> int:

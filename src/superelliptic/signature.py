@@ -9,16 +9,18 @@ The module solves the Riemann--Hurwitz relation
 
     2(g - 1) = 2|G|(g0 - 1) + |G| * sum(1 - 1/c_i)
 
-exactly (Fractions throughout), computes the dimension of the corresponding
-locus in moduli (3*g0 - 3 + r), tests the odd-multiplicity property, and
-repairs misprinted signatures: given a genus and group order, it appends one
-cone order or else replaces one, solving for the order that gives a genus-zero
-quotient.  All consistent single-edit repairs are reported; a deterministic
-preference picks one when several exist.
+exactly (in integers over the lcm of the cone orders, one Fraction at the
+end), computes the dimension of the corresponding locus in moduli
+(3*g0 - 3 + r), tests the odd-multiplicity property, and repairs misprinted
+signatures: given a genus and group order, it appends one cone order or else
+replaces one, solving for the order that gives a genus-zero quotient.  All
+consistent single-edit repairs are reported; a deterministic preference picks
+one when several exist.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,8 +130,12 @@ def _quotient_genus_exact(genus: int, group_order: int, sig: Signature) -> Fract
         raise ValueError(f"group order must be positive, got {group_order}")
     if genus < 2:
         raise ValueError(f"curve genus must be at least 2, got {genus}")
-    rhs = Fraction(2 * (genus - 1)) - group_order * sig.ramification_sum()
-    return rhs / (2 * group_order) + 1
+    # Over the lcm L of the cone orders, sum(1 - 1/c) = S / L in integers, and
+    # g0 = (2(g - 1)L - |G|S) / (2|G|L) + 1.
+    lcm = math.lcm(*(order for order, _ in sig.entries))
+    s = sum(mult * (lcm - lcm // order) for order, mult in sig.entries)
+    return Fraction(2 * (genus - 1 + group_order) * lcm - group_order * s,
+                    2 * group_order * lcm)
 
 
 def quotient_genus(genus: int, group_order: int, sig: Signature) -> int:

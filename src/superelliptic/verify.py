@@ -128,21 +128,26 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     except LabelError as exc:
         add("label", str(exc))
 
-    resolution = repair_signature(record)
-    if resolution.status in ("completed", "corrected"):
-        suffix = " (repair choice is ambiguous)" if resolution.ambiguous else ""
-        add("signature",
-            f"printed signature {record.signature} does not balance the genus "
-            f"relation; {resolution.edit}{suffix}", downgradable=True)
-    elif resolution.status == "manually_corrected":
-        add("signature",
-            f"printed signature {record.signature} is beyond single-edit "
-            f"repair; corrected to {resolution.effective} ({resolution.edit})",
-            downgradable=True)
-    elif resolution.status == "unrepairable":
-        add("signature",
-            f"printed signature {record.signature} does not balance the genus "
-            f"relation and no single edit fixes it")
+    try:
+        resolution = repair_signature(record)
+    except ValueError as exc:      # a genus below 2, which no signature balances;
+        add("signature", str(exc.__cause__))   # the cause, as the finding names the row
+        resolution = SignatureRepair("unrepairable", record.signature)
+    else:
+        if resolution.status in ("completed", "corrected"):
+            suffix = " (repair choice is ambiguous)" if resolution.ambiguous else ""
+            add("signature",
+                f"printed signature {record.signature} does not balance the genus "
+                f"relation; {resolution.edit}{suffix}", downgradable=True)
+        elif resolution.status == "manually_corrected":
+            add("signature",
+                f"printed signature {record.signature} is beyond single-edit "
+                f"repair; corrected to {resolution.effective} ({resolution.edit})",
+                downgradable=True)
+        elif resolution.status == "unrepairable":
+            add("signature",
+                f"printed signature {record.signature} does not balance the genus "
+                f"relation and no single edit fixes it")
 
     eff = resolution.effective
     if resolution.status != "unrepairable":   # eff balances over a genus-0 quotient

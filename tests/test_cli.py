@@ -240,6 +240,8 @@ def _first_term(payload) -> dict:
     pytest.param(lambda p: p["families"][7].update(block="hexagonal"), "field 'block'",
                  id="block-hexagonal"),
     pytest.param(lambda p: p["families"][7].update(label=5), "field 'label'", id="label-int"),
+    pytest.param(lambda p: p["families"][7].update(signature=5), "field 'signature'",
+                 id="signature-int"),
     pytest.param(lambda p: p["families"][7].update(highlighted="no"), "field 'highlighted'",
                  id="highlighted-str"),
     pytest.param(lambda p: p["families"][7].update(highlighted=1), "field 'highlighted'",
@@ -283,3 +285,46 @@ def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
     assert sum("level must be at least 2, got 1" in line for line in failures) == 1
     assert "(separability)" not in out
     assert "total: 224 rows, " in out
+
+
+def test_term_memo_keeps_each_type_check(capsys, tmp_path) -> None:
+    # A valid load fills the term memo first: true == 1 and 1.0 == 1 hash
+    # like the valid entries, so a check made after the lookup would pass them.
+    from superelliptic.dataset import from_json, load_embedded, to_json
+    embedded = load_embedded()
+    clone = from_json(to_json(embedded))
+    assert len(clone) == len(embedded)
+    for mine, theirs in zip(clone, embedded):
+        assert mine == theirs, theirs.key
+    for name, edit in [
+        ("e", lambda p: _first_term(p).update(e=True)),
+        ("i", lambda p: _first_param_coeff(p).update(i=True)),
+        ("a", lambda p: _first_fixed_coeff(p).update(a=True)),
+        ("a", lambda p: _first_fixed_coeff(p).update(a=1.0)),
+        ("d", lambda p: _first_fixed_coeff(p).update(d=True)),
+    ]:
+        path = _edited_export(tmp_path, edit)
+        for argv in (["list", "--data", path], ["verify", "--data", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "", (name, argv)
+            assert err.startswith("error: invalid dataset: families[0]: ")
+            assert f"field {name!r}" in err
+
+
+def test_genus_below_two_is_a_finding_or_names_the_row(capsys, tmp_path) -> None:
+    path = _edited_export(tmp_path, lambda p: p["families"][0].update(genus=1))
+    code, out, _ = run(capsys, "verify", "--data", path)
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("[failure]")]
+    assert failures and all(" genus 1 nr 1 " in line for line in failures)
+    assert ("[failure] genus 1 nr 1 (signature): curve genus must be at least 2, "
+            "got 1") in failures
+    assert "total: 224 rows, " in out
+    for argv in (["row", "--genus", "1", "--nr", "1"],
+                 ["classify", "--genus", "1", "--nr", "1"],
+                 ["list", "--genus", "1", "--format", "json"]):
+        code, out, err = run(capsys, *argv, "--data", path)
+        assert (code, out) == (3, "")
+        assert err == ("error: invalid dataset: genus 1 nr 1: curve genus must be at "
+                       "least 2, got 1\n")
+    assert run(capsys, "list", "--genus", "1", "--data", path)[0] == 0

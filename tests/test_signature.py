@@ -193,3 +193,47 @@ def test_closed_form_repair_matches_divisor_search() -> None:
     assert set(outcomes) == {("consistent", False), ("completed", False),
                              ("corrected", False), ("corrected", True),
                              ("unrepairable", False)}
+
+
+def _reference_quotient_genus_exact(genus: int, group_order: int, sig: Signature) -> Fraction:
+    """The genus relation in Fractions, as the package solved it before the
+    integer form: g0 = (2(g - 1) - |G| * sum(1 - 1/c)) / (2|G|) + 1."""
+    if group_order < 1:
+        raise ValueError(f"group order must be positive, got {group_order}")
+    if genus < 2:
+        raise ValueError(f"curve genus must be at least 2, got {genus}")
+    rhs = Fraction(2 * (genus - 1)) - group_order * sig.ramification_sum()
+    return rhs / (2 * group_order) + 1
+
+
+def _outcome(solve, *args):
+    """A solver's value, or its exception's type, message and residue."""
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "residue", None)
+
+
+def test_integer_quotient_genus_matches_fraction_formula() -> None:
+    # genus -1, 0, 1 (below 2) and 2, 3, 5, 8, 10; |G| -1, 0, 1-12, 24, 48,
+    # 60, 120; one to three cone orders from 2-6, 10, 12, and four table
+    # signatures: 17,712 cases
+    pool = (2, 3, 4, 5, 6, 10, 12)
+    sigs = [Signature.of(*orders) for r in (1, 2, 3)
+            for orders in itertools.combinations_with_replacement(pool, r)]
+    sigs += [Signature.parse(s) for s in ("2^5,4^2", "2^8", "3^6", "2^3,3^2,6^2")]
+    cases = inconsistent = 0
+    for genus in (-1, 0, 1, 2, 3, 5, 8, 10):
+        for order in (-1, 0, *range(1, 13), 24, 48, 60, 120):
+            for sig in sigs:
+                cases += 1
+                g0 = _outcome(_reference_quotient_genus_exact, genus, order, sig)
+                assert _outcome(_quotient_genus_exact, genus, order, sig) == g0
+                if isinstance(g0, Fraction) and (g0.denominator != 1 or g0 < 0):
+                    inconsistent += 1
+                    error = InconsistentSignatureError(
+                        f"signature {sig} with group order {order} does not fit a "
+                        f"genus-{genus} curve", g0)
+                    g0 = InconsistentSignatureError, str(error), g0
+                assert _outcome(quotient_genus, genus, order, sig) == g0
+    assert cases == 17_712 and inconsistent == 9_658

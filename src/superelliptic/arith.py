@@ -22,7 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 NumberLike = Union[int, Fraction, "QuadNum"]
@@ -329,7 +329,7 @@ def is_separable(p: Poly) -> bool:
     return g.degree == 0
 
 
-def is_separable_mod_p(coeffs: list[int], p: int) -> bool:
+def is_separable_mod_p(coeffs: Sequence[int], p: int) -> bool:
     """True when f = sum coeffs[e] x^e has gcd(f, f') = 1 over F_p (p prime).
 
     ``coeffs`` is dense, lowest degree first.  The zero polynomial is not
@@ -344,8 +344,8 @@ def is_separable_mod_p(coeffs: list[int], p: int) -> bool:
         while len(f) >= len(g):
             q = f[-1] * lead_inv % p
             shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - q * c) % p
+            # f - q x^shift g: its top coefficient is 0, so the slice drops it
+            f[shift:] = [(a - q * b) % p for a, b in zip(f[shift:-1], g)]
             _trim_mod(f)
         f, g = g, f
     return len(f) == 1

@@ -204,11 +204,11 @@ def _named_to_json(curve: NamedCurve) -> dict:
 
 def _named_from_json(obj: dict) -> NamedCurve:
     return NamedCurve(
-        genus=obj["genus"],
-        level=obj["level"],
-        label_text=obj["label"],
+        genus=_field(obj, "genus", "an integer", int),
+        level=_field(obj, "level", "an integer", int),
+        label_text=_field(obj, "label", "a string", str),
         equation=EquationTemplate.from_json_dict(obj["equation"]),
-        note=obj["note"],
+        note=_field(obj, "note", "a string", str),
     )
 
 

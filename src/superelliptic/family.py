@@ -18,11 +18,19 @@ fallback.  The certificate reduces the template straight to F_p for the prime
 p = 2^61 - 1, sending sqrt(-3) to a fixed square root of -3 mod p, and runs
 Euclid on f and f' there.  When the degree survives and gcd(f, f') = 1 mod p,
 the discriminant of f is a unit at a prime above p, hence nonzero, and f is
-separable over Q(sqrt(-3)); that answer is final.  Every other outcome (degree
-drop or common factor mod p, a denominator divisible by p, another radicand,
-a missing parameter) runs the exact computation over Q(sqrt(-3)), whose
-messages are the probe's.  Failures are reported, not raised, so a
+separable over Q(sqrt(-3)); that answer is final.  Every other outcome
+(degree drop or common factor mod p, a denominator divisible by p, another
+radicand, a missing parameter) runs the exact computation over Q(sqrt(-3)),
+whose messages are the probe's.  Failures are reported, not raised, so a
 verification run can collect them.
+
+The certificate never expands f in x.  Each factor is x^lo times a polynomial
+in y = x^m, m the gcd of all exponents' distances from their factor's lo, so
+f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not dividing m, f is
+separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0 of
+h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2 in
+gcd(f, f').)  Euclid runs on h, memoised on its residues: the 224 embedded
+rows give 42 distinct h, so a process runs it 42 times, not 224.
 
 ``EquationTemplate.from_json_dict`` reads the lossless JSON form.  Each term's
 fields are type-checked exactly (``true`` is no integer, ``1.0`` no exact
@@ -428,45 +436,60 @@ def _exact_probe(template: EquationTemplate, values: Mapping) -> list[str]:
 
 def _separable_mod_p(template: EquationTemplate, values: Mapping) -> bool:
     """True only when f at ``values`` keeps its degree and gcd(f, f') = 1 mod p."""
-    f = _reduce_mod_p(template, values)
-    return f is not None and is_separable_mod_p(f, CERTIFICATE_PRIME)
+    h = _reduce_mod_p(template, values)
+    return h is not None and _euclid_mod_p(tuple(h))
+
+
+@cache
+def _euclid_mod_p(h: tuple[int, ...]) -> bool:
+    return is_separable_mod_p(h, CERTIFICATE_PRIME)
 
 
 def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | None:
-    """f at ``values`` in F_p[x], dense and lowest degree first.
+    """h in F_p[y], dense and lowest degree first, with f = x^eps h(x^m) at ``values``.
 
-    None when a coefficient has no image in F_p, a parameter has no value, or
-    a factor's leading coefficient vanishes mod p (the degree would drop).
+    eps <= 1, h(0) != 0 and m <= deg f < p: f is separable mod p iff h is.
+    None when a coefficient has no image in F_p, a parameter has no value, a
+    factor's leading coefficient vanishes mod p (the degree would drop), or
+    x^2 divides f mod p (then gcd(f, f') is not 1 either).
     """
     p = CERTIFICATE_PRIME
-    product = [1]
+    params = {i: _number_mod_p(v) if isinstance(v, QuadNum) else _rational_mod_p(v)
+              for i, v in values.items()}
+    factors = []
     for factor in template.factors:
-        dense = [0] * (1 + max(t.exponent for t in factor))
+        residues = {}
         for t in factor:
             if isinstance(t.coeff, FixedCoeff):
                 c = _number_mod_p(t.coeff.value)
-            elif t.coeff.index in values:
-                value = _number_mod_p(QuadNum.coerce(values[t.coeff.index]))
-                scale = _rational_mod_p(t.coeff.scale)
-                c = None if value is None or scale is None else value * scale % p
             else:
-                return None
+                value, scale = params.get(t.coeff.index), _rational_mod_p(t.coeff.scale)
+                c = None if value is None or scale is None else value * scale % p
             if c is None:
                 return None
-            dense[t.exponent] = c
-        if not dense[-1]:
+            if c:
+                residues[t.exponent] = c
+        if max(t.exponent for t in factor) not in residues:
             return None
-        out = [0] * (len(product) + len(dense) - 1)
-        for i, a in enumerate(product):
-            for j, b in enumerate(dense):
-                out[i + j] += a * b
-        product = [c % p for c in out]
-    return product
+        factors.append((min(residues), residues))
+    if sum(lo for lo, _ in factors) > 1:
+        return None
+    m = gcd(*(e - lo for lo, residues in factors for e in residues)) or 1
+    h = [1]
+    for lo, residues in factors:
+        out = [0] * (len(h) + (max(residues) - lo) // m)
+        for e, c in residues.items():
+            k = (e - lo) // m
+            out[k:k + len(h)] = [o + c * a for o, a in zip(out[k:], h)]
+        h = [c % p for c in out]
+    return h
 
 
 def _number_mod_p(value: QuadNum) -> int | None:
     """Image of a + b*sqrt(d) under sqrt(-3) -> SQRT_MINUS_3_MOD_P, if it has one."""
-    if value.d not in (1, -3):
+    if value.b == 0:
+        return _rational_mod_p(value.a)
+    if value.d != -3:
         return None
     a, b = _rational_mod_p(value.a), _rational_mod_p(value.b)
     if a is None or b is None:
@@ -474,8 +497,10 @@ def _number_mod_p(value: QuadNum) -> int | None:
     return (a + b * SQRT_MINUS_3_MOD_P) % CERTIFICATE_PRIME
 
 
-def _rational_mod_p(q: Fraction) -> int | None:
+def _rational_mod_p(q: int | Fraction) -> int | None:
     p = CERTIFICATE_PRIME
+    if q.denominator == 1:
+        return q.numerator % p
     if q.denominator % p == 0:
         return None
     return q.numerator * pow(q.denominator, -1, p) % p

@@ -203,10 +203,10 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
 
 def verify_dataset(dataset: Dataset, genera=None, strict: bool = False) -> VerifyReport:
+    """Verify every row, or the rows of ``genera``: a genus with none is a KeyError."""
     report = VerifyReport()
-    wanted = set(genera) if genera is not None else None
-    for record in dataset:
-        if wanted is not None and record.genus not in wanted:
-            continue
+    rows = dataset if genera is None else [
+        r for g in sorted(set(genera)) for r in dataset.genus_rows(g)]
+    for record in rows:
         report.rows.append(verify_row(record, strict=strict))
     return report

@@ -104,6 +104,13 @@ def test_row_detail(capsys) -> None:
     assert payload["verdict"] == "definable"
 
 
+def test_verify_genus_without_rows_is_usage_error(capsys) -> None:
+    # the same error and exit code as list --genus 2, not a vacuous pass
+    assert run(capsys, "verify", "--genus", "2") == \
+        (2, "", "error: no rows for genus 2\n")
+    assert run(capsys, "verify", "--genus", "11", "--format", "json")[0] == 2
+
+
 def test_unknown_row_is_usage_error(capsys) -> None:
     code, _, err = run(capsys, "classify", "--genus", "3", "--nr", "99")
     assert code == 2
@@ -274,6 +281,19 @@ def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, fiel
         assert code == 3 and out == ""
         assert err.startswith("error: invalid dataset: families[")
         assert field in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("genus", "3"), ("genus", True), ("level", "2"), ("level", 2.0),
+    ("label", None), ("label", 5), ("note", None), ("note", ["x"]),
+])
+def test_malformed_named_curve_is_io_error_naming_the_field(capsys, tmp_path,
+                                                            key, value) -> None:
+    path = _edited_export(tmp_path, lambda p: p["named_curves"][1].update({key: value}))
+    for argv in (["list", "--data", path], ["export", "--data", path, "--what", "dataset"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: invalid dataset: named_curves[1]: field '{key}'")
 
 
 def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:

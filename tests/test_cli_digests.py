@@ -79,7 +79,7 @@ DIGESTS = {
     "verify --genus 9 --strict --format json":
         "232e81cce034051116205839f44e169be6625a1371a21b3443874f7a3e80f1c6",
     "verify --genus 2":
-        "64d89d238f314683cc067bedf862ef8ae8560caac41371b6a8cd10d76e6507df",
+        "e0fd9c11584094c6336e025fe35a2c347bcf36f263b466346ff4b3c97edc2bd6",
     "list":
         "906f44c9e8a7e61c0da442de3f01fdecb35acfa08eb85f683a9b943eb1c955f1",
     "list --blue-only":

@@ -26,7 +26,7 @@ def reference(obj) -> str:
     ["list", "--blue-only", "--genus", "9", "--format", "json"],
     ["verify", "--format", "json"],
     ["verify", "--strict", "--format", "json"],
-    ["verify", "--genus", "2", "--format", "json"],
+    ["verify", "--genus", "3", "--format", "json"],    # empty failure and warning lists
     ["row", "--genus", "6", "--nr", "11", "--format", "json"],
     ["row", "--genus", "9", "--nr", "12", "--format", "json"],
     ["classify", "--genus", "3", "--nr", "1", "--format", "json"],

@@ -7,13 +7,13 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superelliptic import family
 from superelliptic.arith import QuadNum, is_separable, is_separable_mod_p
 from superelliptic.dataset import load_embedded
-from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
+from superelliptic.family import (CERTIFICATE_PRIME, PROBE_PRIMES, SQRT_MINUS_3_MOD_P,
                                   EquationTemplate, FixedCoeff,
                                   NonSuperellipticError, ParamCoeff, Term,
                                   branch_count, enumerate_levels,
@@ -87,6 +87,19 @@ def test_instantiate_radical_coefficient() -> None:
 def test_branch_count(level: int, degree: int, expected: int) -> None:
     tmpl = t(f(degree, 0))
     assert branch_count(level, tmpl) == expected
+
+
+def test_branch_count_needs_a_nonconstant_f() -> None:
+    assert branch_count(2, t(X)) == 2
+    assert branch_count(3, t(f((1, 4), (0, 1)))) == 2
+    with pytest.raises(NonSuperellipticError, match="constant"):
+        branch_count(2, t(f((0, 3))))
+
+
+def test_probe_assignment_has_primes_for_25_parameters() -> None:
+    assert probe_assignment(t(spread(26, 1, 25))) == dict(zip(range(1, 26), PROBE_PRIMES))
+    with pytest.raises(ValueError, match="more parameters"):
+        probe_assignment(t(spread(27, 1, 26)))
 
 
 def test_branch_count_rejects_bad_shape() -> None:
@@ -239,6 +252,13 @@ def test_fast_and_exact_probes_agree_on_every_row(monkeypatch) -> None:
             exact_probe(monkeypatch, r.level, r.equation), r.key
 
 
+def test_embedded_rows_reduce_to_42_short_polynomials_in_y() -> None:
+    hs = [tuple(family._reduce_mod_p(r.equation, probe_assignment(r.equation)))
+          for r in load_embedded()]
+    assert len(set(hs)) == 42                     # Euclid runs 42 times, not 224
+    assert sum(len(h) ** 2 for h in hs) == 7876   # against 40,085 for f in x
+
+
 def _drop_constant(tmpl: EquationTemplate) -> EquationTemplate | None:
     """x*(...+c)*... with the fixed constant c dropped, so x^2 divides f."""
     if len(tmpl.factors) < 2:
@@ -266,6 +286,7 @@ def test_dropped_constant_fails_both_paths_alike(monkeypatch) -> None:
     (t(f(1, (0, 1)), f(0, (3, ("a1", P)))), {1: 1}),           # (x+1)(P*x^3+1): degree drops mod P
     (t(f(2, (1, "a1"), (0, 1))), {1: P + 2}),                   # x^2+(P+2)x+1 = (x+1)^2 mod P
     (t(f(2, (1, Fraction(1, P)), 0)), None),                    # denominator P
+    (t(f(2, (1, ("a1", Fraction(1, P))), 0)), None),            # parameter scale 1/P
     (t(f(2, (0, ("sqrt", 1, 5)))), None),                       # sqrt(5) has no image
     (t(f(2, (0, -P))), None),                                   # x^2 - P: x^2 mod P
 ])
@@ -316,3 +337,93 @@ def test_certificate_never_accepts_an_inseparable_polynomial(factors) -> None:
 @given(_factors(), _factors().filter(lambda h: max(u.exponent for u in h) > 0))
 def test_certificate_rejects_every_square_factor(g, h) -> None:
     assert not certified(EquationTemplate((g, h, h)))
+
+
+# -- the reduced certificate equals the dense one ----------------------------------
+
+def _residue(q: QuadNum) -> int | None:
+    if q.d not in (1, -3) or q.a.denominator % P == 0 or q.b.denominator % P == 0:
+        return None
+    return (q.a.numerator * pow(q.a.denominator, -1, P)
+            + q.b.numerator * pow(q.b.denominator, -1, P) * SQRT_MINUS_3_MOD_P) % P
+
+
+def dense_reduce_mod_p(tmpl: EquationTemplate, values) -> list[int] | None:
+    """f mod P expanded densely in x, as the certificate did before y = x^m."""
+    product = [1]
+    for factor in tmpl.factors:
+        dense = [0] * (1 + max(u.exponent for u in factor))
+        for u in factor:
+            if isinstance(u.coeff, FixedCoeff):
+                c = _residue(u.coeff.value)
+            elif u.coeff.index in values:
+                value = _residue(QuadNum.coerce(values[u.coeff.index]))
+                scale = _residue(QuadNum(u.coeff.scale))
+                c = None if value is None or scale is None else value * scale % P
+            else:
+                return None
+            if c is None:
+                return None
+            dense[u.exponent] = c
+        if not dense[-1]:
+            return None
+        out = [0] * (len(product) + len(dense) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(dense):
+                out[i + j] += a * b
+        product = [c % P for c in out]
+    return product
+
+
+def _in_y(coeffs: list[int]) -> list[int]:
+    """x^lo g(x^m) -> g, with lo the lowest and m the gcd of all exponents in use."""
+    used = [e for e, c in enumerate(coeffs) if c]
+    m = gcd(*(e - used[0] for e in used)) or 1
+    return coeffs[used[0]::m]
+
+
+_SMALL = st.integers(-6, 6)
+_RATIONAL = st.one_of(_SMALL, st.builds(Fraction, _SMALL, st.sampled_from((2, 3))))
+_SQRT = st.tuples(_RATIONAL, _SMALL.filter(bool)).map(lambda ab: QuadNum(ab[0], ab[1], -3))
+# numbers that vanish mod P or have no image in F_P
+_SPECIAL = st.sampled_from((P, -2 * P, Fraction(1, P), Fraction(P, 2), QuadNum(0, P, -3),
+                            QuadNum(0, 1, 5)))
+
+
+@st.composite
+def _sparse_case(draw) -> tuple[EquationTemplate, dict]:
+    """Sparse factors with exponents lo + step*k (k = 0 alone: the monomial c x^lo).
+
+    The lowest exponents give f = x^eps h(x^m) with eps 0 or 1, or x^2 | f
+    from one or from two factors; half the cases draw special numbers.
+    """
+    special = draw(st.booleans())
+    number = st.one_of(_RATIONAL, _SQRT, *([_SPECIAL] if special else []))
+    scale = st.sampled_from((1, -1, 2, Fraction(-1, 3), *((P, Fraction(1, P)) if special else ())))
+    coeff = st.one_of(number.map(QuadNum.coerce).filter(bool).map(FixedCoeff),
+                      st.builds(ParamCoeff, st.integers(1, 3), scale))
+    factors = []
+    for lo in draw(st.sampled_from(((0,), (0, 0), (0, 0, 0), (1,), (0, 1), (0, 0, 1),
+                                    (2,), (0, 2), (1, 1), (0, 1, 1)))):
+        step = draw(st.integers(1, 4))
+        ks = {0} | draw(st.sets(st.integers(1, 4), max_size=3))
+        factors.append(tuple(Term(lo + step * k, draw(coeff)) for k in sorted(ks)))
+    if draw(st.booleans()):                       # a repeated factor
+        factors.append(draw(st.sampled_from(factors)))
+    values = draw(st.fixed_dictionaries({1: number, 2: number}, optional={3: number}))
+    return EquationTemplate(tuple(draw(st.permutations(factors)))), values
+
+
+@settings(max_examples=200)
+@given(_sparse_case())
+def test_reduced_certificate_equals_the_dense_one(case) -> None:
+    tmpl, values = case
+    family._euclid_mod_p.cache_clear()
+    f = dense_reduce_mod_p(tmpl, values)
+    assert family._separable_mod_p(tmpl, values) == \
+        (f is not None and is_separable_mod_p(f, P))
+    h = family._reduce_mod_p(tmpl, values)
+    if h is not None:                             # f = x^eps h(x^m), eps <= 1
+        assert h[0] and any(f[:2]) and _in_y(h) == _in_y(f)
+    elif f is not None:                           # no h only when x^2 divides f
+        assert not any(f[:2])

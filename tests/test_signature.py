@@ -76,6 +76,14 @@ def test_moduli_dimension() -> None:
         moduli_dimension(0, 2)
 
 
+def test_moduli_dimension_of_a_quotient_without_cone_points() -> None:
+    # r = 0 is allowed once g0 >= 1 (the tour demo passes a computed g0)
+    assert moduli_dimension(1, 0) == 0
+    assert moduli_dimension(2, 0) == 3
+    with pytest.raises(ValueError, match="cone point count"):
+        moduli_dimension(2, -1)
+
+
 # The eleven misprinted signatures, frozen: printed -> forced correction.
 # The genus and group order come from each row's level and m columns.
 REPAIR_CASES = [

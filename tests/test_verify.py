@@ -63,6 +63,13 @@ def test_genus_filter(ds) -> None:
     assert report.ok and report.warnings == ()
 
 
+def test_genus_filter_without_rows_is_a_key_error(ds) -> None:
+    with pytest.raises(KeyError, match="no rows for genus 2"):
+        verify_dataset(ds, genera=[2])
+    with pytest.raises(KeyError, match="no rows for genus 11"):
+        verify_dataset(ds, genera=[3, 11])
+
+
 def test_row_with_manual_correction(ds) -> None:
     result = verify_row(ds.get(6, 11))
     assert result.ok

@@ -16,15 +16,13 @@ reading is sped up; equation terms are built once per distinct JSON term
 from __future__ import annotations
 
 import io
-import json
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple
 
 from . import tables
 from .classify import Classification, classify
 from .family import EquationTemplate, _field
-from .groups import GroupLabel, ReducedGroup, ReducedKind, parse_group_label
+from .groups import ReducedGroup, ReducedKind
 from .signature import Signature, SignatureRepair, complete_signature
 
 DATASET_VERSION = "v1"
@@ -65,9 +63,6 @@ class FamilyRecord(NamedTuple):
     def group_order(self) -> int:
         return self.level * self.reduced_group().order
 
-    def label(self) -> GroupLabel:
-        return parse_group_label(self.label_text, context_order=self.group_order())
-
     def cells(self) -> list[str]:
         """The printed columns shared by ``list`` and the CSV export."""
         return [str(self.number), self.reduced_group().describe(), self.label_text,
@@ -86,14 +81,14 @@ class NamedCurve(NamedTuple):
     note: str
 
 
-def repair_signature(record: FamilyRecord) -> SignatureRepair:
+def repair_signature(record: FamilyRecord, order: int | None = None) -> SignatureRepair:
     """Resolve a row's printed signature to the one its own data forces.
 
     This is :func:`complete_signature`'s repair, except that an unrepairable
     row whose documented manual correction balances comes back
-    ``manually_corrected``.
+    ``manually_corrected``.  ``order``, when given, is the row's group order.
     """
-    order = record.group_order()
+    order = record.group_order() if order is None else order
     try:
         repair = complete_signature(record.genus, order, record.signature)
     except ValueError as exc:  # a genus below 2: no signature can balance
@@ -203,13 +198,17 @@ def _named_to_json(curve: NamedCurve) -> dict:
 
 
 def _named_from_json(obj: dict) -> NamedCurve:
-    return NamedCurve(
+    curve = NamedCurve(
         genus=_field(obj, "genus", "an integer", int),
         level=_field(obj, "level", "an integer", int),
         label_text=_field(obj, "label", "a string", str),
         equation=EquationTemplate.from_json_dict(obj["equation"]),
         note=_field(obj, "note", "a string", str),
     )
+    for key in ("genus", "level"):
+        if obj[key] < 2:
+            raise ValueError(f"field {key!r} must be at least 2, got {obj[key]}")
+    return curve
 
 
 def to_json(dataset: Dataset) -> str:
@@ -231,13 +230,14 @@ def dump_json(obj) -> str:
     keys are not strings, goes to ``json.dumps``; a dict mixing string and
     other keys raises TypeError, as it does there.
     """
+    from json.encoder import encode_basestring_ascii  # imported on use: text calls write no JSON
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, encode_basestring_ascii)
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(obj, newline: str, out: list[str]) -> None:
+def _write_json(obj, newline: str, out: list[str], escape) -> None:
     kind = type(obj)
     if kind is dict and obj:
         keys = sorted(obj)
@@ -247,10 +247,10 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
             for key in keys:
                 value = obj[key]
                 if type(value) is str:  # the commonest value, written in place
-                    out.append(sep + _encode_str(key) + ": " + _encode_str(value))
+                    out.append(sep + escape(key) + ": " + escape(value))
                 else:
-                    out.append(sep + _encode_str(key) + ": ")
-                    _write_json(value, inner, out)
+                    out.append(sep + escape(key) + ": ")
+                    _write_json(value, inner, out, escape)
                 sep = "," + inner
             out.append(newline + "}")
             return
@@ -259,12 +259,12 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, escape)
             sep = "," + inner
         out.append(newline + "]")
         return
     elif kind is str:
-        out.append(_encode_str(obj))
+        out.append(escape(obj))
         return
     elif kind is int:
         out.append(repr(obj))
@@ -275,11 +275,12 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
     elif obj is None:
         out.append("null")
         return
-    # json.dumps's own newlines carry no indent, and its strings hold no newline
+    import json  # json.dumps's newlines carry no indent; its strings hold no newline
     out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def from_json(text: str) -> Dataset:
+    import json  # imported on use: most calls read no JSON
     payload = json.loads(text)
     version = payload.get("version")
     if version != DATASET_VERSION:

@@ -24,13 +24,16 @@ radicand, a missing parameter) runs the exact computation over Q(sqrt(-3)),
 whose messages are the probe's.  Failures are reported, not raised, so a
 verification run can collect them.
 
-The certificate never expands f in x.  Each factor is x^lo times a polynomial
-in y = x^m, m the gcd of all exponents' distances from their factor's lo, so
-f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not dividing m, f is
-separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0 of
-h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2 in
-gcd(f, f').)  Euclid runs on h, memoised on its residues: the 224 embedded
-rows give 42 distinct h, so a process runs it 42 times, not 224.
+The certificate never expands f in x.  One pass over each factor's terms gives
+their residues mod p, its top exponent and lo, its lowest exponent with a
+nonzero residue.  Each factor is x^lo times a polynomial in y = x^m, m the gcd
+of all exponents' distances from their factor's lo, and h, the product of those
+polynomials, gives f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not
+dividing m, f is separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double
+root x0 != 0 of h(x^m) makes x0^m a double root of h, and conversely.
+(eps >= 2 puts x^2 in gcd(f, f').)  Euclid runs on h, memoised on its
+residues: the 224 embedded rows give 42 distinct h, so a process runs it 42
+times, not 224.
 
 ``EquationTemplate.from_json_dict`` reads the lossless JSON form.  Each term's
 fields are type-checked exactly (``true`` is no integer, ``1.0`` no exact
@@ -400,10 +403,13 @@ def normal_form_admissible(level: int, branch_points: int) -> bool:
 
 def probe_assignment(template: EquationTemplate) -> dict[int, int]:
     """Distinct fixed primes 5, 7, 11, ... keyed by parameter index."""
-    indices = template.parameter_indices
+    return _probe_primes(template.parameter_indices)
+
+
+def _probe_primes(indices: tuple[int, ...]) -> dict[int, int]:
     if len(indices) > len(PROBE_PRIMES):
         raise ValueError(f"more parameters ({len(indices)}) than probe primes")
-    return {idx: PROBE_PRIMES[pos] for pos, idx in enumerate(indices)}
+    return dict(zip(indices, PROBE_PRIMES))
 
 
 class ProbeResult(NamedTuple):
@@ -416,12 +422,16 @@ def separability_probe(level: int, template: EquationTemplate,
     """Check degree and separability at the probe assignment (see module doc)."""
     if values is None:
         values = probe_assignment(template)
-    messages = [] if _separable_mod_p(template, values) else _exact_probe(template, values)
+    messages = _probe_failures(template, values)
     try:
         branch_count(level, template)
     except ValueError as exc:
         messages.append(str(exc))
     return ProbeResult(not messages, tuple(messages))
+
+
+def _probe_failures(template: EquationTemplate, values: Mapping) -> list[str]:
+    return [] if _separable_mod_p(template, values) else _exact_probe(template, values)
 
 
 def _exact_probe(template: EquationTemplate, values: Mapping) -> list[str]:
@@ -451,36 +461,43 @@ def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | No
     eps <= 1, h(0) != 0 and m <= deg f < p: f is separable mod p iff h is.
     None when a coefficient has no image in F_p, a parameter has no value, a
     factor's leading coefficient vanishes mod p (the degree would drop), or
-    x^2 divides f mod p (then gcd(f, f') is not 1 either).
+    x^2 divides f mod p (then gcd(f, f') is not 1 either).  One pass over a
+    factor's terms gives its nonzero residues and its top exponent.
     """
     p = CERTIFICATE_PRIME
     params = {i: _number_mod_p(v) if isinstance(v, QuadNum) else _rational_mod_p(v)
               for i, v in values.items()}
-    factors = []
+    factors, eps, m = [], 0, 0
     for factor in template.factors:
-        residues = {}
-        for t in factor:
-            if isinstance(t.coeff, FixedCoeff):
-                c = _number_mod_p(t.coeff.value)
+        residues, top, lead = [], -1, 0
+        for e, coeff in factor:
+            if isinstance(coeff, FixedCoeff):
+                c = _number_mod_p(coeff.value)
             else:
-                value, scale = params.get(t.coeff.index), _rational_mod_p(t.coeff.scale)
+                value, scale = params.get(coeff.index), _rational_mod_p(coeff.scale)
                 c = None if value is None or scale is None else value * scale % p
             if c is None:
                 return None
+            if e > top:
+                top, lead = e, c
             if c:
-                residues[t.exponent] = c
-        if max(t.exponent for t in factor) not in residues:
+                residues.append((e, c))
+        if not lead:
             return None
-        factors.append((min(residues), residues))
-    if sum(lo for lo, _ in factors) > 1:
+        lo = min(residues)[0]   # exponents are distinct within a factor
+        for e, _ in residues:
+            m = gcd(m, e - lo)
+        eps += lo
+        factors.append((lo, top, residues))
+    if eps > 1:
         return None
-    m = gcd(*(e - lo for lo, residues in factors for e in residues)) or 1
+    m = m or 1
     h = [1]
-    for lo, residues in factors:
-        out = [0] * (len(h) + (max(residues) - lo) // m)
-        for e, c in residues.items():
-            k = (e - lo) // m
-            out[k:k + len(h)] = [o + c * a for o, a in zip(out[k:], h)]
+    for lo, top, residues in factors:
+        out = [0] * (len(h) + (top - lo) // m)
+        for e, c in residues:
+            for k, a in enumerate(h, (e - lo) // m):
+                out[k] += c * a
         h = [c % p for c in out]
     return h
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 __all__ = [
@@ -152,11 +153,13 @@ def _atom_order(atom: str) -> int | None:
     raise LabelError(f"unrecognized group label atom {atom!r}")
 
 
+@cache
 def parse_group_label(text: str, context_order: int | None = None) -> GroupLabel:
     """Parse a full-group label; opaque or blank labels take ``context_order``.
 
     Accepts direct products separated by the times sign (either the Unicode
-    character or a surrounded lowercase x) and powers like C_3^2.
+    character or a surrounded lowercase x) and powers like C_3^2.  Memoised;
+    a LabelError is not, so every call with a bad label raises it.
     """
     cleaned = text.strip()
     if not cleaned:

@@ -40,16 +40,14 @@ def _coeff(spec):
     raise TypeError(f"bad coefficient spec {spec!r}")
 
 
+@cache
+def _term(e: int, spec) -> Term:
+    return Term(e, _coeff(spec))
+
+
 def f(*terms) -> tuple[Term, ...]:
     """A factor: bare int e means x^e, (e, spec) gives the coefficient."""
-    out = []
-    for term in terms:
-        if isinstance(term, int):
-            out.append(Term(term, _coeff(1)))
-        else:
-            e, spec = term
-            out.append(Term(e, _coeff(spec)))
-    return tuple(out)
+    return tuple(_term(term, 1) if isinstance(term, int) else _term(*term) for term in terms)
 
 
 def t(*factors) -> EquationTemplate:

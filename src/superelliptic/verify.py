@@ -28,8 +28,8 @@ from typing import NamedTuple
 from . import tables
 from .classify import Classification, classify
 from .dataset import Dataset, FamilyRecord, repair_signature
-from .family import genus_of_family, separability_probe
-from .groups import LabelError
+from .family import _probe_failures, _probe_primes, genus_of_family
+from .groups import LabelError, parse_group_label
 from .signature import SignatureRepair, moduli_dimension
 
 FAILURE = "failure"
@@ -116,10 +116,11 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         findings.append(Finding(severity, code, record.genus, record.number, message))
 
     reduced = record.reduced_group()
-    order = record.group_order()
+    order = record.level * reduced.order
+    indices = record.equation.parameter_indices
 
     try:
-        label = record.label()
+        label = parse_group_label(record.label_text, context_order=order)
         if label.recognized and label.order != order:
             add("label",
                 f"printed group {record.label_text!r} has order {label.order}, "
@@ -129,7 +130,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         add("label", str(exc))
 
     try:
-        resolution = repair_signature(record)
+        resolution = repair_signature(record, order)
     except ValueError as exc:      # a genus below 2, which no signature balances;
         add("signature", str(exc.__cause__))   # the cause, as the finding names the row
         resolution = SignatureRepair("unrepairable", record.signature)
@@ -174,20 +175,20 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
                 f"equation {record.equation.render()} at level {record.level} "
                 f"has genus {computed_genus}, not {record.genus}")
 
-    if record.equation.parameter_count != record.delta:
+    if len(indices) != record.delta:
         add("parameters",
-            f"equation has {record.equation.parameter_count} free "
+            f"equation has {len(indices)} free "
             f"coefficient(s), table dimension is {record.delta}")
-    elif record.equation.parameter_indices != tuple(range(1, record.delta + 1)):
-        names = ", ".join(f"a_{i}" for i in record.equation.parameter_indices)
+    elif indices != tuple(range(1, record.delta + 1)):
+        names = ", ".join(f"a_{i}" for i in indices)
         add("parameters",
             f"equation's free coefficients are {names}, expected a_1 to "
             f"a_{record.delta}")
 
-    if shaped:
-        probe = separability_probe(record.level, record.equation)
-        if not probe.ok:
-            add("separability", "; ".join(probe.messages))
+    if shaped:   # the branch count stands, so the probe's own check of it would pass
+        messages = _probe_failures(record.equation, _probe_primes(indices))
+        if messages:
+            add("separability", "; ".join(messages))
 
     classification = classify(reduced, eff, record.delta)
     computed_highlight = not classification.is_definable

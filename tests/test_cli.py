@@ -286,6 +286,7 @@ def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, fiel
 @pytest.mark.parametrize("key,value", [
     ("genus", "3"), ("genus", True), ("level", "2"), ("level", 2.0),
     ("label", None), ("label", 5), ("note", None), ("note", ["x"]),
+    ("genus", 1), ("genus", -4), ("level", 1), ("level", 0),    # out of range
 ])
 def test_malformed_named_curve_is_io_error_naming_the_field(capsys, tmp_path,
                                                             key, value) -> None:

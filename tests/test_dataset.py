@@ -11,7 +11,7 @@ from superelliptic import tables
 from superelliptic.dataset import (export_csv, from_json, load_embedded,
                                    repair_signature, to_json)
 from superelliptic.family import genus_of_family
-from superelliptic.groups import ReducedKind
+from superelliptic.groups import ReducedKind, parse_group_label
 
 EXPECTED_ROW_COUNTS = {3: 5, 4: 9, 5: 20, 6: 36, 7: 27, 8: 22, 9: 50, 10: 55}
 
@@ -91,10 +91,11 @@ def test_group_orders_match_level_times_reduced(ds) -> None:
     row = ds.get(10, 54)
     assert row.reduced_group().describe() == "S_4"
     assert row.group_order() == 72
-    assert row.label().recognized and row.label().order == 72
+    label = parse_group_label(row.label_text, row.group_order())
+    assert label.recognized and label.order == 72
     row = ds.get(5, 8)      # blank label: order comes from the context
     assert row.label_text == ""
-    assert row.label().order == row.group_order() == 8
+    assert parse_group_label(row.label_text, row.group_order()).order == 8
 
 
 def test_m_column_as_printed(ds) -> None:

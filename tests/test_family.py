@@ -144,6 +144,13 @@ def test_normal_form_admissibility() -> None:
     assert normal_form_admissible(11, 3)
 
 
+def test_normal_form_admissible_guards_its_arguments_at_the_boundary() -> None:
+    assert normal_form_admissible(2, 3) is False      # accepted: 3 branch points at level 2
+    for level, points in ((1, 3), (2, 2)):
+        with pytest.raises(ValueError, match="level >= 2"):
+            normal_form_admissible(level, points)
+
+
 def test_genus_implies_admissible_splitting_and_cyclic_branch_data() -> None:
     # verify reports a row's shape under "genus" alone; this is why no
     # separate splitting, normal-form or branch-residue check is needed.

@@ -88,3 +88,22 @@ def test_blank_label() -> None:
 def test_label_rejects_malformed(bad: str) -> None:
     with pytest.raises(LabelError):
         parse_group_label(bad)
+
+
+def test_c1_atom_parses_with_order_one() -> None:
+    label = parse_group_label("C_1")
+    assert label.recognized and label.order == 1
+    assert parse_group_label("C_1 × C_3").order == 3
+
+
+def test_memoised_label_parse_raises_on_every_call() -> None:
+    for _ in range(3):
+        with pytest.raises(LabelError, match="D_7"):
+            parse_group_label("D_7 × C_2", 12)
+
+
+def test_memoised_label_parse_ignores_how_the_order_is_passed() -> None:
+    for text in ("G_5", "C_2 × C_3", ""):
+        positional = parse_group_label(text, 48)
+        assert parse_group_label(text, context_order=48) == positional
+        assert parse_group_label(text, 48) is positional

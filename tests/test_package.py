@@ -18,7 +18,7 @@ import superelliptic
 from superelliptic.dataset import classify_record, load_embedded, repair_signature
 from superelliptic.family import (EquationTemplate, FixedCoeff, ParamCoeff, Term,
                                   separability_probe)
-from superelliptic.groups import ReducedGroup, ReducedKind
+from superelliptic.groups import ReducedGroup, ReducedKind, parse_group_label
 from superelliptic.signature import Signature
 from superelliptic.verify import verify_row
 
@@ -48,7 +48,8 @@ def _records() -> list:
     result = verify_row(row)
     resolution = repair_signature(row)
     term = row.equation.factors[0][0]
-    return [row, row.signature, row.reduced_group(), row.label(), row.equation, term,
+    label = parse_group_label(row.label_text, row.group_order())
+    return [row, row.signature, row.reduced_group(), label, row.equation, term,
             term.coeff, ParamCoeff(2, -1), resolution,
             classify_record(row), result, result.findings[0],
             separability_probe(row.level, row.equation), ds.named_curves[0]]
@@ -99,9 +100,10 @@ def _modules_after(code: str) -> set[str]:
 
 
 def test_cli_call_imports_no_heavy_modules() -> None:
-    heavy = {"dataclasses", "inspect", "csv", "datetime"}
+    heavy = {"dataclasses", "inspect", "csv", "datetime", "json"}
     bare = _modules_after("")
-    for argv in (["list", "--genus", "3"], ["levels", "--genus", "5"]):
+    for argv in (["list", "--genus", "3"], ["levels", "--genus", "5"],
+                 ["verify", "--genus", "3"]):
         loaded = _modules_after("import io, contextlib\n"
                                 "from superelliptic.cli import main\n"
                                 "with contextlib.redirect_stdout(io.StringIO()):\n"

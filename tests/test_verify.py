@@ -7,8 +7,9 @@ import pytest
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
+from superelliptic.groups import ReducedGroup
 from superelliptic.signature import Signature
-from superelliptic.tables import f, t
+from superelliptic.tables import f, spread, t
 from superelliptic.verify import verify_dataset, verify_row
 
 # Every deviation the verifier is expected to flag, and nothing else.
@@ -171,3 +172,28 @@ def test_report_summary_rendering(ds) -> None:
     quiet = report.render()
     assert "beyond single-edit repair" not in quiet
     assert "total: 36 rows, 0 failure(s), 3 warning(s)" in quiet
+
+
+def test_each_row_derives_its_group_and_parameters_once(ds, monkeypatch) -> None:
+    counts = {"parameter_indices": 0, "ReducedGroup": 0}
+    indices = EquationTemplate.parameter_indices.fget
+    new = ReducedGroup.__new__
+
+    def counted_indices(template):
+        counts["parameter_indices"] += 1
+        return indices(template)
+
+    def counted_new(cls, *args):
+        counts["ReducedGroup"] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(EquationTemplate, "parameter_indices", property(counted_indices))
+    monkeypatch.setattr(ReducedGroup, "__new__", staticmethod(counted_new))
+    assert len(verify_dataset(ds).rows) == 224
+    assert counts == {"parameter_indices": 224, "ReducedGroup": 224}
+
+
+def test_more_parameters_than_probe_primes_is_still_an_error(ds) -> None:
+    row = ds.get(3, 1)._replace(equation=t(spread(27, 1, 26)), delta=26, genus=13)
+    with pytest.raises(ValueError, match=r"more parameters \(26\) than probe primes"):
+        verify_row(row)

@@ -3,8 +3,8 @@
 Subcommands: ``list`` (print tables), ``verify`` (re-derive every column),
 ``classify`` (verdict for one row), ``levels`` (admissible level/branch-point
 splittings for a genus), ``row`` (full detail for one row), ``export``
-(dataset JSON, per-genus CSV, highlighted-row map, or the deviation
-registries).  Output is deterministic unless ``--timestamps`` is given.
+(dataset JSON, per-genus CSV, highlighted-row map, or the documented
+errata).  Output is deterministic unless ``--timestamps`` is given.
 
 Exit codes: 0 success, 1 verification failures, 2 usage error, 3 I/O error.
 """
@@ -129,15 +129,18 @@ def _format_table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _record_summary(record, resolution) -> dict:
-    verdict = classify(record.reduced_group(), resolution.effective, record.delta)
+def _record_summary(record, detail: bool = False) -> dict:
+    """A row as ``list --format json`` prints it; ``detail`` adds what ``row`` shows."""
+    reduced = record.reduced_group()
+    order = record.level * reduced.order
+    resolution = repair_signature(record, order)
     out = {
         "genus": record.genus,
         "nr": record.number,
         "block": record.block.value,
-        "reduced_group": record.reduced_group().describe(),
+        "reduced_group": reduced.describe(),
         "full_group": record.label_text,
-        "order": record.group_order(),
+        "order": order,
         "level": record.level,
         "m": record.m,
         "signature": record.signature.render(),
@@ -145,10 +148,13 @@ def _record_summary(record, resolution) -> dict:
         "equation": record.equation.render(),
         "highlighted": record.highlighted,
     }
-    out.update(verdict.to_json_dict())
-    if resolution.changed:
+    out.update(classify(reduced, resolution.effective, record.delta).to_json_dict())
+    if detail or resolution.changed:
         out["effective_signature"] = resolution.effective.render()
         out["signature_status"] = resolution.status
+    if detail:
+        out["branch_points"] = branch_count(record.level, record.equation)
+        out["parameters"] = record.equation.parameter_count
     return out
 
 
@@ -158,7 +164,7 @@ def _cmd_list(args) -> int:
     records = [r for g in genera for r in ds.genus_rows(g)
                if not args.blue_only or r.highlighted]
     if args.format == "json":
-        _emit_json(args, {"rows": [_record_summary(r, repair_signature(r)) for r in records]})
+        _emit_json(args, {"rows": [_record_summary(r) for r in records]})
         return EXIT_OK
     chunks = []
     for genus in genera:
@@ -225,13 +231,7 @@ def _cmd_levels(args) -> int:
 
 def _cmd_row(args) -> int:
     ds = _load_dataset(args)
-    record = ds.get(args.genus, args.nr)
-    resolution = repair_signature(record)
-    summary = _record_summary(record, resolution)
-    summary["signature_status"] = resolution.status
-    summary["effective_signature"] = resolution.effective.render()
-    summary["branch_points"] = branch_count(record.level, record.equation)
-    summary["parameters"] = record.equation.parameter_count
+    summary = _record_summary(ds.get(args.genus, args.nr), detail=True)
     if args.format == "json":
         _emit_json(args, summary)
     else:
@@ -257,45 +257,35 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
         _emit_json(args, {str(g): list(ds.highlighted_numbers(g)) for g in ds.genera},
                    args.out)
         return EXIT_OK
-    _emit_json(args, {
-        "signature_misprints": sorted(list(k) for k in tables.SIGNATURE_MISPRINTS),
-        "manual_signature_corrections": [
-            {"genus": g, "nr": n, "corrected": fix, "reason": why}
-            for (g, n), (fix, why) in sorted(tables.MANUAL_SIGNATURE_CORRECTIONS.items())],
-        "equation_corrections": [
-            {"genus": g, "nr": n, "printed": printed, "reason": why}
-            for (g, n), (printed, why) in sorted(tables.EQUATION_CORRECTIONS.items())],
-        "label_discrepancies": [
-            {"genus": g, "nr": n, "reason": why}
-            for (g, n), why in sorted(tables.LABEL_DISCREPANCIES.items())],
-        "classification_discrepancies": [
-            {"genus": g, "nr": n, "reason": why}
-            for (g, n), why in sorted(tables.CLASSIFICATION_DISCREPANCIES.items())],
-        "cosmetic_notes": [
-            {"genus": g, "nr": n, "note": note}
-            for g, n, note in sorted(tables.COSMETIC_NOTES)],
-        "prose_level_tally": {str(g): {str(k): v for k, v in t.items()}
-                              for g, t in tables.PROSE_LEVEL_TALLY.items()},
-    }, args.out)
+    errata: dict = {}
+    for e in sorted(tables.ERRATA):
+        row = {"genus": e.genus, "nr": e.number}
+        if e.code == "signature" and not e.why:
+            section, item = "signature_misprints", [e.genus, e.number]
+        elif e.code == "signature":
+            section, item = "manual_signature_corrections", {
+                **row, "corrected": e.derived, "reason": e.why}
+        elif e.code == "equation":
+            section, item = "equation_corrections", {**row, "printed": e.printed, "reason": e.why}
+        elif e.code == "cosmetic":
+            section, item = "cosmetic_notes", {**row, "note": e.why}
+        else:
+            section, item = f"{e.code}_discrepancies", {**row, "reason": e.why}
+        errata.setdefault(section, []).append(item)
+    errata["prose_level_tally"] = {str(g): {str(k): v for k, v in t.items()}
+                                   for g, t in tables.PROSE_LEVEL_TALLY.items()}
+    _emit_json(args, errata, args.out)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"list": _cmd_list, "verify": _cmd_verify, "classify": _cmd_classify,
+               "levels": _cmd_levels, "row": _cmd_row,
+               "export": lambda a: _cmd_export(a, parser)}[args.command]
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "levels":
-            return _cmd_levels(args)
-        if args.command == "row":
-            return _cmd_row(args)
-        if args.command == "export":
-            return _cmd_export(args, parser)
+        return command(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -305,7 +295,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: invalid dataset: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

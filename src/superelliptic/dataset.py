@@ -65,8 +65,9 @@ class FamilyRecord(NamedTuple):
 
     def cells(self) -> list[str]:
         """The printed columns shared by ``list`` and the CSV export."""
-        return [str(self.number), self.reduced_group().describe(), self.label_text,
-                str(self.group_order()), str(self.level),
+        reduced = self.reduced_group()
+        return [str(self.number), reduced.describe(), self.label_text,
+                str(self.level * reduced.order), str(self.level),
                 "" if self.m is None else str(self.m), self.signature.render(),
                 str(self.delta), self.equation.render()]
 
@@ -93,16 +94,18 @@ def repair_signature(record: FamilyRecord, order: int | None = None) -> Signatur
         repair = complete_signature(record.genus, order, record.signature)
     except ValueError as exc:  # a genus below 2: no signature can balance
         raise ValueError(f"genus {record.genus} nr {record.number}: {exc}") from exc
-    manual = tables.MANUAL_SIGNATURE_CORRECTIONS.get(record.key)
-    if repair.status == "unrepairable" and manual is not None:
-        corrected = Signature.parse(manual[0])
+    manual = tables.ERRATA_BY_ROW.get(record.key, {}).get("signature")
+    if repair.status == "unrepairable" and manual is not None and manual.why:
+        corrected = Signature.parse(manual.derived)
         if complete_signature(record.genus, order, corrected).status == "consistent":
-            return SignatureRepair("manually_corrected", corrected, edit=manual[1])
+            return SignatureRepair("manually_corrected", corrected, edit=manual.why)
     return repair
 
 
 def classify_record(record: FamilyRecord) -> Classification:
-    return classify(record.reduced_group(), repair_signature(record).effective, record.delta)
+    reduced = record.reduced_group()
+    repair = repair_signature(record, record.level * reduced.order)
+    return classify(reduced, repair.effective, record.delta)
 
 
 class Dataset:
@@ -318,22 +321,10 @@ def export_csv(dataset: Dataset, genus: int) -> str:
 
 
 def _build_records() -> tuple[FamilyRecord, ...]:
-    out = []
-    for genus, rows in tables.ALL_TABLES.items():
-        for nr, block, label, level, m, sig, delta, eq, highlighted in rows:
-            out.append(FamilyRecord(
-                genus=genus,
-                number=nr,
-                block=block,
-                label_text=label,
-                level=level,
-                m=m,
-                signature=Signature.parse(sig),
-                delta=delta,
-                equation=eq,
-                highlighted=highlighted,
-            ))
-    return tuple(out)
+    # A table row holds a record's fields after the genus, the signature as text.
+    return tuple(FamilyRecord(genus, nr, block, label, level, m, Signature.parse(sig), *rest)
+                 for genus, rows in tables.ALL_TABLES.items()
+                 for nr, block, label, level, m, sig, *rest in rows)
 
 
 def _build_named() -> tuple[NamedCurve, ...]:

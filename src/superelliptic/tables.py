@@ -10,16 +10,18 @@ the row is highlighted as "possibly not definable over the field of moduli".
 
 Transcription policy: everything is kept verbatim except fields that are
 provably wrong from the other columns; those are stored corrected and the
-deviation is recorded in the registries at the bottom of this module
-(signature misprints are the exception -- they stay verbatim because the
-repair oracle fixes them at run time).  Nothing here is parsed from typeset
-source at run time; the rows below *are* the dataset.
+deviation is recorded in ``ERRATA`` at the bottom of this module (signature
+misprints are the exception -- they stay verbatim because the repair oracle
+fixes them at run time, and their entries say what it must find).  Nothing
+here is parsed from typeset source at run time; the rows below *are* the
+dataset.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .arith import QuadNum
 from .family import EquationTemplate, FixedCoeff, ParamCoeff, Term
@@ -385,126 +387,134 @@ NAMED_CURVES = (
 )
 
 # ---------------------------------------------------------------------------
-# Registries of documented deviations between the printed tables and what the
-# other columns force.  `verify` downgrades findings matching these from
-# failures to warnings; anything not listed here stays a hard failure.
+# Documented deviations of printed rows from what their other columns force.
 # ---------------------------------------------------------------------------
 
-# Rows whose printed signature is inconsistent but repairable by one edit.
-# Stored verbatim above; the repair oracle fixes them at run time.
-SIGNATURE_MISPRINTS = frozenset({
-    (5, 5), (9, 8), (9, 9), (9, 11), (9, 12), (9, 13),
-    (10, 8), (10, 9), (10, 12), (10, 13), (10, 14),
-})
+class Erratum(NamedTuple):
+    """One deviation of a printed row from what the row forces.
 
-# Rows whose printed signature is beyond single-edit repair.  The correction
-# here is forced by the equation and the printed dimension (see the note).
-MANUAL_SIGNATURE_CORRECTIONS: dict[tuple[int, int], tuple[str, str]] = {
-    (6, 11): (
-        "2^4,6^2",
-        "printed signature 2^3,3^2,6^2 balances neither the genus relation "
-        "(quotient genus -5/12) nor the printed dimension (r=7 gives 4, table "
-        "says 3); the equation x(x^12+a_1x^3+a_2x^6+a_3x^9+1) has 14 branch "
-        "points, the order-3 rotation fixes exactly 0 and infinity (both "
-        "branch, cone order 6) and the other 12 roots fall in 4 orbits of 3 "
-        "(cone order 2), so the signature is 2^4,6^2",
-    ),
-}
+    ``code`` names the ``verify`` check the entry explains, or is ``equation``
+    or ``cosmetic`` for a defect no check sees; ``derived`` is what that check
+    derives (effective signature, forced group order, verdict).  A
+    ``signature`` entry without a ``why`` is a one-edit misprint, kept verbatim
+    above and repaired at run time; one with a ``why`` is a correction beyond
+    single-edit repair, which ``dataset.repair_signature`` applies.
+    """
 
-# Rows stored with a corrected equation; printed text kept for the record.
-# (genus, nr) -> (printed equation, why the stored form is forced)
-EQUATION_CORRECTIONS: dict[tuple[int, int], tuple[str, str]] = {
-    (6, 13): ("x^6+sum_{i=1..5} a_i x^i+1",
-              "degree 6 at level 3 gives genus 4; the leading x factor "
-              "restores 8 branch points and genus 6"),
-    (6, 14): ("x^6+a_2x^4+a_1x^2+1",
-              "degree 6 at level 3 gives genus 4; leading x factor restores "
-              "genus 6"),
-    (6, 15): ("x^4+sum_{i=1..3} a_i x^i+1",
-              "degree 4 at level 4 gives genus 3; leading x factor restores "
-              "genus 6"),
-    (6, 16): ("x^3+a_1x+a_2x^2+1",
-              "degree 3 at level 5 gives genus 4; leading x factor restores "
-              "genus 6"),
-    (6, 22): ("x(x^4+a_1x^2+1)(x^4+a_2x^2+1)",
-              "printed form is the m=2 shape and gives genus 4; the m=3 row "
-              "(signature 2^4,6, dimension 2) forces degree-6 factors "
-              "symmetric under the order-3 rotation, as in the genus-9 "
-              "analogue nr. 31"),
-    (7, 13): ("x^7+sum_{i=1..6} a_i x^i+1",
-              "degree 7 at level 3 gives genus 6; leading x factor restores "
-              "genus 7"),
-    (8, 19): ("x(x^6+a_1x^3+1)(x^6+a_2x^3+1)(x^6+a_3x^3+1)",
-              "printed form duplicates the genus-9 nr. 31 family (genus 9, "
-              "20 branch points); this row (m=2, signature 2^3,4^3) forces "
-              "x(x^4-1) times three even quartics: branch set {0,inf}, "
-              "{±1}, {±i} and 12 generic points, as in the genus-6 nr. 33 "
-              "and genus-10 nr. 49 analogues"),
-    (9, 18): ("x^9+sum_{i=1..8} a_i x^i+1",
-              "degree 9 at level 3 gives genus 7; leading x factor restores "
-              "genus 9"),
-    (9, 19): ("x^9+a_2x^6+a_1x^3+1",
-              "degree 9 at level 3 gives genus 7; leading x factor restores "
-              "genus 9"),
-    (9, 20): ("x^6+sum_{i=1..5} a_i x^i+1",
-              "level 4 with degree 6 admits no normal form (gcd 2); leading "
-              "x factor gives 8 branch points and genus 9"),
-    (9, 21): ("x^6+a_2x^4+a_1x^2+1",
-              "level 4 with degree 6 admits no normal form (gcd 2); leading "
-              "x factor restores genus 9"),
-    (9, 22): ("x^3+a_1x+a_2x^2+1",
-              "degree 3 at level 7 gives genus 6; leading x factor restores "
-              "genus 9"),
-    (10, 20): ("x^10+sum_{i=1..9} a_i x^i+1",
-               "degree 10 at level 3 gives genus 9; leading x factor "
-               "restores genus 10"),
-    (10, 21): ("x^10+a_1x^2+a_2x^4+a_3x^6+a_4x^8+1",
-               "degree 10 at level 3 gives genus 9; leading x factor "
-               "restores genus 10"),
-    (10, 22): ("x^5+sum_{i=1..4} a_i x^i+1",
-               "degree 5 at level 5 gives genus 6; leading x factor "
-               "restores genus 10"),
-    (10, 23): ("x^4+a_1x+a_2x^2a_3x^3+1",
-               "degree 4 at level 6 admits no normal form (gcd 2); leading "
-               "x factor restores genus 10 (a + sign between the a_2 and "
-               "a_3 terms is also missing in print)"),
-    (10, 40): ("(x^2-1)(x^4+a_1x^2+1)(x^4+a_2x^2+1)",
-               "degree 10 at level 3 gives genus 9; the signature "
-               "2,3^2,6^2 puts two full special orbits {±1} and {±i} in "
-               "the branch set, so the first factor must be x^4-1 "
-               "(compare nr. 44, the variant branched at 0 and infinity)"),
-}
+    genus: int
+    number: int
+    code: str
+    printed: str
+    derived: str
+    why: str = ""
 
-# Full-group labels whose printed order contradicts n * |reduced group|.
-LABEL_DISCREPANCIES: dict[tuple[int, int], str] = {
-    (6, 20): "printed D_10 x C_2 has order 20, but level 5 with reduced "
-             "dihedral order 10 forces 50 (and 50 balances the genus "
-             "relation where 20 does not); D_10 x C_5 was presumably meant",
-}
 
-# Purely typographic defects normalized during transcription.
-COSMETIC_NOTES: tuple[tuple[int, int, str], ...] = (
-    (6, 17, "stray closing parenthesis after the polynomial"),
-    (7, 4, "summation coefficient printed a_1, clearly a_i (dimension 4 "
-           "needs four parameters)"),
-    (8, 6, "summation bound printed without braces (i = 1..15)"),
-    (9, 23, "extra closing parenthesis after the product"),
-    (10, 26, "trailing comma inside the signature cell"),
-    (10, 27, "unbalanced opening parenthesis before the polynomial"),
+ERRATA: tuple[Erratum, ...] = (
+    Erratum(5, 5, "signature", "2,22,22", "2,11,22"),
+    Erratum(9, 8, "signature", "3,10^2", "3,10,30"),
+    Erratum(9, 9, "signature", "4,7^2", "4,7,28"),
+    Erratum(9, 11, "signature", "4^2,7", "4,7,28"),
+    Erratum(9, 12, "signature", "3^2,10", "3,10,30"),
+    Erratum(9, 13, "signature", "2^2,19", "2,19,38"),
+    Erratum(10, 8, "signature", "2,4,21", "2,21,42"),
+    Erratum(10, 9, "signature", "3,11^2", "3,11,33"),
+    Erratum(10, 12, "signature", "5,6^2", "5,6,30"),
+    Erratum(10, 13, "signature", "5^2,6", "5,6,30"),
+    Erratum(10, 14, "signature", "3^2,11", "3,11,33"),
+    Erratum(6, 11, "signature", "2^3,3^2,6^2", "2^4,6^2",
+            "printed signature 2^3,3^2,6^2 balances neither the genus relation "
+            "(quotient genus -5/12) nor the printed dimension (r=7 gives 4, table "
+            "says 3); the equation x(x^12+a_1x^3+a_2x^6+a_3x^9+1) has 14 branch "
+            "points, the order-3 rotation fixes exactly 0 and infinity (both "
+            "branch, cone order 6) and the other 12 roots fall in 4 orbits of 3 "
+            "(cone order 2), so the signature is 2^4,6^2"),
+    Erratum(6, 11, "classification", "definable", "possibly_not_definable",
+            "with the corrected signature 2^4,6^2 every cone order has even "
+            "multiplicity, the reduced group C_3 is cyclic and the locus is "
+            "3-dimensional, so no sufficiency criterion applies; the row "
+            "belongs with the highlighted genus-6 cases {9,10,13,15} "
+            "(compare the highlighted analogues: genus 5 nr. 2, genus 8 "
+            "nr. 2, genus 9 nr. 16)"),
+    Erratum(6, 20, "label", "D_10 × C_2", "50",
+            "printed D_10 x C_2 has order 20, but level 5 with reduced "
+            "dihedral order 10 forces 50 (and 50 balances the genus "
+            "relation where 20 does not); D_10 x C_5 was presumably meant"),
+    # Stored with the corrected equation; the printed text is kept for the record.
+    Erratum(6, 13, "equation", "x^6+sum_{i=1..5} a_i x^i+1", "",
+            "degree 6 at level 3 gives genus 4; the leading x factor "
+            "restores 8 branch points and genus 6"),
+    Erratum(6, 14, "equation", "x^6+a_2x^4+a_1x^2+1", "",
+            "degree 6 at level 3 gives genus 4; leading x factor restores "
+            "genus 6"),
+    Erratum(6, 15, "equation", "x^4+sum_{i=1..3} a_i x^i+1", "",
+            "degree 4 at level 4 gives genus 3; leading x factor restores "
+            "genus 6"),
+    Erratum(6, 16, "equation", "x^3+a_1x+a_2x^2+1", "",
+            "degree 3 at level 5 gives genus 4; leading x factor restores "
+            "genus 6"),
+    Erratum(6, 22, "equation", "x(x^4+a_1x^2+1)(x^4+a_2x^2+1)", "",
+            "printed form is the m=2 shape and gives genus 4; the m=3 row "
+            "(signature 2^4,6, dimension 2) forces degree-6 factors "
+            "symmetric under the order-3 rotation, as in the genus-9 "
+            "analogue nr. 31"),
+    Erratum(7, 13, "equation", "x^7+sum_{i=1..6} a_i x^i+1", "",
+            "degree 7 at level 3 gives genus 6; leading x factor restores "
+            "genus 7"),
+    Erratum(8, 19, "equation", "x(x^6+a_1x^3+1)(x^6+a_2x^3+1)(x^6+a_3x^3+1)", "",
+            "printed form duplicates the genus-9 nr. 31 family (genus 9, "
+            "20 branch points); this row (m=2, signature 2^3,4^3) forces "
+            "x(x^4-1) times three even quartics: branch set {0,inf}, "
+            "{±1}, {±i} and 12 generic points, as in the genus-6 nr. 33 "
+            "and genus-10 nr. 49 analogues"),
+    Erratum(9, 18, "equation", "x^9+sum_{i=1..8} a_i x^i+1", "",
+            "degree 9 at level 3 gives genus 7; leading x factor restores "
+            "genus 9"),
+    Erratum(9, 19, "equation", "x^9+a_2x^6+a_1x^3+1", "",
+            "degree 9 at level 3 gives genus 7; leading x factor restores "
+            "genus 9"),
+    Erratum(9, 20, "equation", "x^6+sum_{i=1..5} a_i x^i+1", "",
+            "level 4 with degree 6 admits no normal form (gcd 2); leading "
+            "x factor gives 8 branch points and genus 9"),
+    Erratum(9, 21, "equation", "x^6+a_2x^4+a_1x^2+1", "",
+            "level 4 with degree 6 admits no normal form (gcd 2); leading "
+            "x factor restores genus 9"),
+    Erratum(9, 22, "equation", "x^3+a_1x+a_2x^2+1", "",
+            "degree 3 at level 7 gives genus 6; leading x factor restores "
+            "genus 9"),
+    Erratum(10, 20, "equation", "x^10+sum_{i=1..9} a_i x^i+1", "",
+            "degree 10 at level 3 gives genus 9; leading x factor "
+            "restores genus 10"),
+    Erratum(10, 21, "equation", "x^10+a_1x^2+a_2x^4+a_3x^6+a_4x^8+1", "",
+            "degree 10 at level 3 gives genus 9; leading x factor "
+            "restores genus 10"),
+    Erratum(10, 22, "equation", "x^5+sum_{i=1..4} a_i x^i+1", "",
+            "degree 5 at level 5 gives genus 6; leading x factor "
+            "restores genus 10"),
+    Erratum(10, 23, "equation", "x^4+a_1x+a_2x^2a_3x^3+1", "",
+            "degree 4 at level 6 admits no normal form (gcd 2); leading "
+            "x factor restores genus 10 (a + sign between the a_2 and "
+            "a_3 terms is also missing in print)"),
+    Erratum(10, 40, "equation", "(x^2-1)(x^4+a_1x^2+1)(x^4+a_2x^2+1)", "",
+            "degree 10 at level 3 gives genus 9; the signature "
+            "2,3^2,6^2 puts two full special orbits {±1} and {±i} in "
+            "the branch set, so the first factor must be x^4-1 "
+            "(compare nr. 44, the variant branched at 0 and infinity)"),
+    # Purely typographic defects normalized during transcription.
+    Erratum(6, 17, "cosmetic", "", "", "stray closing parenthesis after the polynomial"),
+    Erratum(7, 4, "cosmetic", "", "", "summation coefficient printed a_1, clearly a_i "
+            "(dimension 4 needs four parameters)"),
+    Erratum(8, 6, "cosmetic", "", "", "summation bound printed without braces (i = 1..15)"),
+    Erratum(9, 23, "cosmetic", "", "", "extra closing parenthesis after the product"),
+    Erratum(10, 26, "cosmetic", "", "", "trailing comma inside the signature cell"),
+    Erratum(10, 27, "cosmetic", "", "", "unbalanced opening parenthesis before the polynomial"),
 )
+
+# Each row's entries by code, for lookup; no row has two entries with one code.
+ERRATA_BY_ROW: dict[tuple[int, int], dict[str, Erratum]] = {}
+for _entry in ERRATA:
+    ERRATA_BY_ROW.setdefault(_entry[:2], {})[_entry.code] = _entry
 
 # The genus-10 prose tally vs. what the table contains.
 PROSE_LEVEL_TALLY: dict[int, dict[int, int]] = {
     10: {2: 18, 3: 18, 5: 4},
-}
-
-# Rows where the computed verdict contradicts the printed highlighting, with
-# the reason the computation is trusted.
-CLASSIFICATION_DISCREPANCIES: dict[tuple[int, int], str] = {
-    (6, 11): "with the corrected signature 2^4,6^2 every cone order has even "
-             "multiplicity, the reduced group C_3 is cyclic and the locus is "
-             "3-dimensional, so no sufficiency criterion applies; the row "
-             "belongs with the highlighted genus-6 cases {9,10,13,15} "
-             "(compare the highlighted analogues: genus 5 nr. 2, genus 8 "
-             "nr. 2, genus 9 nr. 16)",
 }

@@ -16,9 +16,11 @@ valid cyclic-cover data.  The separability probe runs only on rows whose
 level and degree have that shape, so a badly shaped row is reported once,
 under ``genus``.
 
-Findings that match the documented deviation registries in
-:mod:`superelliptic.tables` are reported as warnings; everything else is a
-failure.  Strict mode promotes warnings to failures.
+A finding is a warning when :data:`superelliptic.tables.ERRATA` has an entry
+with its row, its code and the value the check derived (the effective
+signature, the forced group order, the verdict); everything else is a
+failure.  An entry for a check that does not fire, or derives another value,
+is a stale ``erratum`` failure.  Strict mode promotes warnings to failures.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .signature import SignatureRepair, moduli_dimension
 
 FAILURE = "failure"
 WARNING = "warning"
+CHECKS = ("label", "signature", "dimension", "cone_orders", "genus", "parameters",
+          "separability", "classification")
 
 
 class Finding(NamedTuple):
@@ -95,24 +99,16 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _documented(record: FamilyRecord, code: str) -> bool:
-    key = record.key
-    if code == "signature":
-        return (key in tables.SIGNATURE_MISPRINTS
-                or key in tables.MANUAL_SIGNATURE_CORRECTIONS)
-    if code == "label":
-        return key in tables.LABEL_DISCREPANCIES
-    if code == "classification":
-        return key in tables.CLASSIFICATION_DISCREPANCIES
-    return False
-
-
 def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     findings: list[Finding] = []
+    errata = tables.ERRATA_BY_ROW.get(record.key, {})
+    matched: set[str] = set()
 
-    def add(code: str, message: str, downgradable: bool = False) -> None:
-        documented = downgradable and not strict and _documented(record, code)
-        severity = WARNING if documented else FAILURE
+    def add(code: str, message: str, derived: str | None = None) -> None:
+        documented = code in errata and errata[code].derived == derived
+        if documented:
+            matched.add(code)
+        severity = WARNING if documented and not strict else FAILURE
         findings.append(Finding(severity, code, record.genus, record.number, message))
 
     reduced = record.reduced_group()
@@ -125,7 +121,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             add("label",
                 f"printed group {record.label_text!r} has order {label.order}, "
                 f"but level {record.level} over {reduced.describe()} forces "
-                f"{order}", downgradable=True)
+                f"{order}", str(order))
     except LabelError as exc:
         add("label", str(exc))
 
@@ -139,12 +135,12 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             suffix = " (repair choice is ambiguous)" if resolution.ambiguous else ""
             add("signature",
                 f"printed signature {record.signature} does not balance the genus "
-                f"relation; {resolution.edit}{suffix}", downgradable=True)
+                f"relation; {resolution.edit}{suffix}", resolution.effective.render())
         elif resolution.status == "manually_corrected":
             add("signature",
                 f"printed signature {record.signature} is beyond single-edit "
                 f"repair; corrected to {resolution.effective} ({resolution.edit})",
-                downgradable=True)
+                resolution.effective.render())
         elif resolution.status == "unrepairable":
             add("signature",
                 f"printed signature {record.signature} does not balance the genus "
@@ -193,12 +189,17 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     classification = classify(reduced, eff, record.delta)
     computed_highlight = not classification.is_definable
     if computed_highlight != record.highlighted:
-        documented = tables.CLASSIFICATION_DISCREPANCIES.get(record.key)
-        detail = f" ({documented})" if documented else ""
+        documented = errata.get("classification")
+        detail = f" ({documented.why})" if documented else ""
         side = ("recomputation says the row is possibly-not-definable but it "
                 "is not highlighted" if computed_highlight else
                 "recomputation proves definability but the row is highlighted")
-        add("classification", side + detail, downgradable=True)
+        add("classification", side + detail, classification.verdict.value)
+
+    for code, entry in errata.items():
+        if code in CHECKS and code not in matched:
+            add("erratum", f"documented {code} erratum expects {entry.derived}, "
+                           f"which the {code} check does not derive")
 
     return RowResult(record, resolution, classification, tuple(findings))
 

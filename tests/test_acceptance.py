@@ -6,8 +6,8 @@ corrected by the errata in ``HIGHLIGHTING_ERRATA``.  There is one: genus-6
 row 11, whose printed signature is internally inconsistent and whose forced
 correction places it among the possibly-not-definable cases although the
 published table does not highlight it.  The criterion asserts the evidence
-for that erratum as well, and fails if the built-in registry of
-classification discrepancies drifts from it.
+for that erratum as well, and fails if the ``classification`` entries of
+``tables.ERRATA`` drift from it.
 """
 
 from __future__ import annotations
@@ -131,9 +131,10 @@ def test_criterion_2_highlighted_rows_reproduced(ds) -> None:
                         f"differs: {mismatches}")
     for key, corrected in HIGHLIGHTING_ERRATA.items():
         problems.extend(_erratum_evidence(ds, key, corrected))
-    if set(tables.CLASSIFICATION_DISCREPANCIES) != set(HIGHLIGHTING_ERRATA):
-        problems.append(f"registered discrepancies "
-                        f"{sorted(tables.CLASSIFICATION_DISCREPANCIES)} are not "
+    registered = sorted((e.genus, e.number) for e in tables.ERRATA
+                        if e.code == "classification")
+    if registered != sorted(HIGHLIGHTING_ERRATA):
+        problems.append(f"registered discrepancies {registered} are not "
                         f"the asserted errata {sorted(HIGHLIGHTING_ERRATA)}")
     errata = ", ".join(
         f"genus {g} row {n} (printed {ds.get(g, n).signature} balances "

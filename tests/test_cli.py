@@ -7,6 +7,7 @@ import json
 import pytest
 
 from superelliptic.cli import main
+from superelliptic.groups import ReducedGroup
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -30,6 +31,21 @@ def test_list_blue_only_json(capsys) -> None:
     assert len(rows) == 32              # all highlighted rows, genus 3..10
     assert all(r["highlighted"] for r in rows)
     assert all(r["verdict"] == "possibly_not_definable" for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_list_derives_each_rows_group_once(capsys, monkeypatch, fmt) -> None:
+    count = 0
+    new = ReducedGroup.__new__
+
+    def counted_new(cls, *args):
+        nonlocal count
+        count += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(ReducedGroup, "__new__", staticmethod(counted_new))
+    assert run(capsys, "list", "--format", fmt)[0] == 0
+    assert count == 224
 
 
 def test_list_is_deterministic(capsys) -> None:

@@ -116,7 +116,9 @@ def test_signature_repair_statuses(ds) -> None:
     assert all(s == "consistent" for k, s in statuses.items()
                if k not in corrected and k not in manual)
     assert sorted(k for k, r in repairs.items() if r.changed) == sorted(corrected + manual)
-    assert repairs[(6, 11)].edit == tables.MANUAL_SIGNATURE_CORRECTIONS[(6, 11)][1]
+    [manual] = [e for e in tables.ERRATA if e[:3] == (6, 11, "signature")]
+    assert repairs[(6, 11)].edit == manual.why
+    assert repairs[(6, 11)].effective.render() == manual.derived
 
 
 def test_effective_signatures_of_repaired_rows(ds) -> None:

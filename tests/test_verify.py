@@ -1,16 +1,18 @@
-"""The verifier: every column re-derived, deviations downgraded only when documented."""
+"""The verifier: every column re-derived, deviations downgraded only when documented,
+and a documented deviation that no longer holds reported as a stale erratum."""
 
 from __future__ import annotations
 
 import pytest
 
+from superelliptic import tables
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
 from superelliptic.groups import ReducedGroup
 from superelliptic.signature import Signature
 from superelliptic.tables import f, spread, t
-from superelliptic.verify import verify_dataset, verify_row
+from superelliptic.verify import CHECKS, verify_dataset, verify_row
 
 # Every deviation the verifier is expected to flag, and nothing else.
 EXPECTED_WARNINGS = {
@@ -48,6 +50,7 @@ def test_strict_mode_promotes_warnings(ds) -> None:
     report = verify_dataset(ds, strict=True)
     assert not report.ok
     assert len(report.failures) == len(EXPECTED_WARNINGS)
+    assert {(x.genus, x.number, x.code) for x in report.failures} == EXPECTED_WARNINGS
     assert report.warnings == ()
 
 
@@ -125,7 +128,7 @@ def test_tampered_highlighting_is_caught(ds) -> None:
 
 def test_undocumented_misprint_is_a_failure(ds) -> None:
     # same single-entry misprint shape as the documented ones, but on a row
-    # that is not in the registry, so it must not be downgraded
+    # that has no entry in ERRATA, so it must not be downgraded
     row = ds.get(3, 4)._replace(signature=Signature.parse("2,3^2,12"))
     result = verify_row(row)
     assert any(x.code == "signature" and x.severity == "failure"
@@ -161,6 +164,52 @@ def test_unparsable_label_is_a_failure_even_when_documented(ds) -> None:
     labels = [x for x in verify_row(row).findings if x.code == "label"]
     assert [(x.severity, x.message) for x in labels] == [
         ("failure", "unrecognized group label atom 'Q_8'")]
+
+
+def test_entry_whose_check_no_longer_fires_is_a_stale_erratum(ds) -> None:
+    # (9, 9) prints 4,7^2; with the repair already made the signature check is
+    # silent, so its entry (derived 4,7,28) explains nothing any more
+    row = ds.get(9, 9)._replace(signature=Signature.parse("4,7,28"))
+    for strict in (False, True):
+        findings = verify_row(row, strict=strict).findings
+        assert [(x.severity, x.code) for x in findings] == [("failure", "erratum")]
+        assert "signature erratum expects 4,7,28" in findings[0].message
+
+
+def test_finding_that_derives_another_value_stays_a_failure(ds) -> None:
+    # (6, 20) documents a forced order of 50; at level 4 the label check
+    # forces 40, which the entry does not explain
+    result = verify_row(ds.get(6, 20)._replace(level=4))
+    labels = [x for x in result.findings if x.code == "label"]
+    assert [x.severity for x in labels] == ["failure"]
+    assert labels[0].message.endswith("forces 40")
+    errata = [x for x in result.findings if x.code == "erratum"]
+    assert [x.message for x in errata] == [
+        "documented label erratum expects 50, which the label check does not derive"]
+
+
+def test_stale_classification_entry_is_reported(ds) -> None:
+    # highlighting (6, 11) as the recomputation says leaves its entry unused
+    result = verify_row(ds.get(6, 11)._replace(highlighted=True))
+    assert {(x.severity, x.code) for x in result.findings} == {
+        ("warning", "signature"), ("failure", "erratum")}
+
+
+def test_errata_are_well_formed(ds) -> None:
+    keys = [(e.genus, e.number, e.code) for e in tables.ERRATA]
+    assert len(keys) == len(set(keys)), "a duplicate would shadow an entry in ERRATA_BY_ROW"
+    for e in tables.ERRATA:
+        row = ds.get(e.genus, e.number)
+        assert e.code in CHECKS or e.code in ("equation", "cosmetic"), e
+        assert e.why or e.code == "signature", e
+        if e.code == "signature":
+            assert Signature.parse(e.printed) == row.signature, e
+        elif e.code == "label":
+            assert e.printed == row.label_text, e
+        elif e.code == "classification":
+            assert e.printed == ("possibly_not_definable" if row.highlighted else "definable")
+    assert sorted(e for entries in tables.ERRATA_BY_ROW.values() for e in entries.values()) \
+        == sorted(tables.ERRATA)
 
 
 def test_report_summary_rendering(ds) -> None:

@@ -171,7 +171,6 @@ class QuadNum:
 
 
 _ZERO = QuadNum(0)
-_ONE = QuadNum(1)
 
 
 class Poly:
@@ -281,29 +280,6 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted((e, hash(c)) for e, c in self._coeffs.items())))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in sorted(self._coeffs.items(), reverse=True):
-            if e == 0:
-                term = str(c)
-            else:
-                x = "x" if e == 1 else f"x^{e}"
-                if c == _ONE:
-                    term = x
-                elif c == QuadNum(-1):
-                    term = f"-{x}"
-                elif c.is_rational:
-                    term = f"{c}{x}"
-                else:
-                    term = f"({c}){x}"
-            parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += term if term.startswith("-") else "+" + term
-        return text
 
     def __repr__(self) -> str:
         return f"Poly({dict(sorted(self._coeffs.items()))!r})"

@@ -34,10 +34,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "field of moduli is provably a field of definition.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt: bool = True) -> None:
-        p.add_argument("--data", metavar="PATH",
-                       help="load the dataset from a JSON file instead of the "
-                            "embedded tables")
+    def common(p: argparse.ArgumentParser, fmt: bool = True, data: bool = True) -> None:
+        if data:
+            p.add_argument("--data", metavar="PATH",
+                           help="load the dataset from a JSON file instead of the "
+                                "embedded tables")
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="text",
                            help="output format (default: text)")
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_levels = sub.add_parser("levels",
                               help="admissible level/branch-point splittings")
-    common(p_levels)
+    common(p_levels, data=False)  # levels reads no dataset
     p_levels.add_argument("--genus", type=int, required=True)
 
     p_row = sub.add_parser("row", help="full detail for a single row")
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_dataset(args) -> Dataset:
-    if getattr(args, "data", None):
+    if args.data:
         with open(args.data, "r", encoding="utf-8") as fh:
             return from_json(fh.read())
     return load_embedded()
@@ -209,7 +210,7 @@ def _cmd_classify(args) -> int:
             text = f"definable ({verdict.theorem})"
         else:
             text = f"possibly not definable: {verdict.theorem}"
-        _emit(text + "\n")
+        _emit_lines(args, [text])
     return EXIT_OK
 
 

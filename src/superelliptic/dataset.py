@@ -36,7 +36,7 @@ class FamilyRecord(NamedTuple):
 
     genus: int
     number: int
-    block: ReducedKind    # never TRIVIAL: C_1 is the cyclic block with m = 1
+    block: ReducedKind
     label_text: str
     level: int
     m: int | None
@@ -50,15 +50,7 @@ class FamilyRecord(NamedTuple):
         return (self.genus, self.number)
 
     def reduced_group(self) -> ReducedGroup:
-        if self.block is ReducedKind.CYCLIC:
-            if self.m is None or self.m < 1:
-                raise ValueError(f"row {self.key}: cyclic block needs m >= 1")
-            return ReducedGroup.cyclic(self.m)
-        if self.block is ReducedKind.DIHEDRAL:
-            if self.m is None or self.m < 2:
-                raise ValueError(f"row {self.key}: dihedral block needs m >= 2")
-            return ReducedGroup.dihedral(self.m)
-        return ReducedGroup(self.block)
+        return ReducedGroup(self.block, self.m)
 
     def group_order(self) -> int:
         return self.level * self.reduced_group().order
@@ -179,8 +171,7 @@ def _record_from_json(obj: dict) -> FamilyRecord:
     return record
 
 
-# The tables write a trivial reduced group as the cyclic block with m = 1.
-_BLOCK_NAMES = tuple(k.value for k in ReducedKind if k is not ReducedKind.TRIVIAL)
+_BLOCK_NAMES = tuple(k.value for k in ReducedKind)
 
 
 def _block_from_json(value) -> ReducedKind:

@@ -2,9 +2,9 @@
 
 A superelliptic curve y^n = f(x) carries a central cyclic group of order n
 whose quotient acts on the projective line; that quotient -- the *reduced*
-group -- is one of the finite Moebius groups: trivial, cyclic C_m, dihedral of
-order 2m, or one of A_4, S_4, A_5.  The full automorphism group has order
-n * |reduced|.
+group -- is one of the finite Moebius groups: cyclic C_m (C_1 is the trivial
+group), dihedral of order 2m, or one of A_4, S_4, A_5.  The full automorphism
+group has order n * |reduced|.
 
 Table labels for full groups come in two kinds: recognizable names built from
 C_k, D_k (subscript = order, so D_6 is the symmetric group on 3 letters),
@@ -30,19 +30,18 @@ __all__ = [
 
 
 class ReducedKind(Enum):
-    TRIVIAL = "trivial"
-    CYCLIC = "cyclic"
+    CYCLIC = "cyclic"             # C_m; C_1 is the trivial group
     DIHEDRAL = "dihedral"
     TETRAHEDRAL = "tetrahedral"   # A_4
     OCTAHEDRAL = "octahedral"     # S_4
     ICOSAHEDRAL = "icosahedral"   # A_5
 
 
-_FIXED_ORDERS = {
-    ReducedKind.TRIVIAL: 1,
-    ReducedKind.TETRAHEDRAL: 12,
-    ReducedKind.OCTAHEDRAL: 24,
-    ReducedKind.ICOSAHEDRAL: 60,
+# Name and order of each polyhedral group; the label parser reads them too.
+_POLYHEDRAL = {
+    ReducedKind.TETRAHEDRAL: ("A_4", 12),
+    ReducedKind.OCTAHEDRAL: ("S_4", 24),
+    ReducedKind.ICOSAHEDRAL: ("A_5", 60),
 }
 
 
@@ -59,21 +58,18 @@ class ReducedGroup(_ReducedGroup):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, kind: ReducedKind, m: int | None = None) -> "ReducedGroup":
-        if kind in (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL):
-            if m is None or m < 2:
-                raise ValueError(f"{kind.value} reduced group needs m >= 2")
-        elif m is not None:
-            raise ValueError(f"{kind.value} reduced group takes no parameter")
+        if kind in _POLYHEDRAL:
+            if m:  # the tables print a polyhedral row's m as blank or 0
+                raise ValueError(f"{kind.value} block takes no m, got {m}")
+            m = None
+        else:
+            least = 2 if kind is ReducedKind.DIHEDRAL else 1
+            if m is None or m < least:
+                raise ValueError(f"{kind.value} block needs m >= {least}, got {m}")
         return super().__new__(cls, kind, m)
 
     @classmethod
-    def trivial(cls) -> "ReducedGroup":
-        return cls(ReducedKind.TRIVIAL)
-
-    @classmethod
     def cyclic(cls, m: int) -> "ReducedGroup":
-        if m == 1:
-            return cls.trivial()
         return cls(ReducedKind.CYCLIC, m)
 
     @classmethod
@@ -83,25 +79,22 @@ class ReducedGroup(_ReducedGroup):
 
     @property
     def order(self) -> int:
-        if self.kind in _FIXED_ORDERS:
-            return _FIXED_ORDERS[self.kind]
-        assert self.m is not None
-        return self.m if self.kind is ReducedKind.CYCLIC else 2 * self.m
+        if self.kind is ReducedKind.CYCLIC:
+            return self.m
+        if self.kind is ReducedKind.DIHEDRAL:
+            return 2 * self.m
+        return _POLYHEDRAL[self.kind][1]
 
     @property
     def is_cyclic_or_trivial(self) -> bool:
-        return self.kind in (ReducedKind.TRIVIAL, ReducedKind.CYCLIC)
+        return self.kind is ReducedKind.CYCLIC
 
     def describe(self) -> str:
-        if self.kind is ReducedKind.TRIVIAL:
-            return "{1}"
         if self.kind is ReducedKind.CYCLIC:
-            return f"C_{self.m}"
+            return "{1}" if self.m == 1 else f"C_{self.m}"
         if self.kind is ReducedKind.DIHEDRAL:
             return "V_4" if self.m == 2 else f"D_{2 * self.m}"
-        return {ReducedKind.TETRAHEDRAL: "A_4",
-                ReducedKind.OCTAHEDRAL: "S_4",
-                ReducedKind.ICOSAHEDRAL: "A_5"}[self.kind]
+        return _POLYHEDRAL[self.kind][0]
 
     def __str__(self) -> str:
         return self.describe()
@@ -127,7 +120,7 @@ class GroupLabel(NamedTuple):
         return self.text
 
 
-_ATOM_ORDERS = {"V_4": 4, "A_4": 12, "S_4": 24, "A_5": 60}
+_ATOM_ORDERS = {"V_4": 4, **dict(_POLYHEDRAL.values())}
 _SUBSCRIPTED = re.compile(r"^([CD])_(\d+)$")
 _OPAQUE = re.compile(r"^(G_\d+|K)$")
 _POWER = re.compile(r"^(.*?)\^(\d+)$")

@@ -108,11 +108,6 @@ class Signature(_Signature):
         """True when some cone order occurs an odd number of times."""
         return any(mult % 2 == 1 for _, mult in self.entries)
 
-    def ramification_sum(self) -> Fraction:
-        """sum over cone points of (1 - 1/c), exact."""
-        return sum((Fraction(mult) * (1 - Fraction(1, order)) for order, mult in self.entries),
-                   Fraction(0))
-
     def __str__(self) -> str:
         return self.render()
 

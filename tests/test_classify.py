@@ -39,7 +39,7 @@ def test_priority_group_beats_signature_beats_rigidity() -> None:
 
 
 def test_no_criterion_applies() -> None:
-    result = classify(ReducedGroup.trivial(), Signature.parse("2^8"), 5)
+    result = classify(ReducedGroup.cyclic(1), Signature.parse("2^8"), 5)
     assert result.verdict is Verdict.POSSIBLY_NOT_DEFINABLE
     assert result.reason is None
     assert not result.is_definable

@@ -195,10 +195,25 @@ def test_corrupt_data_file_is_io_error(capsys, tmp_path) -> None:
     assert "invalid dataset" in err
 
 
-def test_timestamps_flag_adds_marker(capsys) -> None:
-    code, out, _ = run(capsys, "levels", "--genus", "2", "--timestamps")
+@pytest.mark.parametrize("argv", [
+    ["list", "--genus", "3"], ["verify", "--genus", "3"],
+    ["classify", "--genus", "6", "--nr", "11"], ["levels", "--genus", "2"],
+    ["row", "--genus", "3", "--nr", "1"],
+], ids=lambda argv: argv[0])
+def test_timestamps_flag_adds_marker(capsys, argv) -> None:
+    code, out, _ = run(capsys, *argv, "--timestamps")
     assert code == 0
-    assert out.startswith("# generated 20")
+    marker, rest = out.split("\n", 1)
+    assert marker.startswith("# generated 20")
+    assert rest == run(capsys, *argv)[1]
+
+
+def test_levels_takes_no_data_option(capsys) -> None:
+    # levels reads no dataset, so --data is a usage error rather than ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["levels", "--genus", "3", "--data", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --data x" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,6 +291,8 @@ def _first_term(payload) -> dict:
                  id="cyclic-m-null"),
     pytest.param(lambda p: p["families"][11].update(m=1), "dihedral block needs m",
                  id="dihedral-m-one"),
+    pytest.param(lambda p: next(r for r in p["families"] if r["block"] == "tetrahedral")
+                 .update(m=3), "tetrahedral block takes no m", id="tetrahedral-m-three"),
     pytest.param(lambda p: p["families"][7]["equation"].update(radicand=5), "'radicand'",
                  id="radicand-disagrees"),
     pytest.param(lambda p: _first_term(p).update(e=6.9), "field 'e'", id="e-float"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from superelliptic.groups import (LabelError, ReducedGroup, ReducedKind,
@@ -9,7 +11,7 @@ from superelliptic.groups import (LabelError, ReducedGroup, ReducedKind,
 
 
 def test_reduced_group_construction() -> None:
-    assert ReducedGroup.cyclic(1) == ReducedGroup.trivial()
+    assert ReducedGroup.cyclic(1) == ReducedGroup(ReducedKind.CYCLIC, 1)
     assert ReducedGroup.cyclic(1).order == 1
     assert ReducedGroup.cyclic(7).order == 7
     assert ReducedGroup.dihedral(2).order == 4
@@ -20,7 +22,7 @@ def test_reduced_group_construction() -> None:
 
 
 def test_reduced_group_describe() -> None:
-    assert ReducedGroup.trivial().describe() == "{1}"
+    assert ReducedGroup.cyclic(1).describe() == "{1}"
     assert ReducedGroup.cyclic(5).describe() == "C_5"
     assert ReducedGroup.dihedral(2).describe() == "V_4"
     assert ReducedGroup.dihedral(6).describe() == "D_12"
@@ -30,10 +32,39 @@ def test_reduced_group_describe() -> None:
 
 
 def test_reduced_group_cyclicity_flag() -> None:
-    assert ReducedGroup.trivial().is_cyclic_or_trivial
+    assert ReducedGroup.cyclic(1).is_cyclic_or_trivial
     assert ReducedGroup.cyclic(9).is_cyclic_or_trivial
     assert not ReducedGroup.dihedral(2).is_cyclic_or_trivial
     assert not ReducedGroup(ReducedKind.ICOSAHEDRAL).is_cyclic_or_trivial
+
+
+def test_c1_is_the_trivial_group() -> None:
+    # one representation: the tables' cyclic block with m = 1
+    trivial = ReducedGroup(ReducedKind.CYCLIC, 1)
+    assert trivial.order == 1
+    assert trivial.describe() == str(trivial) == "{1}"
+    assert trivial.is_cyclic_or_trivial
+    assert {k.value for k in ReducedKind} == {"cyclic", "dihedral", "tetrahedral",
+                                              "octahedral", "icosahedral"}
+
+
+@pytest.mark.parametrize("kind,m,message", [
+    (ReducedKind.CYCLIC, 0, "cyclic block needs m >= 1, got 0"),
+    (ReducedKind.CYCLIC, None, "cyclic block needs m >= 1, got None"),
+    (ReducedKind.DIHEDRAL, 1, "dihedral block needs m >= 2, got 1"),
+    (ReducedKind.DIHEDRAL, None, "dihedral block needs m >= 2, got None"),
+    (ReducedKind.OCTAHEDRAL, 3, "octahedral block takes no m, got 3"),
+])
+def test_reduced_group_is_the_one_block_and_m_validator(kind, m, message) -> None:
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReducedGroup(kind, m)
+
+
+def test_polyhedral_m_as_printed_is_dropped() -> None:
+    # the tables print a polyhedral row's m as blank or 0; neither is a parameter
+    for m in (None, 0):
+        group = ReducedGroup(ReducedKind.TETRAHEDRAL, m)
+        assert group == ReducedGroup(ReducedKind.TETRAHEDRAL) and group.m is None
 
 
 # (printed label, expected order); all appear in the tables or the named list.

@@ -75,12 +75,12 @@ def test_rows_survive_pickle_and_deepcopy() -> None:
 
 @pytest.mark.parametrize("build", [
     lambda: Term(-1, FixedCoeff.of(1)),
-    lambda: ReducedGroup(ReducedKind.CYCLIC, 1),
+    lambda: ReducedGroup(ReducedKind.CYCLIC, 0),
     lambda: ReducedGroup(ReducedKind.TETRAHEDRAL, 2),
     lambda: Signature(((1, 2),)),
     # _replace goes through _make, which must re-run the checks too
     lambda: Signature(((2, 1),))._replace(entries=((1, 1),)),
-    lambda: ReducedGroup.cyclic(3)._replace(m=1),
+    lambda: ReducedGroup.cyclic(3)._replace(m=0),
     lambda: Term(2, FixedCoeff.of(1))._replace(exponent=-1),
     lambda: ParamCoeff(1)._replace(index=0),
     lambda: EquationTemplate(((Term(1, FixedCoeff.of(1)),),))._replace(factors=()),

@@ -15,10 +15,10 @@ from .classify import Classification, Reason, Verdict, classify
 from .dataset import (Dataset, FamilyRecord, NamedCurve, classify_record,
                       export_csv, from_json, load_embedded, repair_signature,
                       to_json)
-from .family import (EquationTemplate, FixedCoeff, NonSuperellipticError,
-                     ParamCoeff, Term, branch_count, enumerate_levels,
-                     genus_of_family, normal_form_admissible,
-                     separability_probe, superelliptic_genus)
+from .family import (EquationTemplate, NonSuperellipticError, ParamCoeff, Term,
+                     branch_count, enumerate_levels, genus_of_family,
+                     normal_form_admissible, separability_probe,
+                     superelliptic_genus)
 from .groups import (GroupLabel, LabelError, ReducedGroup, ReducedKind,
                      parse_group_label)
 from .signature import (InconsistentSignatureError, Signature, SignatureRepair,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classification", "Dataset", "EquationTemplate", "FamilyRecord",
-    "Finding", "FixedCoeff", "GroupLabel", "InconsistentSignatureError",
+    "Finding", "GroupLabel", "InconsistentSignatureError",
     "LabelError", "NamedCurve", "NonSuperellipticError", "ParamCoeff", "Poly",
     "QuadNum", "Reason", "ReducedGroup", "ReducedKind", "RowResult",
     "Signature", "SignatureRepair", "Term", "Verdict", "VerifyReport",

@@ -1,18 +1,14 @@
-"""Exact arithmetic: rationals extended by one square root, and sparse polynomials.
+"""Exact arithmetic: numbers in Q(sqrt(-3)), and sparse polynomials over them.
 
-The classification tables need nothing beyond numbers of the form a + b*sqrt(d)
-with rational a, b and a fixed square-free integer d (the tables only ever use
-d = -3), together with univariate polynomials over them.  Everything here is
-exact -- built on :class:`fractions.Fraction` -- and floating point is never
-involved.
+The classification tables need no field beyond Q(sqrt(-3)): every coefficient
+is rational except the 2*sqrt(-3) of the tetrahedral form x^4 + 2*sqrt(-3)x^2 + 1.
+A number is a + b*sqrt(-3) with rational a, b.  Everything here is exact --
+built on :class:`fractions.Fraction` -- and floating point is never involved.
 
 Conventions:
 
-* ``QuadNum`` with b == 0 normalises its radicand to 1, so plain rationals
-  compare equal regardless of which extension they were created in.
-* Binary operations accept operands from the same extension, or one rational
-  operand and one extension operand.  Mixing two different genuine radicands
-  raises :class:`ValueError`.
+* A ``QuadNum`` with b == 0 is a rational: it equals and hashes like its
+  :class:`~fractions.Fraction`.
 * ``Poly`` is an immutable sparse map ``exponent -> QuadNum`` with no explicit
   zero coefficients.  The zero polynomial has no degree (``degree`` raises).
 * ``is_separable_mod_p`` works on dense integer coefficient lists over a prime
@@ -30,50 +26,27 @@ NumberLike = Union[int, Fraction, "QuadNum"]
 __all__ = [
     "QuadNum",
     "Poly",
-    "is_square_free",
     "poly_gcd",
     "is_separable",
     "is_separable_mod_p",
 ]
 
 
-def is_square_free(d: int) -> bool:
-    """True when no square > 1 divides d.  (0 is not square-free.)"""
-    if d == 0:
-        return False
-    d = abs(d)
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
 class QuadNum:
-    """An exact number a + b*sqrt(d), a and b rational, d square-free."""
+    """An exact number a + b*sqrt(-3), a and b rational."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b == 0:
-            d = 1
-        elif d == 1:
-            a, b = a + b, Fraction(0)  # sqrt(1) = 1
-        elif not is_square_free(d):
-            raise ValueError(f"radicand {d} is not square-free")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    def __init__(self, a: RationalLike, b: RationalLike = 0):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadNum is immutable")
 
     def __reduce__(self):
         # pickle and deepcopy would restore the slots through __setattr__
-        return (QuadNum, (self.a, self.b, self.d))
+        return (QuadNum, (self.a, self.b))
 
     # -- helpers ---------------------------------------------------------
 
@@ -87,24 +60,16 @@ class QuadNum:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _common_radicand(self, other: "QuadNum") -> int:
-        if self.d == 1:
-            return other.d
-        if other.d == 1 or other.d == self.d:
-            return self.d
-        raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: NumberLike) -> "QuadNum":
         o = QuadNum.coerce(other)
-        d = self._common_radicand(o)
-        return QuadNum(self.a + o.a, self.b + o.b, d)
+        return QuadNum(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b, self.d)
+        return QuadNum(-self.a, -self.b)
 
     def __sub__(self, other: NumberLike) -> "QuadNum":
         return self + (-QuadNum.coerce(other))
@@ -114,17 +79,16 @@ class QuadNum:
 
     def __mul__(self, other: NumberLike) -> "QuadNum":
         o = QuadNum.coerce(other)
-        d = self._common_radicand(o)
-        return QuadNum(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        return QuadNum(self.a * o.a - 3 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
         if not self:
             raise ZeroDivisionError("division by zero")
-        # (a + b sqrt(d))(a - b sqrt(d)) = a^2 - b^2 d, never 0 for d square-free != 1
-        norm = self.a * self.a - self.b * self.b * self.d
-        return QuadNum(self.a / norm, -self.b / norm, self.d)
+        # (a + b sqrt(-3))(a - b sqrt(-3)) = a^2 + 3b^2, positive for a nonzero number
+        norm = self.a * self.a + 3 * self.b * self.b
+        return QuadNum(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other: NumberLike) -> "QuadNum":
         return self * QuadNum.coerce(other).inverse()
@@ -135,16 +99,16 @@ class QuadNum:
     # -- comparisons / hashing -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, QuadNum):
+            return self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
-            other = QuadNum(other)
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -154,7 +118,7 @@ class QuadNum:
     def __str__(self) -> str:
         if self.is_rational:
             return str(self.a)
-        root = f"sqrt({self.d})"
+        root = "sqrt(-3)"
         if self.b == 1:
             radical = root
         elif self.b == -1:
@@ -167,7 +131,7 @@ class QuadNum:
         return f"{self.a}{sign}{radical}"
 
     def __repr__(self) -> str:
-        return f"QuadNum({self.a!r}, {self.b!r}, {self.d!r})"
+        return f"QuadNum({self.a!r}, {self.b!r})"
 
 
 _ZERO = QuadNum(0)
@@ -193,10 +157,6 @@ class Poly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def constant(c: NumberLike) -> "Poly":
-        return Poly([(0, c)])
 
     # -- structure -------------------------------------------------------
 

@@ -1,28 +1,29 @@
 """Equation templates y^n = f(x) and their numerical invariants.
 
 A family is presented by a level n and a product of polynomial factors whose
-coefficients are exact constants or formal parameters a_i (optionally scaled,
-e.g. -a_1 or 2a_1).  From the template alone one reads off the degree, the
-number of independent parameters, the branch points of the cyclic cover
-(counting the point at infinity when the level does not divide the degree) and
-hence the genus.
+coefficients are numbers of Q(sqrt(-3)), the one coefficient field (each a
+:class:`~superelliptic.arith.QuadNum`), or formal parameters a_i (a
+:class:`ParamCoeff`, optionally scaled, e.g. -a_1 or 2a_1).  From the
+template alone one reads off the degree, the number of independent
+parameters, the branch points of the cyclic cover (counting the point at
+infinity when the level does not divide the degree) and hence the genus.
 
 ``enumerate_levels`` inverts the genus formula 2g = (n-1)(B-2): all candidate
 (level, branch count) pairs for a given genus, whether or not each admits the
 y^n = f(x) normal form (``normal_form_admissible`` decides that).
 
-``separability_probe`` sets the parameters to fixed distinct primes (5, 7,
-11, ... by parameter index) and checks that the resulting polynomial has the
+``separability_probe`` sets the parameters to the primes 5, 7, 11, ... in
+order of parameter index, as many as there are, and checks that the resulting polynomial has the
 expected degree and no repeated roots: a modular certificate plus exact
 fallback.  The certificate reduces the template straight to F_p for the prime
 p = 2^61 - 1, sending sqrt(-3) to a fixed square root of -3 mod p, and runs
 Euclid on f and f' there.  When the degree survives and gcd(f, f') = 1 mod p,
 the discriminant of f is a unit at a prime above p, hence nonzero, and f is
 separable over Q(sqrt(-3)); that answer is final.  Every other outcome
-(degree drop or common factor mod p, a denominator divisible by p, another
-radicand, a missing parameter) runs the exact computation over Q(sqrt(-3)),
-whose messages are the probe's.  Failures are reported, not raised, so a
-verification run can collect them.
+(degree drop or common factor mod p, a denominator divisible by p, a missing
+parameter) runs the exact computation over Q(sqrt(-3)), whose messages are
+the probe's.  Failures are reported, not raised, so a verification run can
+collect them.
 
 The certificate never expands f in x.  One pass over each factor's terms gives
 their residues mod p, its top exponent and lo, its lowest exponent with a
@@ -46,13 +47,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 from typing import Mapping, NamedTuple, Union
 
 from .arith import Poly, QuadNum, is_separable, is_separable_mod_p
 
 __all__ = [
-    "FixedCoeff",
     "ParamCoeff",
     "Term",
     "EquationTemplate",
@@ -67,9 +68,6 @@ __all__ = [
     "ProbeResult",
 ]
 
-PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                61, 67, 71, 73, 79, 83, 89, 97, 101, 103)
-
 # The certificate's prime: p = 2^61 - 1 is 1 mod 3, so -3 is a square mod p,
 # and 3 mod 4, so one of its square roots is (-3)^((p+1)/4).
 CERTIFICATE_PRIME = 2**61 - 1
@@ -78,19 +76,6 @@ SQRT_MINUS_3_MOD_P = pow(-3, (CERTIFICATE_PRIME + 1) // 4, CERTIFICATE_PRIME)
 
 class NonSuperellipticError(ValueError):
     """The (level, degree) combination admits no y^n = f(x) normal form."""
-
-
-class FixedCoeff(NamedTuple):
-    """An exact constant coefficient."""
-
-    value: QuadNum
-
-    @classmethod
-    def of(cls, value: Union[int, Fraction, QuadNum]) -> "FixedCoeff":
-        return cls(QuadNum.coerce(value))
-
-    def render(self) -> str:
-        return str(self.value)
 
 
 # A NamedTuple may not define __new__: the subclass below checks the fields.
@@ -113,7 +98,7 @@ class ParamCoeff(_ParamCoeff):
             raise ValueError("parameter scale must be nonzero")
         return super().__new__(cls, index, scale)
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         name = f"a_{self.index}"
         if self.scale == 1:
             return name
@@ -122,7 +107,7 @@ class ParamCoeff(_ParamCoeff):
         return f"{self.scale}{name}"
 
 
-Coefficient = Union[FixedCoeff, ParamCoeff]
+Coefficient = Union[QuadNum, ParamCoeff]
 
 
 class _Term(NamedTuple):
@@ -166,12 +151,9 @@ class EquationTemplate(_EquationTemplate):
 
     @property
     def radicand(self) -> int:
-        """d of the first non-rational fixed coefficient sqrt(d); 1 when none is."""
-        for factor in self.factors:
-            for t in factor:
-                if isinstance(t.coeff, FixedCoeff) and not t.coeff.value.is_rational:
-                    return t.coeff.value.d
-        return 1
+        """-3 when a constant coefficient is irrational, else 1."""
+        return -3 if any(isinstance(t.coeff, QuadNum) and t.coeff.b
+                         for factor in self.factors for t in factor) else 1
 
     @property
     def degree(self) -> int:
@@ -207,12 +189,12 @@ class EquationTemplate(_EquationTemplate):
         """Expand the product with parameters set to ``values`` (default probe)."""
         if values is None:
             values = probe_assignment(self)
-        product = Poly.constant(1)
+        product = Poly({0: 1})
         for factor in self.factors:
             terms = []
             for t in factor:
-                if isinstance(t.coeff, FixedCoeff):
-                    c: QuadNum = t.coeff.value
+                if isinstance(t.coeff, QuadNum):
+                    c = t.coeff
                 else:
                     if t.coeff.index not in values:
                         raise KeyError(f"no value for parameter a_{t.coeff.index}")
@@ -244,26 +226,22 @@ class EquationTemplate(_EquationTemplate):
         return self.render()
 
 
-_ONE, _MINUS_ONE = QuadNum(1), QuadNum(-1)
-
-
 def _render_factor(factor: tuple[Term, ...]) -> str:
     parts = []
     for t in factor:
         c = t.coeff
         if t.exponent == 0:
-            text = c.render()
+            text = str(c)
         else:
             x = "x" if t.exponent == 1 else f"x^{t.exponent}"
-            if isinstance(c, FixedCoeff) and c.value == _ONE:
+            if c == 1:          # a ParamCoeff equals no number
                 text = x
-            elif isinstance(c, FixedCoeff) and c.value == _MINUS_ONE:
+            elif c == -1:
                 text = f"-{x}"
+            elif isinstance(c, QuadNum) and c.a and c.b:
+                text = f"({c}){x}"
             else:
-                coeff_text = c.render()
-                if isinstance(c, FixedCoeff) and not c.value.is_rational:
-                    coeff_text = coeff_text if c.value.a == 0 else f"({coeff_text})"
-                text = f"{coeff_text}{x}"
+                text = f"{c}{x}"
         parts.append(text)
     out = parts[0]
     for p in parts[1:]:
@@ -272,11 +250,11 @@ def _render_factor(factor: tuple[Term, ...]) -> str:
 
 
 def _term_to_json(t: Term) -> dict:
-    if isinstance(t.coeff, FixedCoeff):
-        v = t.coeff.value
+    if isinstance(t.coeff, QuadNum):
+        v = t.coeff
         c: dict = {"kind": "fixed", "a": str(v.a), "b": str(v.b)}
-        if v.d != 1:
-            c["d"] = v.d
+        if v.b:
+            c["d"] = -3
         return {"e": t.exponent, "c": c}
     return {"e": t.exponent,
             "c": {"kind": "param", "i": t.coeff.index, "scale": str(t.coeff.scale)}}
@@ -288,8 +266,12 @@ def _term_from_json(data: dict) -> Term:
     c, e = data["c"], _field(data, "e", "an integer", int)
     if c["kind"] == "fixed":
         a, b = _rational_text("a", c["a"]), _rational_text("b", c.get("b", "0"))
-        d = _field(c, "d", "an integer", int) if "d" in c else 1
-        return _fixed_term(e, a, b, d)
+        irrational = _rational(b) != 0
+        if "d" in c or irrational:   # the radicand: type-checked when present, -3 when b != 0
+            d = _field(c, "d", "an integer", int)
+            if irrational and d != -3:
+                raise ValueError(f"field 'd' must be -3 when 'b' is nonzero, got {d}")
+        return _fixed_term(e, a, b)
     if c["kind"] == "param":
         return _param_term(e, _field(c, "i", "an integer", int),
                            _rational_text("scale", c.get("scale", "1")))
@@ -297,8 +279,8 @@ def _term_from_json(data: dict) -> Term:
 
 
 @cache
-def _fixed_term(e: int, a: str | int, b: str | int, d: int) -> Term:
-    return Term(e, FixedCoeff(QuadNum(_rational(a), _rational(b), d)))
+def _fixed_term(e: int, a: str | int, b: str | int) -> Term:
+    return Term(e, QuadNum(_rational(a), _rational(b)))
 
 
 @cache
@@ -407,9 +389,9 @@ def probe_assignment(template: EquationTemplate) -> dict[int, int]:
 
 
 def _probe_primes(indices: tuple[int, ...]) -> dict[int, int]:
-    if len(indices) > len(PROBE_PRIMES):
-        raise ValueError(f"more parameters ({len(indices)}) than probe primes")
-    return dict(zip(indices, PROBE_PRIMES))
+    """The primes from 5 upward, one per index in order: as many as there are indices."""
+    primes = (n for n in count(5, 2) if all(n % k for k in range(3, isqrt(n) + 1, 2)))
+    return dict(zip(indices, primes))
 
 
 class ProbeResult(NamedTuple):
@@ -471,8 +453,8 @@ def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | No
     for factor in template.factors:
         residues, top, lead = [], -1, 0
         for e, coeff in factor:
-            if isinstance(coeff, FixedCoeff):
-                c = _number_mod_p(coeff.value)
+            if isinstance(coeff, QuadNum):
+                c = _number_mod_p(coeff)
             else:
                 value, scale = params.get(coeff.index), _rational_mod_p(coeff.scale)
                 c = None if value is None or scale is None else value * scale % p
@@ -503,11 +485,9 @@ def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | No
 
 
 def _number_mod_p(value: QuadNum) -> int | None:
-    """Image of a + b*sqrt(d) under sqrt(-3) -> SQRT_MINUS_3_MOD_P, if it has one."""
+    """Image of a + b*sqrt(-3) under sqrt(-3) -> SQRT_MINUS_3_MOD_P, if it has one."""
     if value.b == 0:
         return _rational_mod_p(value.a)
-    if value.d != -3:
-        return None
     a, b = _rational_mod_p(value.a), _rational_mod_p(value.b)
     if a is None or b is None:
         return None

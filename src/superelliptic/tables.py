@@ -24,18 +24,18 @@ from functools import cache
 from typing import NamedTuple
 
 from .arith import QuadNum
-from .family import EquationTemplate, FixedCoeff, ParamCoeff, Term
+from .family import EquationTemplate, ParamCoeff, Term
 from .groups import ReducedKind
 
 
 @cache
 def _coeff(spec):
     if isinstance(spec, (int, Fraction)):
-        return FixedCoeff.of(spec)
+        return QuadNum(spec)
     if isinstance(spec, str):
         return ParamCoeff(int(spec[1:]))
     if isinstance(spec, tuple) and spec[0] == "sqrt":
-        return FixedCoeff(QuadNum(0, spec[1], spec[2]))
+        return QuadNum(0, spec[1])
     if isinstance(spec, tuple):
         name, scale = spec
         return ParamCoeff(int(name[1:]), Fraction(scale))
@@ -191,7 +191,7 @@ GENUS7 = (
     (24, D, "G_8", 2, 14, "2,4,28", 0, t(X, f(14, (0, -1))), False),
     (25, D, "D_14 × C_3", 3, 7, "2,6,21", 0, t(X, f(7, (0, -1))), False),
     (26, D, "G_8", 8, 2, "2,16^2", 0, t(X, f(2, (0, -1))), False),
-    (27, A4, "K", 2, 0, "2^2,3,6", 1, t(f(4, (2, ("sqrt", 2, -3)), 0), F1), False),
+    (27, A4, "K", 2, 0, "2^2,3,6", 1, t(f(4, (2, ("sqrt", 2)), 0), F1), False),
 )
 
 GENUS8 = (
@@ -353,7 +353,7 @@ GENUS10 = (
     (50, D, "G_9", 2, 5, "2,4^2,10", 1, t(X, f(10, (0, -1)), f(10, (5, "a1"), 0)), False),
     (51, A4, "", 3, 0, "2,3^3", 1, t(F1), False),
     (52, A4, "", 2, 0, "2,3,4,6", 1,
-     t(X, f(4, (0, -1)), f(4, (2, ("sqrt", 2, -3)), 0), F1), False),
+     t(X, f(4, (0, -1)), f(4, (2, ("sqrt", 2)), 0), F1), False),
     (53, S4, "G_18", 6, 0, "2,3,24", 0, t(X, f(4, (0, -1))), False),
     (54, S4, "S_4 × C_3", 3, 0, "3,4,6", 0, t(f(12, (8, -33), (4, -33), 0)), False),
     (55, A5, "A_5 × C_3", 3, 0, "2,3,15", 0, t(X, f(10, (5, 11), (0, -1))), False),

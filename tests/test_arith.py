@@ -6,67 +6,71 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
-from superelliptic.arith import Poly, QuadNum, is_separable, is_square_free, poly_gcd
-
-
-def test_square_free() -> None:
-    assert is_square_free(-3)
-    assert is_square_free(1)
-    assert is_square_free(30)
-    assert not is_square_free(0)
-    assert not is_square_free(12)
-    assert not is_square_free(-4)
+from superelliptic.arith import Poly, QuadNum, is_separable, poly_gcd
 
 
 def test_quadnum_normalisation() -> None:
-    assert QuadNum(2, 0, -3) == QuadNum(2)
-    assert QuadNum(2, 0, -3).d == 1
-    # sqrt(1) folds into the rational part
-    assert QuadNum(2, 3, 1) == QuadNum(5)
-    with pytest.raises(ValueError):
-        QuadNum(1, 1, 12)
+    assert QuadNum(2, 0) == QuadNum(2) == 2 == Fraction(2)
+    assert QuadNum(2, 0).is_rational and not QuadNum(0, 1).is_rational
+    assert QuadNum(1, 1) != QuadNum(1) and QuadNum(1, 1) != QuadNum(0, 1)
+    assert repr(QuadNum(1, Fraction(-1, 2))) == "QuadNum(Fraction(1, 1), Fraction(-1, 2))"
+    with pytest.raises(AttributeError):
+        QuadNum(1).a = Fraction(2)
+    with pytest.raises(AttributeError):
+        QuadNum(1).d = -3
 
 
 def test_quadnum_basic_arithmetic() -> None:
-    x = QuadNum(1, 2, -3)
-    y = QuadNum(Fraction(1, 2), -1, -3)
-    assert x + y == QuadNum(Fraction(3, 2), 1, -3)
-    assert x - y == QuadNum(Fraction(1, 2), 3, -3)
+    x = QuadNum(1, 2)
+    y = QuadNum(Fraction(1, 2), -1)
+    assert x + y == QuadNum(Fraction(3, 2), 1)
+    assert x - y == QuadNum(Fraction(1, 2), 3)
     # (1 + 2r)(1/2 - r) with r^2 = -3: 1/2 - r + r - 2r^2 = 1/2 + 6
     assert x * y == QuadNum(Fraction(13, 2), 0)
     assert (x * y).is_rational
     assert x * x.inverse() == QuadNum(1)
     assert 1 / x == x.inverse()
-    assert 2 + x == QuadNum(3, 2, -3)
-    assert 2 - x == QuadNum(1, -2, -3)
+    assert 2 + x == QuadNum(3, 2)
+    assert 2 - x == QuadNum(1, -2)
+    with pytest.raises(ZeroDivisionError):
+        QuadNum(0).inverse()
 
 
-def test_quadnum_mixed_radicands_rejected() -> None:
-    with pytest.raises(ValueError):
-        QuadNum(0, 1, -3) + QuadNum(0, 1, 5)
-    # rational operands mix with anything
-    assert QuadNum(2) + QuadNum(0, 1, 5) == QuadNum(2, 1, 5)
+_R = sp.sqrt(-3)
+_RATIONAL = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-50, max_value=50, max_denominator=12))
 
 
-def test_quadnum_against_sympy() -> None:
-    r = sp.sqrt(-3)
-    x = QuadNum(Fraction(1, 2), 3, -3)
-    y = QuadNum(2, Fraction(-1, 3), -3)
-    sx = sp.Rational(1, 2) + 3 * r
-    sy = 2 - sp.Rational(1, 3) * r
-    for ours, theirs in ((x * y, sx * sy), (x + y, sx + sy),
-                         (x - y, sx - sy), (x / y, sx / sy)):
-        reconstructed = sp.Rational(str(ours.a)) + sp.Rational(str(ours.b)) * r
-        assert sp.simplify(reconstructed - theirs) == 0
+def _sympy(q: QuadNum) -> sp.Expr:
+    return sp.Rational(q.a.numerator, q.a.denominator) \
+        + sp.Rational(q.b.numerator, q.b.denominator) * _R
+
+
+@given(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL)
+def test_quadnum_against_sympy(a, b, c, d) -> None:
+    x, y = QuadNum(a, b), QuadNum(c, d)
+    sx, sy = _sympy(x), _sympy(y)
+    pairs = [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)]
+    if y:
+        pairs += [(x / y, sx / sy), (y.inverse(), 1 / sy)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for ours, theirs in pairs:
+        assert sp.expand(sp.radsimp(_sympy(ours) - theirs)) == 0
+    assert hash(QuadNum(a)) == hash(a) and QuadNum(a) == a
 
 
 def test_quadnum_str() -> None:
     assert str(QuadNum(2)) == "2"
     assert str(QuadNum(Fraction(-1, 3))) == "-1/3"
-    assert str(QuadNum(0, 2, -3)) == "2*sqrt(-3)"
-    assert str(QuadNum(1, 1, -3)) == "1+sqrt(-3)"
-    assert str(QuadNum(1, -1, -3)) == "1-sqrt(-3)"
+    assert str(QuadNum(0, 2)) == "2*sqrt(-3)"
+    assert str(QuadNum(1, 1)) == "1+sqrt(-3)"
+    assert str(QuadNum(1, -1)) == "1-sqrt(-3)"
+    assert str(QuadNum(0, Fraction(-1, 2))) == "-1/2*sqrt(-3)"
 
 
 def test_poly_construction_and_merge() -> None:
@@ -131,8 +135,8 @@ def test_separability(coeffs: dict, expected: bool) -> None:
 
 def test_separability_with_radical_coefficients() -> None:
     # x^4 + 2 sqrt(-3) x^2 + 1 has distinct roots
-    p = Poly({4: 1, 2: QuadNum(0, 2, -3), 0: 1})
+    p = Poly({4: 1, 2: QuadNum(0, 2), 0: 1})
     assert is_separable(p)
     # (x^2 + sqrt(-3))^2 does not
-    q = Poly({2: 1, 0: QuadNum(0, 1, -3)})
+    q = Poly({2: 1, 0: QuadNum(0, 1)})
     assert not is_separable(q * q)

@@ -258,6 +258,14 @@ def _first_param_coeff(payload) -> dict:
                 for u in factor if u["c"]["kind"] == "param")
 
 
+def _sqrt_row_coeffs(payload) -> list[dict]:
+    """The coefficients of the first row with a sqrt(-3), that one first."""
+    row = next(r for r in payload["families"] if r["equation"]["radicand"] == -3)
+    coeffs = [u["c"] for factor in row["equation"]["factors"] for u in factor
+              if u["c"]["kind"] == "fixed"]
+    return sorted(coeffs, key=lambda c: c["b"] == "0")
+
+
 def _first_term(payload) -> dict:
     return payload["families"][0]["equation"]["factors"][0][0]
 
@@ -302,6 +310,11 @@ def _first_term(payload) -> dict:
     pytest.param(lambda p: _first_fixed_coeff(p).update(a=0.1), "field 'a'", id="a-float"),
     pytest.param(lambda p: _first_fixed_coeff(p).update(a=True), "field 'a'", id="a-bool"),
     pytest.param(lambda p: _first_fixed_coeff(p).update(b=0.5), "field 'b'", id="b-float"),
+    pytest.param(lambda p: _sqrt_row_coeffs(p)[0].update(d=5), "field 'd'", id="d-five"),
+    pytest.param(lambda p: _sqrt_row_coeffs(p)[-1].update(b="1", d=5), "field 'd'",
+                 id="sqrt5-beside-sqrt-3"),
+    pytest.param(lambda p: _first_fixed_coeff(p).update(b="2", d=1), "field 'd'",
+                 id="d-one-b-nonzero"),
     pytest.param(lambda p: _first_param_coeff(p).update(scale=0.5), "field 'scale'",
                  id="scale-float"),
     pytest.param(lambda p: _first_param_coeff(p).update(scale=False), "field 'scale'",
@@ -337,6 +350,23 @@ def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
     failures = [line for line in out.splitlines() if line.startswith("[failure]")]
     assert failures and all(" genus 3 nr 1 " in line for line in failures)
     assert sum("level must be at least 2, got 1" in line for line in failures) == 1
+    assert "(separability)" not in out
+    assert "total: 224 rows, " in out
+
+
+def test_row_with_26_parameters_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
+    # x(x^27 + a_1x + ... + a_26x^26 + 1): one parameter more than the 25 primes 5..103
+    from superelliptic.tables import X, spread, t
+
+    def edit(p):
+        p["families"][0]["equation"] = t(X, spread(27, 1, 26)).to_json_dict()
+
+    path = _edited_export(tmp_path, edit)
+    assert run(capsys, "list", "--data", path)[0] == 0
+    code, out, err = run(capsys, "verify", "--data", path)
+    assert (code, err) == (1, "")
+    failures = [line for line in out.splitlines() if line.startswith("[failure]")]
+    assert failures and all(" genus 3 nr 1 " in line for line in failures)
     assert "(separability)" not in out
     assert "total: 224 rows, " in out
 

@@ -16,8 +16,8 @@ import pytest
 
 import superelliptic
 from superelliptic.dataset import classify_record, load_embedded, repair_signature
-from superelliptic.family import (EquationTemplate, FixedCoeff, ParamCoeff, Term,
-                                  separability_probe)
+from superelliptic.arith import QuadNum
+from superelliptic.family import EquationTemplate, ParamCoeff, Term, separability_probe
 from superelliptic.groups import ReducedGroup, ReducedKind, parse_group_label
 from superelliptic.signature import Signature
 from superelliptic.verify import verify_row
@@ -50,7 +50,7 @@ def _records() -> list:
     term = row.equation.factors[0][0]
     label = parse_group_label(row.label_text, row.group_order())
     return [row, row.signature, row.reduced_group(), label, row.equation, term,
-            term.coeff, ParamCoeff(2, -1), resolution,
+            ParamCoeff(2, -1), resolution,
             classify_record(row), result, result.findings[0],
             separability_probe(row.level, row.equation), ds.named_curves[0]]
 
@@ -74,16 +74,16 @@ def test_rows_survive_pickle_and_deepcopy() -> None:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Term(-1, FixedCoeff.of(1)),
+    lambda: Term(-1, QuadNum(1)),
     lambda: ReducedGroup(ReducedKind.CYCLIC, 0),
     lambda: ReducedGroup(ReducedKind.TETRAHEDRAL, 2),
     lambda: Signature(((1, 2),)),
     # _replace goes through _make, which must re-run the checks too
     lambda: Signature(((2, 1),))._replace(entries=((1, 1),)),
     lambda: ReducedGroup.cyclic(3)._replace(m=0),
-    lambda: Term(2, FixedCoeff.of(1))._replace(exponent=-1),
+    lambda: Term(2, QuadNum(1))._replace(exponent=-1),
     lambda: ParamCoeff(1)._replace(index=0),
-    lambda: EquationTemplate(((Term(1, FixedCoeff.of(1)),),))._replace(factors=()),
+    lambda: EquationTemplate(((Term(1, QuadNum(1)),),))._replace(factors=()),
 ])
 def test_validated_records_still_reject_bad_fields(build) -> None:
     with pytest.raises(ValueError):

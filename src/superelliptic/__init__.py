@@ -10,7 +10,7 @@ definition for every member of the family.
 
 from __future__ import annotations
 
-from .arith import Poly, QuadNum, is_separable, poly_gcd
+from .arith import Poly, QuadNum, is_separable
 from .classify import Classification, Reason, Verdict, classify
 from .dataset import (Dataset, FamilyRecord, NamedCurve, classify_record,
                       export_csv, from_json, load_embedded, repair_signature,
@@ -37,7 +37,7 @@ __all__ = [
     "enumerate_levels",
     "export_csv", "from_json", "genus_of_family", "is_separable",
     "load_embedded", "moduli_dimension", "normal_form_admissible",
-    "parse_group_label", "poly_gcd", "quotient_genus", "repair_signature",
+    "parse_group_label", "quotient_genus", "repair_signature",
     "separability_probe", "superelliptic_genus", "to_json", "verify_dataset",
     "verify_row",
 ]

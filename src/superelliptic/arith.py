@@ -1,4 +1,4 @@
-"""Exact arithmetic: numbers in Q(sqrt(-3)), and sparse polynomials over them.
+"""Exact arithmetic: numbers in Q(sqrt(-3)), sparse polynomials, separability.
 
 The classification tables need no field beyond Q(sqrt(-3)): every coefficient
 is rational except the 2*sqrt(-3) of the tetrahedral form x^4 + 2*sqrt(-3)x^2 + 1.
@@ -11,8 +11,9 @@ Conventions:
   :class:`~fractions.Fraction`.
 * ``Poly`` is an immutable sparse map ``exponent -> QuadNum`` with no explicit
   zero coefficients.  The zero polynomial has no degree (``degree`` raises).
-* ``is_separable_mod_p`` works on dense integer coefficient lists over a prime
-  field F_p; it backs the fast separability certificate in :mod:`family`.
+* ``is_separable`` and ``is_separable_mod_p`` run the same dense Euclid loop
+  on gcd(f, f'): the first over Q(sqrt(-3)), the second on integer residues
+  over a prime field F_p, where it backs the fast certificate in :mod:`family`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ NumberLike = Union[int, Fraction, "QuadNum"]
 __all__ = [
     "QuadNum",
     "Poly",
-    "poly_gcd",
     "is_separable",
     "is_separable_mod_p",
 ]
@@ -176,20 +176,7 @@ class Poly:
             raise ValueError("the zero polynomial has no degree")
         return max(self._coeffs)
 
-    @property
-    def leading_coefficient(self) -> QuadNum:
-        return self.coefficient(self.degree)
-
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(list(self._coeffs.items()) + list(other._coeffs.items()))
-
-    def __neg__(self) -> "Poly":
-        return Poly([(e, -c) for e, c in self._coeffs.items()])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         acc: dict[int, QuadNum] = {}
@@ -202,34 +189,6 @@ class Poly:
                 else:
                     acc.pop(e, None)
         return Poly(acc)
-
-    def scale(self, k: NumberLike) -> "Poly":
-        k = QuadNum.coerce(k)
-        if not k:
-            return Poly(())
-        return Poly([(e, c * k) for e, c in self._coeffs.items()])
-
-    def derivative(self) -> "Poly":
-        return Poly([(e - 1, c * e) for e, c in self._coeffs.items() if e > 0])
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("cannot normalise the zero polynomial")
-        return self.scale(self.leading_coefficient.inverse())
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, QuadNum] = {}
-        r = self
-        d = other.degree
-        lead_inv = other.leading_coefficient.inverse()
-        while not r.is_zero and r.degree >= d:
-            shift = r.degree - d
-            factor = r.leading_coefficient * lead_inv
-            q[shift] = q.get(shift, _ZERO) + factor
-            r = r - other * Poly([(shift, factor)])
-        return Poly(q), r
 
     # -- comparisons / display -------------------------------------------
 
@@ -245,24 +204,25 @@ class Poly:
         return f"Poly({dict(sorted(self._coeffs.items()))!r})"
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while not q.is_zero:
-        _, r = p.divmod(q)
-        p, q = q, r
-    if p.is_zero:
-        return p
-    return p.monic()
-
-
 def is_separable(p: Poly) -> bool:
-    """True when p has no repeated roots, i.e. gcd(p, p') is constant."""
+    """True when p has no repeated roots, i.e. gcd(p, p') is constant.
+
+    The Euclid loop of :func:`is_separable_mod_p`, run on dense ``QuadNum``
+    coefficients over Q(sqrt(-3)) instead of residues.
+    """
     if p.is_zero:
         raise ValueError("separability is undefined for the zero polynomial")
-    if p.degree == 0:
-        return True
-    g = poly_gcd(p, p.derivative())
-    return g.degree == 0
+    f = [p.coefficient(e) for e in range(p.degree + 1)]
+    g = _trim([c * e for e, c in enumerate(f)][1:])
+    while g:
+        lead_inv = g[-1].inverse()
+        while len(f) >= len(g):
+            q = f[-1] * lead_inv
+            shift = len(f) - len(g)
+            f[shift:] = [a - q * b for a, b in zip(f[shift:-1], g)]
+            _trim(f)
+        f, g = g, f
+    return len(f) == 1
 
 
 def is_separable_mod_p(coeffs: Sequence[int], p: int) -> bool:
@@ -271,10 +231,10 @@ def is_separable_mod_p(coeffs: Sequence[int], p: int) -> bool:
     ``coeffs`` is dense, lowest degree first.  The zero polynomial is not
     separable.  Euclid's algorithm on residues: no coefficient growth.
     """
-    f = _trim_mod([c % p for c in coeffs])
+    f = _trim([c % p for c in coeffs])
     if not f:
         return False
-    g = _trim_mod([e * c % p for e, c in enumerate(f)][1:])
+    g = _trim([e * c % p for e, c in enumerate(f)][1:])
     while g:
         lead_inv = pow(g[-1], -1, p)
         while len(f) >= len(g):
@@ -282,12 +242,12 @@ def is_separable_mod_p(coeffs: Sequence[int], p: int) -> bool:
             shift = len(f) - len(g)
             # f - q x^shift g: its top coefficient is 0, so the slice drops it
             f[shift:] = [(a - q * b) % p for a, b in zip(f[shift:-1], g)]
-            _trim_mod(f)
+            _trim(f)
         f, g = g, f
     return len(f) == 1
 
 
-def _trim_mod(coeffs: list[int]) -> list[int]:
+def _trim(coeffs: list) -> list:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs

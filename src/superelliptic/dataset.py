@@ -107,9 +107,11 @@ class Dataset:
         self.records: tuple[FamilyRecord, ...] = tuple(
             sorted(records, key=lambda r: r.key))
         self.named_curves: tuple[NamedCurve, ...] = tuple(named_curves)
-        self._by_key = {r.key: r for r in self.records}
-        if len(self._by_key) != len(self.records):
-            raise ValueError("duplicate (genus, number) keys in dataset")
+        self._by_key: dict[tuple[int, int], FamilyRecord] = {}
+        for r in self.records:
+            if r.key in self._by_key:
+                raise ValueError(f"duplicate row genus {r.genus} nr {r.number}")
+            self._by_key[r.key] = r
 
     @property
     def genera(self) -> tuple[int, ...]:

@@ -216,7 +216,7 @@ class EquationTemplate(_EquationTemplate):
         template = cls(tuple(
             tuple(_term_from_json(t) for t in factor) for factor in data["factors"]))
         derived = template.radicand
-        radicand = data.get("radicand", derived)
+        radicand = _field(data, "radicand", "an integer", int) if "radicand" in data else derived
         if radicand != derived:
             raise ValueError(f"field 'radicand' is {radicand!r}, but the coefficients "
                              f"give {derived}")
@@ -275,7 +275,7 @@ def _term_from_json(data: dict) -> Term:
     if c["kind"] == "param":
         return _param_term(e, _field(c, "i", "an integer", int),
                            _rational_text("scale", c.get("scale", "1")))
-    raise ValueError(f"unknown coefficient kind {c.get('kind')!r}")
+    raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {c['kind']!r}")
 
 
 @cache

@@ -303,6 +303,16 @@ def _first_term(payload) -> dict:
                  .update(m=3), "tetrahedral block takes no m", id="tetrahedral-m-three"),
     pytest.param(lambda p: p["families"][7]["equation"].update(radicand=5), "'radicand'",
                  id="radicand-disagrees"),
+    pytest.param(lambda p: p["families"][7]["equation"].update(radicand=True),
+                 "field 'radicand'", id="radicand-true"),
+    pytest.param(lambda p: p["families"][7]["equation"].update(radicand=1.0),
+                 "field 'radicand'", id="radicand-float"),
+    pytest.param(lambda p: next(r for r in p["families"] if r["equation"]["radicand"] == -3)
+                 ["equation"].update(radicand=-3.0), "field 'radicand'",
+                 id="radicand-float-sqrt-row"),
+    pytest.param(lambda p: p["families"][7]["equation"]["factors"][0][0]["c"]
+                 .update(kind="weird"), "field 'kind' must be 'fixed' or 'param', got 'weird'",
+                 id="kind-weird"),
     pytest.param(lambda p: _first_term(p).update(e=6.9), "field 'e'", id="e-float"),
     pytest.param(lambda p: _first_term(p).update(e=True), "field 'e'", id="e-bool"),
     pytest.param(lambda p: _first_param_coeff(p).update(i=1.5), "field 'i'", id="i-float"),
@@ -327,6 +337,14 @@ def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, fiel
         assert code == 3 and out == ""
         assert err.startswith("error: invalid dataset: families[")
         assert field in err
+
+
+def test_repeated_row_is_io_error_naming_the_row(capsys, tmp_path) -> None:
+    path = _edited_export(tmp_path, lambda p: p["families"].append(p["families"][3]))
+    for argv in (["list", "--data", path], ["verify", "--data", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "error: invalid dataset: duplicate row genus 3 nr 4\n"
 
 
 @pytest.mark.parametrize("key,value", [

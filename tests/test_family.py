@@ -38,6 +38,10 @@ def test_template_render_edge_cases() -> None:
     assert t(F1).render() == "x^12-a_1x^10-33x^8+2a_1x^6-33x^4-a_1x^2+1"
     quartic = t(f(4, (2, ("sqrt", 2)), 0))
     assert quartic.render() == "x^4+2*sqrt(-3)x^2+1"
+    both = QuadNum(1, 1)                                  # a and b both nonzero
+    mixed = EquationTemplate(((Term(3, QuadNum(1)), Term(2, both), Term(1, QuadNum(-1)),
+                               Term(0, both)),))
+    assert mixed.render() == "x^3+(1+sqrt(-3))x^2-x+1+sqrt(-3)"
 
 
 def test_template_validation() -> None:

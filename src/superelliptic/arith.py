@@ -1,4 +1,4 @@
-"""Exact arithmetic: numbers in Q(sqrt(-3)), sparse polynomials, separability.
+"""Exact arithmetic: numbers in Q(sqrt(-3)), dense polynomials, separability.
 
 The classification tables need no field beyond Q(sqrt(-3)): every coefficient
 is rational except the 2*sqrt(-3) of the tetrahedral form x^4 + 2*sqrt(-3)x^2 + 1.
@@ -9,8 +9,9 @@ Conventions:
 
 * A ``QuadNum`` with b == 0 is a rational: it equals and hashes like its
   :class:`~fractions.Fraction`.
-* ``Poly`` is an immutable sparse map ``exponent -> QuadNum`` with no explicit
-  zero coefficients.  The zero polynomial has no degree (``degree`` raises).
+* ``Poly`` is an immutable dense tuple of ``QuadNum`` coefficients, lowest
+  degree first, with no trailing zero: ``Poly([-1, 0, 1])`` is x^2 - 1.  The
+  zero polynomial is the empty tuple and has no degree (``degree`` raises).
 * ``is_separable`` and ``is_separable_mod_p`` run the same dense Euclid loop
   on gcd(f, f'): the first over Q(sqrt(-3)), the second on integer residues
   over a prime field F_p, where it backs the fast certificate in :mod:`family`.
@@ -19,7 +20,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 NumberLike = Union[int, Fraction, "QuadNum"]
@@ -134,74 +135,31 @@ class QuadNum:
         return f"QuadNum({self.a!r}, {self.b!r})"
 
 
-_ZERO = QuadNum(0)
+# A NamedTuple may not define __new__: the subclass below checks the fields.
+class _Poly(NamedTuple):
+    coeffs: tuple[QuadNum, ...]
 
 
-class Poly:
-    """Immutable sparse univariate polynomial with QuadNum coefficients."""
+class Poly(_Poly):
+    """A polynomial as its QuadNum coefficients, lowest degree first, no trailing zero."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
-    def __init__(self, coeffs: Mapping[int, NumberLike] | Iterable[tuple[int, NumberLike]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned: dict[int, QuadNum] = {}
-        for e, c in items:
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-            v = QuadNum.coerce(c) + cleaned.get(e, _ZERO)
-            if v:
-                cleaned[e] = v
-            else:
-                cleaned.pop(e, None)
-        object.__setattr__(self, "_coeffs", cleaned)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
-
-    # -- structure -------------------------------------------------------
-
-    def items(self) -> Iterator[tuple[int, QuadNum]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def coefficient(self, e: int) -> QuadNum:
-        return self._coeffs.get(e, _ZERO)
+    def __new__(cls, coeffs: Iterable[NumberLike] = ()) -> "Poly":
+        if isinstance(coeffs, Mapping):  # iterating it would read the exponents
+            raise TypeError("Poly takes dense coefficients, lowest degree first, not a mapping")
+        return super().__new__(cls, tuple(_trim([QuadNum.coerce(c) for c in coeffs])))
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coeffs
 
     @property
     def degree(self) -> int:
         if self.is_zero:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._coeffs)
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        acc: dict[int, QuadNum] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                v = acc.get(e, _ZERO) + c1 * c2
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
-        return Poly(acc)
-
-    # -- comparisons / display -------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((e, hash(c)) for e, c in self._coeffs.items())))
-
-    def __repr__(self) -> str:
-        return f"Poly({dict(sorted(self._coeffs.items()))!r})"
+        return len(self.coeffs) - 1
 
 
 def is_separable(p: Poly) -> bool:
@@ -212,7 +170,7 @@ def is_separable(p: Poly) -> bool:
     """
     if p.is_zero:
         raise ValueError("separability is undefined for the zero polynomial")
-    f = [p.coefficient(e) for e in range(p.degree + 1)]
+    f = list(p.coeffs)
     g = _trim([c * e for e, c in enumerate(f)][1:])
     while g:
         lead_inv = g[-1].inverse()

@@ -282,12 +282,14 @@ def from_json(text: str) -> Dataset:
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {version!r}")
     records = _rows_from_json("families", payload["families"], _record_from_json)
-    named = _rows_from_json("named_curves", payload.get("named_curves", ()), _named_from_json)
+    named = _rows_from_json("named_curves", payload.get("named_curves", []), _named_from_json)
     return Dataset(records, named)
 
 
 def _rows_from_json(name: str, objs, parse) -> list:
     """Parse each row; a malformed one is a ValueError naming its place and field."""
+    if type(objs) is not list:
+        raise ValueError(f"field {name!r} must be a list, got {objs!r}")
     out = []
     for i, obj in enumerate(objs):
         try:

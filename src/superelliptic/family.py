@@ -189,19 +189,19 @@ class EquationTemplate(_EquationTemplate):
         """Expand the product with parameters set to ``values`` (default probe)."""
         if values is None:
             values = probe_assignment(self)
-        product = Poly({0: 1})
+        product = [QuadNum(1)]
         for factor in self.factors:
-            terms = []
-            for t in factor:
-                if isinstance(t.coeff, QuadNum):
-                    c = t.coeff
-                else:
-                    if t.coeff.index not in values:
-                        raise KeyError(f"no value for parameter a_{t.coeff.index}")
-                    c = QuadNum.coerce(values[t.coeff.index]) * QuadNum(t.coeff.scale)
-                terms.append((t.exponent, c))
-            product = product * Poly(terms)
-        return product
+            nonzero = [(k, a) for k, a in enumerate(product) if a]
+            out = [QuadNum(0)] * (len(product) + max(t.exponent for t in factor))
+            for e, c in factor:
+                if isinstance(c, ParamCoeff):
+                    if c.index not in values:
+                        raise KeyError(f"no value for parameter a_{c.index}")
+                    c = QuadNum.coerce(values[c.index]) * QuadNum(c.scale)
+                for k, a in nonzero:
+                    out[k + e] += c * a
+            product = out
+        return Poly(product)
 
     # -- serialization -----------------------------------------------------
 

@@ -55,7 +55,7 @@ class Finding(NamedTuple):
 class RowResult(NamedTuple):
     record: FamilyRecord
     resolution: SignatureRepair
-    classification: Classification | None
+    classification: Classification
     findings: tuple[Finding, ...]
 
     @property

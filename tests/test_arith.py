@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: quadratic numbers, sparse polynomials, separability."""
+"""Exact-arithmetic layer: quadratic numbers, dense polynomials, separability."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superelliptic.arith import Poly, QuadNum, is_separable
+from superelliptic.family import EquationTemplate, ParamCoeff, Term
 
 
 def test_quadnum_normalisation() -> None:
@@ -73,37 +74,43 @@ def test_quadnum_str() -> None:
     assert str(QuadNum(0, Fraction(-1, 2))) == "-1/2*sqrt(-3)"
 
 
-def test_poly_construction_and_merge() -> None:
-    p = Poly([(2, 1), (2, 2), (0, -3), (1, 0)])
-    assert p == Poly({2: 3, 0: -3})
-    assert p.degree == 2
-    assert p.coefficient(1) == QuadNum(0)
-    assert Poly(()).is_zero
-    with pytest.raises(ValueError):
-        Poly({-1: 1})
+def test_poly_dense_construction() -> None:
+    p = Poly([-3, 0, Fraction(3), 0, QuadNum(0)])     # 3x^2 - 3, trailing zeros trimmed
+    assert p.coeffs == (QuadNum(-3), QuadNum(0), QuadNum(3))
+    assert p == Poly((QuadNum(-3), 0, 3)) and p.degree == 2
+    assert Poly(()).is_zero and Poly([0, 0]) == Poly(())
     with pytest.raises(ValueError):
         _ = Poly(()).degree
+    with pytest.raises(TypeError):                       # it would read the exponents
+        Poly({2: 1, 0: -1})
 
 
-def test_poly_ring_operations() -> None:
-    p = Poly({2: 1, 0: -1})            # x^2 - 1
-    q = Poly({1: 1, 0: 1})             # x + 1
-    assert p * q == Poly({3: 1, 2: 1, 1: -1, 0: -1})
+def test_instantiate_product_against_sympy() -> None:
+    # (x^2 - 1)(x + 1), then (x^2 + a_1)(x^3 + sqrt(-3)x)(x + 1) at a_1 = 5
+    one = QuadNum(1)
+    plain = EquationTemplate(((Term(2, one), Term(0, QuadNum(-1))), (Term(1, one), Term(0, one))))
+    assert plain.instantiate({}) == Poly([-1, -1, 1, 1])
+    mixed = EquationTemplate(((Term(2, one), Term(0, ParamCoeff(1))),
+                              (Term(3, one), Term(1, QuadNum(0, 1))),
+                              (Term(1, one), Term(0, one))))
+    x = sp.Symbol("x")
+    expected = sp.expand((x**2 + 5) * (x**3 + _R * x) * (x + 1))
+    assert sp.expand(_to_sympy(mixed.instantiate({1: 5}), x) - expected) == 0
 
 
 def _to_sympy(p: Poly, x: sp.Symbol) -> sp.Expr:
-    return sum((_sympy(c) * x**e for e, c in p.items()), sp.Integer(0))
+    return sum((_sympy(c) * x**e for e, c in enumerate(p.coeffs)), sp.Integer(0))
 
 
 @pytest.mark.parametrize("coeffs,expected", [
-    ({2: 1, 1: 2, 0: 1}, False),                 # (x+1)^2
-    ({2: 1, 0: -1}, True),                        # x^2 - 1
-    ({12: 1, 8: -33, 4: -33, 0: 1}, True),
-    ({8: 1, 4: 14, 0: 1}, True),
-    ({3: 1}, False),                              # x^3
-    ({0: 7}, True),
+    ([1, 2, 1], False),                           # (x+1)^2
+    ([-1, 0, 1], True),                           # x^2 - 1
+    ([1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1], True),
+    ([1, 0, 0, 0, 14, 0, 0, 0, 1], True),
+    ([0, 0, 0, 1], False),                        # x^3
+    ([7], True),
 ])
-def test_separability(coeffs: dict, expected: bool) -> None:
+def test_separability(coeffs: list, expected: bool) -> None:
     p = Poly(coeffs)
     assert is_separable(p) is expected
     # cross-check with the discriminant where sympy applies
@@ -114,23 +121,22 @@ def test_separability(coeffs: dict, expected: bool) -> None:
 
 def test_separability_with_radical_coefficients() -> None:
     # x^4 + 2 sqrt(-3) x^2 + 1 has distinct roots
-    p = Poly({4: 1, 2: QuadNum(0, 2), 0: 1})
+    p = Poly([1, 0, QuadNum(0, 2), 0, 1])
     assert is_separable(p)
-    # (x^2 + sqrt(-3))^2 does not
-    q = Poly({2: 1, 0: QuadNum(0, 1)})
-    assert not is_separable(q * q)
+    # (x^2 + sqrt(-3))^2 = x^4 + 2 sqrt(-3) x^2 - 3 does not
+    assert not is_separable(Poly([-3, 0, QuadNum(0, 2), 0, 1]))
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-_SMALL_POLY = (st.lists(st.builds(QuadNum, _SMALL, st.one_of(st.just(Fraction(0)), _SMALL)),
-                        min_size=1, max_size=4)
-               .map(lambda cs: Poly(enumerate(cs))).filter(lambda p: not p.is_zero))
+_SMALL_FACTOR = (st.lists(st.builds(QuadNum, _SMALL, st.one_of(st.just(Fraction(0)), _SMALL)),
+                          min_size=1, max_size=4)
+                 .filter(any).map(lambda cs: tuple(Term(e, c) for e, c in enumerate(cs))))
 
 
 @settings(max_examples=50, deadline=None)
-@given(_SMALL_POLY, _SMALL_POLY, st.booleans())
+@given(_SMALL_FACTOR, _SMALL_FACTOR, st.booleans())
 def test_separability_against_sympy_over_q_sqrt_minus_3(g, h, square) -> None:
-    f = g * h * h if square else g * h
+    f = EquationTemplate((g, h, h) if square else (g, h)).instantiate({})
     x = sp.Symbol("x")
     big_f = sp.Poly(_to_sympy(f, x), x, extension=_R)
     assert is_separable(f) is (sp.gcd(big_f, big_f.diff(x)).degree() == 0)

@@ -361,6 +361,29 @@ def test_malformed_named_curve_is_io_error_naming_the_field(capsys, tmp_path,
         assert err.startswith(f"error: invalid dataset: named_curves[1]: field '{key}'")
 
 
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(lambda p: p.update(families=5), "field 'families' must be a list, got 5",
+                 id="families-int"),
+    pytest.param(lambda p: p.update(families="abc"),
+                 "field 'families' must be a list, got 'abc'", id="families-str"),
+    pytest.param(lambda p: p.update(named_curves=5),
+                 "field 'named_curves' must be a list, got 5", id="named-curves-int"),
+    pytest.param(lambda p: p.update(named_curves=None),
+                 "field 'named_curves' must be a list, got None", id="named-curves-null"),
+    pytest.param(lambda p: p.pop("named_curves"), None, id="named-curves-absent"),
+])
+def test_a_section_that_is_not_a_list_is_io_error_naming_it(capsys, tmp_path,
+                                                            edit, error) -> None:
+    path = _edited_export(tmp_path, edit)
+    for argv in (["list", "--data", path], ["verify", "--data", path]):
+        code, out, err = run(capsys, *argv)
+        if error is None:                     # the named curves are optional
+            assert code == 0 and out and err == ""
+        else:
+            assert code == 3 and out == ""
+            assert err == f"error: invalid dataset: {error}\n"
+
+
 def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
     path = _edited_export(tmp_path, lambda p: p["families"][0].update(level=1))
     code, out, _ = run(capsys, "verify", "--data", path)

@@ -61,14 +61,14 @@ def test_instantiate_default_probe() -> None:
     assert poly.degree == 7
     primes = probe_assignment(tmpl)
     assert primes == {1: 5, 2: 7}
-    assert poly.coefficient(3) == QuadNum(5)      # x * a_1 x^2
-    assert poly.coefficient(5) == QuadNum(7)
+    assert poly.coeffs[3] == QuadNum(5)      # x * a_1 x^2
+    assert poly.coeffs[5] == QuadNum(7)
 
 
 def test_instantiate_explicit_values() -> None:
     tmpl = t(f(4, (2, "a1"), 0))
     poly = tmpl.instantiate({1: Fraction(-2)})
-    assert poly.coefficient(2) == QuadNum(-2)
+    assert poly.coeffs[2] == QuadNum(-2)
     with pytest.raises(KeyError):
         tmpl.instantiate({2: 1})
 
@@ -77,7 +77,7 @@ def test_instantiate_radical_coefficient() -> None:
     quartic = t(f(4, (2, ("sqrt", 2)), 0))
     assert quartic.radicand == -3 and t(F1).radicand == 1
     poly = quartic.instantiate()
-    assert poly.coefficient(2) == QuadNum(0, 2)
+    assert poly.coeffs[2] == QuadNum(0, 2)
 
 
 @pytest.mark.parametrize("level,degree,expected", [
@@ -111,6 +111,9 @@ def test_branch_count_rejects_bad_shape() -> None:
         branch_count(4, t(f(6, 0)))        # 4 does not divide 6, gcd = 2
     with pytest.raises(NonSuperellipticError):
         branch_count(6, t(f(4, 0)))
+    result = separability_probe(4, t(f(6, 0)))   # the probe reports it instead of raising
+    assert not result.ok and result.messages == (
+        "level 4 with degree 6: gcd 2 is neither 4 nor 1, so y^4 = f(x) is not in normal form",)
 
 
 @pytest.mark.parametrize("level,points,genus", [
@@ -119,6 +122,13 @@ def test_branch_count_rejects_bad_shape() -> None:
 ])
 def test_superelliptic_genus(level: int, points: int, genus: int) -> None:
     assert superelliptic_genus(level, points) == genus
+
+
+def test_superelliptic_genus_rejects_bad_arguments() -> None:
+    with pytest.raises(NonSuperellipticError, match="non-integral genus 3/2"):
+        superelliptic_genus(2, 5)
+    with pytest.raises(ValueError, match="level must be at least 2"):
+        superelliptic_genus(1, 4)
 
 
 def _brute_force_levels(genus: int) -> set[tuple[int, int]]:
@@ -138,6 +148,8 @@ def test_enumerate_levels_matches_brute_force(genus: int) -> None:
 def test_enumerate_levels_frozen_examples() -> None:
     assert enumerate_levels(2) == ((2, 6), (3, 4), (5, 3))
     assert enumerate_levels(5) == ((2, 12), (3, 7), (6, 4), (11, 3))
+    with pytest.raises(ValueError, match="genus must be at least 2"):
+        enumerate_levels(1)
 
 
 def test_normal_form_admissibility() -> None:

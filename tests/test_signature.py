@@ -74,6 +74,8 @@ def test_moduli_dimension() -> None:
     assert moduli_dimension(1, 1) == 1
     with pytest.raises(ValueError):
         moduli_dimension(0, 2)
+    with pytest.raises(ValueError, match="quotient genus must be non-negative"):
+        moduli_dimension(-1, 4)
 
 
 def test_moduli_dimension_of_a_quotient_without_cone_points() -> None:

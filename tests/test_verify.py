@@ -105,6 +105,16 @@ def test_tampered_equation_is_caught(ds) -> None:
     assert "genus" in codes
 
 
+def test_inseparable_row_is_a_separability_failure(ds) -> None:
+    row = ds.get(3, 1)                                   # x(x^6+a_1x+...+a_5x^5+1)
+    linear, rest = row.equation.factors
+    # without the constant x^2 divides f: the certificate declines, the exact path decides
+    bad = EquationTemplate((linear, tuple(u for u in rest if u.exponent)))
+    result = verify_row(row._replace(equation=bad))
+    assert [(x.severity, x.code, x.message) for x in result.findings] == [
+        ("failure", "separability", "instantiated polynomial has a repeated root")]
+
+
 def test_parameter_indices_must_run_from_one(ds) -> None:
     # a_2 renamed to a_99: still five free coefficients, but not a_1..a_5
     row = ds.get(3, 1)

@@ -12,15 +12,17 @@ Conventions:
 * ``Poly`` is an immutable dense tuple of ``QuadNum`` coefficients, lowest
   degree first, with no trailing zero: ``Poly([-1, 0, 1])`` is x^2 - 1.  The
   zero polynomial is the empty tuple and has no degree (``degree`` raises).
-* ``is_separable`` and ``is_separable_mod_p`` run the same dense Euclid loop
-  on gcd(f, f'): the first over Q(sqrt(-3)), the second on integer residues
-  over a prime field F_p, where it backs the fast certificate in :mod:`family`.
+* ``is_separable`` and ``is_separable_mod_p`` run Euclid's algorithm on
+  gcd(f, f') over dense coefficients: the first over Q(sqrt(-3)), the second
+  on integer residues over a prime field F_p, updating f in place.  The
+  second backs the fast certificate in :mod:`family`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 NumberLike = Union[int, Fraction, "QuadNum"]
@@ -135,12 +137,7 @@ class QuadNum:
         return f"QuadNum({self.a!r}, {self.b!r})"
 
 
-# A NamedTuple may not define __new__: the subclass below checks the fields.
-class _Poly(NamedTuple):
-    coeffs: tuple[QuadNum, ...]
-
-
-class Poly(_Poly):
+class Poly(namedtuple("Poly", "coeffs")):
     """A polynomial as its QuadNum coefficients, lowest degree first, no trailing zero."""
 
     __slots__ = ()
@@ -165,7 +162,7 @@ class Poly(_Poly):
 def is_separable(p: Poly) -> bool:
     """True when p has no repeated roots, i.e. gcd(p, p') is constant.
 
-    The Euclid loop of :func:`is_separable_mod_p`, run on dense ``QuadNum``
+    Euclid's algorithm of :func:`is_separable_mod_p`, run on dense ``QuadNum``
     coefficients over Q(sqrt(-3)) instead of residues.
     """
     if p.is_zero:
@@ -195,11 +192,13 @@ def is_separable_mod_p(coeffs: Sequence[int], p: int) -> bool:
     g = _trim([e * c % p for e, c in enumerate(f)][1:])
     while g:
         lead_inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            q = f[-1] * lead_inv % p
-            shift = len(f) - len(g)
-            # f - q x^shift g: its top coefficient is 0, so the slice drops it
-            f[shift:] = [(a - q * b) % p for a, b in zip(f[shift:-1], g)]
+        n = len(g) - 1
+        while len(f) > n:
+            # f - q x^shift g, in place: its top coefficient is 0 and is popped
+            q = f.pop() * lead_inv % p
+            shift = len(f) - n
+            for j in range(n):
+                f[shift + j] = (f[shift + j] - q * g[j]) % p
             _trim(f)
         f, g = g, f
     return len(f) == 1

@@ -17,8 +17,8 @@ rows.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .groups import ReducedGroup
 from .signature import Signature
@@ -46,10 +46,10 @@ THEOREM_TEXT = {
 _NO_CRITERION = "no applicable sufficiency criterion"
 
 
-class Classification(NamedTuple):
-    verdict: Verdict
-    reason: Reason | None
-    theorem: str
+class Classification(namedtuple("Classification", "verdict reason theorem")):
+    """A verdict, its reason (None when no criterion applies) and the theorem text."""
+
+    __slots__ = ()
 
     @property
     def is_definable(self) -> bool:

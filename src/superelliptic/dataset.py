@@ -16,8 +16,8 @@ reading is sped up; equation terms are built once per distinct JSON term
 from __future__ import annotations
 
 import io
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import tables
 from .classify import Classification, classify
@@ -31,19 +31,11 @@ CSV_COLUMNS = ("Nr", "reduced_group", "full_group", "order", "n", "m",
                "signature", "delta", "blue", "equation")
 
 
-class FamilyRecord(NamedTuple):
+class FamilyRecord(namedtuple("FamilyRecord", "genus number block label_text level m "
+                                               "signature delta equation highlighted")):
     """One row of a genus table, fields as printed (equation possibly corrected)."""
 
-    genus: int
-    number: int
-    block: ReducedKind
-    label_text: str
-    level: int
-    m: int | None
-    signature: Signature
-    delta: int
-    equation: EquationTemplate
-    highlighted: bool
+    __slots__ = ()
 
     @property
     def key(self) -> tuple[int, int]:
@@ -64,14 +56,10 @@ class FamilyRecord(NamedTuple):
                 str(self.delta), self.equation.render()]
 
 
-class NamedCurve(NamedTuple):
+class NamedCurve(namedtuple("NamedCurve", "genus level label_text equation note")):
     """A single curve called out next to a table rather than inside it."""
 
-    genus: int
-    level: int
-    label_text: str
-    equation: EquationTemplate
-    note: str
+    __slots__ = ()
 
 
 def repair_signature(record: FamilyRecord, order: int | None = None) -> SignatureRepair:
@@ -296,9 +284,36 @@ def _rows_from_json(name: str, objs, parse) -> list:
             out.append(parse(obj))
         except KeyError as exc:
             raise ValueError(f"{name}[{i}]: missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except TypeError as exc:   # a container of the wrong type, found only now
+            raise ValueError(f"{name}[{i}]: {_misshapen(obj) or exc}") from None
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{name}[{i}]: {exc}") from None
     return out
+
+
+def _misshapen(row) -> str | None:
+    """The first JSON container of ``row`` that has the wrong type, if any, described."""
+    for path, value, kind in _containers(row):
+        if type(value) is not kind:
+            where = "" if path is None else f"field {path!r} "
+            return f"{where}must be {'an object' if kind is dict else 'a list'}, got {value!r}"
+
+
+def _containers(row):
+    """(path, value, type) of each container in a row, each after its parent."""
+    yield None, row, dict
+    if "equation" in row:
+        equation = row["equation"]
+        yield "equation", equation, dict
+        if "factors" in equation:
+            factors = equation["factors"]
+            yield "equation.factors", factors, list
+            for i, factor in enumerate(factors):
+                yield f"equation.factors[{i}]", factor, list
+                for j, term in enumerate(factor):
+                    yield f"equation.factors[{i}][{j}]", term, dict
+                    if "c" in term:
+                        yield f"equation.factors[{i}][{j}].c", term["c"], dict
 
 
 def export_csv(dataset: Dataset, genus: int) -> str:

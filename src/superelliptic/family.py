@@ -13,28 +13,30 @@ infinity when the level does not divide the degree) and hence the genus.
 y^n = f(x) normal form (``normal_form_admissible`` decides that).
 
 ``separability_probe`` sets the parameters to the primes 5, 7, 11, ... in
-order of parameter index, as many as there are, and checks that the resulting polynomial has the
-expected degree and no repeated roots: a modular certificate plus exact
-fallback.  The certificate reduces the template straight to F_p for the prime
-p = 2^61 - 1, sending sqrt(-3) to a fixed square root of -3 mod p, and runs
-Euclid on f and f' there.  When the degree survives and gcd(f, f') = 1 mod p,
-the discriminant of f is a unit at a prime above p, hence nonzero, and f is
-separable over Q(sqrt(-3)); that answer is final.  Every other outcome
-(degree drop or common factor mod p, a denominator divisible by p, a missing
-parameter) runs the exact computation over Q(sqrt(-3)), whose messages are
-the probe's.  Failures are reported, not raised, so a verification run can
-collect them.
+order of parameter index, as many as there are, and checks that the resulting
+polynomial has the expected degree and no repeated roots: a modular
+certificate plus exact fallback.  The certificate reduces the template
+straight to F_p for the prime p = 1,073,741,719, sending sqrt(-3) to a fixed
+square root of -3 mod p, and runs Euclid on f and f' there.  When the degree
+survives and gcd(f, f') = 1 mod p, the discriminant of f is a unit at a prime
+above p, hence nonzero, and f is separable over Q(sqrt(-3)); that answer is
+final.  Every other outcome (degree drop or common factor mod p, a
+denominator divisible by p, a missing parameter) runs the exact computation
+over Q(sqrt(-3)), whose messages are the probe's.  Failures are reported, not
+raised, so a verification run can collect them.
 
-The certificate never expands f in x.  One pass over each factor's terms gives
-their residues mod p, its top exponent and lo, its lowest exponent with a
-nonzero residue.  Each factor is x^lo times a polynomial in y = x^m, m the gcd
-of all exponents' distances from their factor's lo, and h, the product of those
-polynomials, gives f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not
-dividing m, f is separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double
-root x0 != 0 of h(x^m) makes x0^m a double root of h, and conversely.
-(eps >= 2 puts x^2 in gcd(f, f').)  Euclid runs on h, memoised on its
-residues: the 224 embedded rows give 42 distinct h, so a process runs it 42
-times, not 224.
+The certificate never expands f in x.  One walk over each factor's terms
+(``probe``) gives the template's degree and parameter indices, which the
+genus and parameter checks of ``verify`` read too, and the terms' residues
+mod p.  Each factor is x^lo times a polynomial in y = x^m, lo its lowest
+exponent with a nonzero residue, m the gcd of all exponents' distances from
+their factor's lo, and h, the product of those polynomials, gives
+f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not dividing m, f is
+separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0
+of h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2
+in gcd(f, f').)  The walk withholds the certificate when deg f >= p, as m
+may then be a multiple of p.  Euclid runs on h, memoised on its residues: the
+224 embedded rows give 42 distinct h, so a process runs it 42 times, not 224.
 
 ``EquationTemplate.from_json_dict`` reads the lossless JSON form.  Each term's
 fields are type-checked exactly (``true`` is no integer, ``1.0`` no exact
@@ -45,11 +47,11 @@ one ``Term`` per distinct term.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from math import gcd, isqrt
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, Union
 
 from .arith import Poly, QuadNum, is_separable, is_separable_mod_p
 
@@ -64,13 +66,17 @@ __all__ = [
     "enumerate_levels",
     "normal_form_admissible",
     "probe_assignment",
+    "probe",
     "separability_probe",
     "ProbeResult",
 ]
 
-# The certificate's prime: p = 2^61 - 1 is 1 mod 3, so -3 is a square mod p,
-# and 3 mod 4, so one of its square roots is (-3)^((p+1)/4).
-CERTIFICATE_PRIME = 2**61 - 1
+# The certificate's prime: the largest prime below 2^30 that is 7 mod 12.  As
+# p = 1 mod 3, -3 is a square mod p, and as p = 3 mod 4, (-3)^((p+1)/4) is a
+# square root of it.  A residue is one 30-bit CPython digit, so residues and
+# their products stay on the interpreter's small-int paths.  The y = x^m lemma
+# needs p > deg f, which ``_scan`` checks.
+CERTIFICATE_PRIME = 1_073_741_719
 SQRT_MINUS_3_MOD_P = pow(-3, (CERTIFICATE_PRIME + 1) // 4, CERTIFICATE_PRIME)
 
 
@@ -78,13 +84,7 @@ class NonSuperellipticError(ValueError):
     """The (level, degree) combination admits no y^n = f(x) normal form."""
 
 
-# A NamedTuple may not define __new__: the subclass below checks the fields.
-class _ParamCoeff(NamedTuple):
-    index: int
-    scale: Fraction
-
-
-class ParamCoeff(_ParamCoeff):
+class ParamCoeff(namedtuple("ParamCoeff", "index scale")):
     """A formal parameter a_i, optionally scaled by an exact rational."""
 
     __slots__ = ()
@@ -107,29 +107,17 @@ class ParamCoeff(_ParamCoeff):
         return f"{self.scale}{name}"
 
 
-Coefficient = Union[QuadNum, ParamCoeff]
-
-
-class _Term(NamedTuple):
-    exponent: int
-    coeff: Coefficient
-
-
-class Term(_Term):
+class Term(namedtuple("Term", "exponent coeff")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
-    def __new__(cls, exponent: int, coeff: Coefficient) -> "Term":
+    def __new__(cls, exponent: int, coeff: QuadNum | ParamCoeff) -> "Term":
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent}")
         return super().__new__(cls, exponent, coeff)
 
 
-class _EquationTemplate(NamedTuple):
-    factors: tuple[tuple[Term, ...], ...]
-
-
-class EquationTemplate(_EquationTemplate):
+class EquationTemplate(namedtuple("EquationTemplate", "factors")):
     """f(x) as an ordered product of factors, each an ordered list of terms.
 
     Term order inside a factor is display order (kept as authored).
@@ -315,17 +303,18 @@ def _rational(text: str | int) -> Fraction | None:
         return None
 
 
-def branch_count(level: int, template: EquationTemplate) -> int:
+def branch_count(level: int, template: EquationTemplate | int) -> int:
     """Number of branch points of y^n = f(x) for separable f of this degree.
 
     Every root of f is a branch point; the point at infinity is one exactly
     when the level does not divide the degree.  Degrees with
     gcd(level, degree) strictly between 1 and level leave the cover branched
     at infinity with order below the level, which the normal form excludes.
+    ``template`` may be given by its degree alone.
     """
     if level < 2:
         raise ValueError(f"level must be at least 2, got {level}")
-    deg = template.degree
+    deg = template if type(template) is int else template.degree
     if deg < 1:
         raise NonSuperellipticError("constant f(x) defines no cover")
     if deg % level == 0:
@@ -351,7 +340,7 @@ def superelliptic_genus(level: int, branch_points: int) -> int:
     return twice // 2
 
 
-def genus_of_family(level: int, template: EquationTemplate) -> int:
+def genus_of_family(level: int, template: EquationTemplate | int) -> int:
     return superelliptic_genus(level, branch_count(level, template))
 
 
@@ -385,51 +374,59 @@ def normal_form_admissible(level: int, branch_points: int) -> bool:
 
 def probe_assignment(template: EquationTemplate) -> dict[int, int]:
     """Distinct fixed primes 5, 7, 11, ... keyed by parameter index."""
-    return _probe_primes(template.parameter_indices)
+    indices = template.parameter_indices
+    return dict(zip(indices, _probe_primes(len(indices)).values()))
 
 
-def _probe_primes(indices: tuple[int, ...]) -> dict[int, int]:
-    """The primes from 5 upward, one per index in order: as many as there are indices."""
-    primes = (n for n in count(5, 2) if all(n % k for k in range(3, isqrt(n) + 1, 2)))
-    return dict(zip(indices, primes))
+_PROBE_PRIMES = {1: 5}   # the k-th probe prime by k: found once per process, extended on demand
 
 
-class ProbeResult(NamedTuple):
-    ok: bool
-    messages: tuple[str, ...]
+def _probe_primes(count: int) -> dict[int, int]:
+    """The probe primes 5, 7, 11, ... keyed 1, 2, 3, ...: at least ``count`` of them."""
+    n = _PROBE_PRIMES[len(_PROBE_PRIMES)]
+    while len(_PROBE_PRIMES) < count:
+        n += 2
+        if all(n % k for k in range(3, isqrt(n) + 1, 2)):
+            _PROBE_PRIMES[len(_PROBE_PRIMES) + 1] = n
+    return _PROBE_PRIMES
+
+
+ProbeResult = namedtuple("ProbeResult", "ok messages")
 
 
 def separability_probe(level: int, template: EquationTemplate,
                        values: Mapping[int, Union[int, Fraction, QuadNum]] | None = None) -> ProbeResult:
-    """Check degree and separability at the probe assignment (see module doc)."""
-    if values is None:
-        values = probe_assignment(template)
-    messages = _probe_failures(template, values)
-    try:
-        branch_count(level, template)
-    except ValueError as exc:
-        messages.append(str(exc))
+    """Check shape, degree and separability at the probe assignment (see module doc)."""
+    messages = probe(level, template, values)[2]
     return ProbeResult(not messages, tuple(messages))
 
 
-def _probe_failures(template: EquationTemplate, values: Mapping) -> list[str]:
-    return [] if _separable_mod_p(template, values) else _exact_probe(template, values)
+def probe(level: int, template: EquationTemplate, values: Mapping | None = None
+          ) -> tuple[int, tuple[int, ...], list[str]]:
+    """Degree, parameter indices and probe failures of f, from one walk over its terms.
+
+    ``values`` defaults to the probe primes.  A level and degree with no normal
+    form are the one failure, and separability is not decided; otherwise no
+    failures means that f keeps its degree and has no repeated root there.
+    """
+    degree, indices, h = _scan(template, values)
+    try:
+        branch_count(level, degree)
+    except ValueError as exc:
+        return degree, indices, [str(exc)]
+    if h is not None and _euclid_mod_p(h):
+        return degree, indices, []
+    return degree, indices, _exact_probe(template, values, degree)
 
 
-def _exact_probe(template: EquationTemplate, values: Mapping) -> list[str]:
+def _exact_probe(template: EquationTemplate, values: Mapping | None, degree: int) -> list[str]:
     poly = template.instantiate(values)
-    if poly.is_zero or poly.degree != template.degree:
+    if poly.is_zero or poly.degree != degree:
         return [f"instantiated degree {'0' if poly.is_zero else poly.degree} "
-                f"!= template degree {template.degree}"]
+                f"!= template degree {degree}"]
     if not is_separable(poly):
         return ["instantiated polynomial has a repeated root"]
     return []
-
-
-def _separable_mod_p(template: EquationTemplate, values: Mapping) -> bool:
-    """True only when f at ``values`` keeps its degree and gcd(f, f') = 1 mod p."""
-    h = _reduce_mod_p(template, values)
-    return h is not None and _euclid_mod_p(tuple(h))
 
 
 @cache
@@ -437,42 +434,55 @@ def _euclid_mod_p(h: tuple[int, ...]) -> bool:
     return is_separable_mod_p(h, CERTIFICATE_PRIME)
 
 
-def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | None:
-    """h in F_p[y], dense and lowest degree first, with f = x^eps h(x^m) at ``values``.
+def _scan(template: EquationTemplate, values: Mapping | None = None):
+    """(degree, parameter indices, h) from one walk over the terms.
 
-    eps <= 1, h(0) != 0 and m <= deg f < p: f is separable mod p iff h is.
-    None when a coefficient has no image in F_p, a parameter has no value, a
-    factor's leading coefficient vanishes mod p (the degree would drop), or
-    x^2 divides f mod p (then gcd(f, f') is not 1 either).  One pass over a
-    factor's terms gives its nonzero residues and its top exponent.
+    h is in F_p[y], lowest degree first, with f = x^eps h(x^m) at ``values``,
+    eps <= 1 and h(0) != 0, so f is separable mod p iff h is.  h is None when
+    a coefficient has no image in F_p, a parameter has no value, a factor's
+    leading coefficient vanishes mod p (the degree would drop), x^2 divides
+    f mod p (then gcd(f, f') is not 1 either), or deg f >= p (module doc).
+
+    The probe primes go to the indices in increasing order, which the walk
+    knows only at its end.  It gives a_i the i-th prime, which is right when
+    the indices run 1, 2, ..., k, and walks again with the right values if not.
     """
     p = CERTIFICATE_PRIME
-    params = {i: _number_mod_p(v) if isinstance(v, QuadNum) else _rational_mod_p(v)
-              for i, v in values.items()}
-    factors, eps, m = [], 0, 0
+    if values is None:   # k <= the number of terms, so the primes suffice
+        params = _probe_primes(sum(map(len, template.factors)))
+    else:
+        params = {i: _number_mod_p(v) if isinstance(v, QuadNum) else _rational_mod_p(v)
+                  for i, v in values.items()}
+    degree, eps, m, seen, factors, certify = 0, 0, 0, set(), [], True
     for factor in template.factors:
-        residues, top, lead = [], -1, 0
-        for e, coeff in factor:
-            if isinstance(coeff, QuadNum):
-                c = _number_mod_p(coeff)
-            else:
-                value, scale = params.get(coeff.index), _rational_mod_p(coeff.scale)
+        top, residues = -1, []
+        for e, c in factor:
+            if type(c) is ParamCoeff:
+                seen.add(c.index)
+                value, scale = params.get(c.index), _rational_mod_p(c.scale)
                 c = None if value is None or scale is None else value * scale % p
-            if c is None:
-                return None
+            else:
+                c = _number_mod_p(c)
             if e > top:
                 top, lead = e, c
             if c:
                 residues.append((e, c))
-        if not lead:
-            return None
-        lo = min(residues)[0]   # exponents are distinct within a factor
-        for e, _ in residues:
-            m = gcd(m, e - lo)
-        eps += lo
-        factors.append((lo, top, residues))
-    if eps > 1:
-        return None
+            elif c is None:
+                certify = False
+        degree += top
+        if lead:
+            lo = min(residues)[0]   # exponents are distinct within a factor
+            for e, _ in residues:
+                m = gcd(m, e - lo)
+            eps += lo
+            factors.append((lo, top, residues))
+        else:
+            certify = False
+    indices = tuple(sorted(seen))
+    if values is None and indices and indices[-1] != len(indices):
+        return _scan(template, probe_assignment(template))
+    if not certify or eps > 1 or degree >= p:
+        return degree, indices, None
     m = m or 1
     h = [1]
     for lo, top, residues in factors:
@@ -481,23 +491,23 @@ def _reduce_mod_p(template: EquationTemplate, values: Mapping) -> list[int] | No
             for k, a in enumerate(h, (e - lo) // m):
                 out[k] += c * a
         h = [c % p for c in out]
-    return h
+    return degree, indices, tuple(h)
 
 
 def _number_mod_p(value: QuadNum) -> int | None:
     """Image of a + b*sqrt(-3) under sqrt(-3) -> SQRT_MINUS_3_MOD_P, if it has one."""
-    if value.b == 0:
-        return _rational_mod_p(value.a)
-    a, b = _rational_mod_p(value.a), _rational_mod_p(value.b)
-    if a is None or b is None:
-        return None
-    return (a + b * SQRT_MINUS_3_MOD_P) % CERTIFICATE_PRIME
+    a = _rational_mod_p(value.a)
+    if not value.b.numerator or a is None:
+        return a
+    b = _rational_mod_p(value.b)
+    return None if b is None else (a + b * SQRT_MINUS_3_MOD_P) % CERTIFICATE_PRIME
 
 
 def _rational_mod_p(q: int | Fraction) -> int | None:
     p = CERTIFICATE_PRIME
-    if q.denominator == 1:
-        return q.numerator % p
-    if q.denominator % p == 0:
+    n, d = q.as_integer_ratio()
+    if d == 1:
+        return n % p
+    if d % p == 0:
         return None
-    return q.numerator * pow(q.denominator, -1, p) % p
+    return n * pow(d, -1, p) % p

@@ -16,9 +16,9 @@ handles both.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
 from functools import cache
-from typing import NamedTuple
 
 __all__ = [
     "ReducedKind",
@@ -45,14 +45,10 @@ _POLYHEDRAL = {
 }
 
 
-# A NamedTuple may not define __new__: the subclass below checks the fields.
-class _ReducedGroup(NamedTuple):
-    kind: ReducedKind
-    m: int | None  # C_m: order m; dihedral: half the order; else None
+class ReducedGroup(namedtuple("ReducedGroup", "kind m")):
+    """A finite subgroup of the Moebius group, up to conjugacy.
 
-
-class ReducedGroup(_ReducedGroup):
-    """A finite subgroup of the Moebius group, up to conjugacy."""
+    ``m``: the order of C_m, half that of a dihedral group, None if polyhedral."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
@@ -104,7 +100,7 @@ class LabelError(ValueError):
     pass
 
 
-class GroupLabel(NamedTuple):
+class GroupLabel(namedtuple("GroupLabel", "text order recognized")):
     """A full-group label as printed, with its order when determinable.
 
     ``recognized`` is True when the name itself pins the order down (C_k, D_k,
@@ -112,9 +108,7 @@ class GroupLabel(NamedTuple):
     carry the order supplied by context, or None.
     """
 
-    text: str
-    order: int | None
-    recognized: bool
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.text

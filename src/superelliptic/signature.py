@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 __all__ = [
     "Signature",
@@ -37,12 +37,7 @@ __all__ = [
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-# A NamedTuple may not define __new__: the subclass below checks the fields.
-class _Signature(NamedTuple):
-    entries: tuple[tuple[int, int], ...]
-
-
-class Signature(_Signature):
+class Signature(namedtuple("Signature", "entries")):
     """A multiset of cone-point orders, stored as sorted (order, multiplicity)."""
 
     __slots__ = ()
@@ -161,7 +156,9 @@ def moduli_dimension(g0: int, r: int) -> int:
     return dim
 
 
-class SignatureRepair(NamedTuple):
+class SignatureRepair(namedtuple("SignatureRepair",
+                                 "status effective candidates edit ambiguous",
+                                 defaults=((), None, False))):
     """Outcome of :func:`complete_signature`.
 
     status is one of ``consistent`` (no edit needed), ``completed`` (one order
@@ -173,11 +170,7 @@ class SignatureRepair(NamedTuple):
     Every consistent single-edit alternative is in ``candidates``.
     """
 
-    status: str
-    effective: Signature
-    candidates: tuple[Signature, ...] = ()
-    edit: str | None = None
-    ambiguous: bool = False
+    __slots__ = ()
 
     @property
     def changed(self) -> bool:

@@ -19,9 +19,9 @@ dataset.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from .arith import QuadNum
 from .family import EquationTemplate, ParamCoeff, Term
@@ -390,7 +390,8 @@ NAMED_CURVES = (
 # Documented deviations of printed rows from what their other columns force.
 # ---------------------------------------------------------------------------
 
-class Erratum(NamedTuple):
+class Erratum(namedtuple("Erratum", "genus number code printed derived why",
+                         defaults=("",))):
     """One deviation of a printed row from what the row forces.
 
     ``code`` names the ``verify`` check the entry explains, or is ``equation``
@@ -401,12 +402,7 @@ class Erratum(NamedTuple):
     single-edit repair, which ``dataset.repair_signature`` applies.
     """
 
-    genus: int
-    number: int
-    code: str
-    printed: str
-    derived: str
-    why: str = ""
+    __slots__ = ()
 
 
 ERRATA: tuple[Erratum, ...] = (

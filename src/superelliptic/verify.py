@@ -14,7 +14,9 @@ count B, 2g = (n - 1)(B - 2) makes (n, B) one of the admissible splittings of
 g, the normal form y^n = f(x) exists by construction, and the branch data is
 valid cyclic-cover data.  The separability probe runs only on rows whose
 level and degree have that shape, so a badly shaped row is reported once,
-under ``genus``.
+under ``genus``.  One walk over the equation's terms (``family.probe``) gives
+the degree for the genus check, the parameter indices for the parameter
+check, and, on a shaped row, the probe's answer.
 
 A finding is a warning when :data:`superelliptic.tables.ERRATA` has an entry
 with its row, its code and the value the check derived (the effective
@@ -25,12 +27,12 @@ is a stale ``erratum`` failure.  Strict mode promotes warnings to failures.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import tables
-from .classify import Classification, classify
+from .classify import classify
 from .dataset import Dataset, FamilyRecord, repair_signature
-from .family import _probe_failures, _probe_primes, genus_of_family
+from .family import genus_of_family, probe
 from .groups import LabelError, parse_group_label
 from .signature import SignatureRepair, moduli_dimension
 
@@ -40,23 +42,16 @@ CHECKS = ("label", "signature", "dimension", "cone_orders", "genus", "parameters
           "separability", "classification")
 
 
-class Finding(NamedTuple):
-    severity: str
-    code: str
-    genus: int
-    number: int
-    message: str
+class Finding(namedtuple("Finding", "severity code genus number message")):
+    __slots__ = ()
 
     def render(self) -> str:
         return (f"[{self.severity}] genus {self.genus} nr {self.number} "
                 f"({self.code}): {self.message}")
 
 
-class RowResult(NamedTuple):
-    record: FamilyRecord
-    resolution: SignatureRepair
-    classification: Classification
-    findings: tuple[Finding, ...]
+class RowResult(namedtuple("RowResult", "record resolution classification findings")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -113,7 +108,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     reduced = record.reduced_group()
     order = record.level * reduced.order
-    indices = record.equation.parameter_indices
+    degree, indices, separability = probe(record.level, record.equation)
 
     try:
         label = parse_group_label(record.label_text, context_order=order)
@@ -161,7 +156,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     shaped = False
     try:
-        computed_genus = genus_of_family(record.level, record.equation)
+        computed_genus = genus_of_family(record.level, degree)
     except ValueError as exc:      # NonSuperellipticError, or a level below 2
         add("genus", str(exc))
     else:
@@ -181,10 +176,8 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             f"equation's free coefficients are {names}, expected a_1 to "
             f"a_{record.delta}")
 
-    if shaped:   # the branch count stands, so the probe's own check of it would pass
-        messages = _probe_failures(record.equation, _probe_primes(indices))
-        if messages:
-            add("separability", "; ".join(messages))
+    if shaped and separability:   # a badly shaped row has its one finding under genus
+        add("separability", "; ".join(separability))
 
     classification = classify(reduced, eff, record.delta)
     computed_highlight = not classification.is_definable

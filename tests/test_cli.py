@@ -329,6 +329,29 @@ def _first_term(payload) -> dict:
                  id="scale-float"),
     pytest.param(lambda p: _first_param_coeff(p).update(scale=False), "field 'scale'",
                  id="scale-bool"),
+    # containers of the wrong type: Python's own TypeError names no field
+    pytest.param(lambda p: p["families"].__setitem__(0, 5),
+                 "families[0]: must be an object, got 5", id="row-int"),
+    pytest.param(lambda p: p["families"].__setitem__(3, ["genus"]),
+                 "families[3]: must be an object, got ['genus']", id="row-list"),
+    pytest.param(lambda p: p["families"][7].update(equation="x^2"),
+                 "families[7]: field 'equation' must be an object, got 'x^2'",
+                 id="equation-str"),
+    pytest.param(lambda p: p["families"][0]["equation"].update(factors=5),
+                 "families[0]: field 'equation.factors' must be a list, got 5",
+                 id="factors-int"),
+    pytest.param(lambda p: p["families"][0]["equation"].update(factors={"0": []}),
+                 "families[0]: field 'equation.factors' must be a list, got {'0': []}",
+                 id="factors-object"),
+    pytest.param(lambda p: p["families"][0]["equation"]["factors"].__setitem__(1, 7),
+                 "families[0]: field 'equation.factors[1]' must be a list, got 7",
+                 id="factor-int"),
+    pytest.param(lambda p: p["families"][0]["equation"]["factors"][0].__setitem__(0, [1]),
+                 "families[0]: field 'equation.factors[0][0]' must be an object, got [1]",
+                 id="term-list"),
+    pytest.param(lambda p: p["families"][0]["equation"]["factors"][0][0].update(c="1"),
+                 "families[0]: field 'equation.factors[0][0].c' must be an object, got '1'",
+                 id="c-str"),
 ])
 def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, field) -> None:
     path = _edited_export(tmp_path, edit)
@@ -337,6 +360,44 @@ def test_malformed_row_is_io_error_naming_the_field(capsys, tmp_path, edit, fiel
         assert code == 3 and out == ""
         assert err.startswith("error: invalid dataset: families[")
         assert field in err
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda p: p["named_curves"].__setitem__(0, [1]),
+     "named_curves[0]: must be an object, got [1]"),
+    (lambda p: p["named_curves"][1].update(equation=None),
+     "named_curves[1]: field 'equation' must be an object, got None"),
+])
+def test_misshapen_named_curve_is_io_error_naming_the_field(capsys, tmp_path, edit,
+                                                            error) -> None:
+    path = _edited_export(tmp_path, edit)
+    code, out, err = run(capsys, "list", "--data", path)
+    assert code == 3 and out == ""
+    assert err == f"error: invalid dataset: {error}\n"
+
+
+def test_unshaped_row_of_high_degree_is_one_genus_failure(capsys, tmp_path,
+                                                         monkeypatch) -> None:
+    # Level 4 over x^1000002 + x + 1: gcd(4, 1000002) = 2 admits no normal form.
+    # That is the row's genus failure, and its separability is never decided:
+    # neither Euclid nor the exact path may run on its million coefficients.
+    from superelliptic import family
+    euclid, exact = family._euclid_mod_p, family._exact_probe
+
+    def short(fn, size):
+        def checked(*args):
+            assert size(*args) < 100, "separability decided on the unshaped row"
+            return fn(*args)
+        return checked
+    monkeypatch.setattr(family, "_euclid_mod_p", short(euclid, len))
+    monkeypatch.setattr(family, "_exact_probe", short(exact, lambda *a: a[-1]))
+    one = {"kind": "fixed", "a": "1", "b": "0"}
+    path = _edited_export(tmp_path, lambda p: p["families"][3].update(
+        level=4, equation={"factors": [[{"e": e, "c": one} for e in (1000002, 1, 0)]]}))
+    code, out, err = run(capsys, "verify", "--data", path)
+    assert code == 1 and err == ""
+    assert ("genus 3 nr 4 (genus): level 4 with degree 1000002: gcd 2" in out
+            and "(separability)" not in out)
 
 
 def test_repeated_row_is_io_error_naming_the_row(capsys, tmp_path) -> None:

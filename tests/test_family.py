@@ -249,19 +249,26 @@ def test_template_json_round_trip() -> None:
 
 # -- the modular certificate and its exact fallback ------------------------------
 
+def reduced(tmpl: EquationTemplate, values=None) -> tuple[int, ...] | None:
+    """h with f = x^eps h(x^m) mod P, from the probe's walk (None: no certificate)."""
+    return family._scan(tmpl, values)[2]
+
+
 def certified(tmpl: EquationTemplate, values=None) -> bool:
-    return family._separable_mod_p(tmpl, probe_assignment(tmpl) if values is None else values)
+    h = reduced(tmpl, values)
+    return h is not None and family._euclid_mod_p(h)
 
 
 def exact_probe(monkeypatch, level: int, tmpl: EquationTemplate, values=None):
     """The probe with the certificate switched off: the exact path alone."""
     with monkeypatch.context() as m:
-        m.setattr(family, "_separable_mod_p", lambda *_: False)
+        m.setattr(family, "_euclid_mod_p", lambda h: False)
         return separability_probe(level, tmpl, values)
 
 
 def test_certificate_prime_has_a_square_root_of_minus_3() -> None:
     assert sympy.isprime(P)
+    assert P < 2**30 and P % 12 == 7      # one CPython digit; 1 mod 3 and 3 mod 4
     assert P % 3 == 1 and P % 4 == 3
     assert SQRT_MINUS_3_MOD_P ** 2 % P == P - 3
 
@@ -276,8 +283,7 @@ def test_fast_and_exact_probes_agree_on_every_row(monkeypatch) -> None:
 
 
 def test_embedded_rows_reduce_to_42_short_polynomials_in_y() -> None:
-    hs = [tuple(family._reduce_mod_p(r.equation, probe_assignment(r.equation)))
-          for r in load_embedded()]
+    hs = [reduced(r.equation) for r in load_embedded()]
     assert len(set(hs)) == 42                     # Euclid runs 42 times, not 224
     assert sum(len(h) ** 2 for h in hs) == 7876   # against 40,085 for f in x
 
@@ -317,6 +323,24 @@ def test_forced_fallbacks_return_the_exact_result(monkeypatch, tmpl, values) -> 
     result = separability_probe(2, tmpl, values)
     assert result == exact_probe(monkeypatch, 2, tmpl, values)
     assert result.ok
+
+
+def test_probe_primes_follow_the_index_order_when_indices_skip(monkeypatch) -> None:
+    # a_2 is the only parameter, so it takes 5: x^2 + 5x + 25/4 = (x + 5/2)^2.
+    # The walk's first guess, a_2 = 7 (the second prime), is separable.
+    tmpl = t(f(2, (1, "a2"), (0, Fraction(25, 4))))
+    assert probe_assignment(tmpl) == {2: 5}
+    result = separability_probe(2, tmpl)
+    assert result.messages == ("instantiated polynomial has a repeated root",)
+    assert result == exact_probe(monkeypatch, 2, tmpl)
+    assert family.probe(2, t(f(3, (2, "a5"), (1, "a2"), 0))) == (3, (2, 5), [])
+
+
+def test_certificate_is_withheld_when_the_degree_reaches_p() -> None:
+    # f = x^P - P*x + P - 1 has a double root at 1, as f(1) = f'(1) = 0.  Mod P
+    # it is x^P - 1 = h(x^P) with h = y - 1 separable: the lemma needs P > deg f.
+    # (Only the walk is called: the exact path cannot expand f at this degree.)
+    assert family._scan(t(f(P, (1, -P), (0, P - 1)))) == (P, (), None)
 
 
 def test_missing_parameter_falls_back_to_the_exact_error() -> None:
@@ -397,11 +421,11 @@ def dense_reduce_mod_p(tmpl: EquationTemplate, values) -> list[int] | None:
     return product
 
 
-def _in_y(coeffs: list[int]) -> list[int]:
+def _in_y(coeffs) -> list[int]:
     """x^lo g(x^m) -> g, with lo the lowest and m the gcd of all exponents in use."""
     used = [e for e, c in enumerate(coeffs) if c]
     m = gcd(*(e - used[0] for e in used)) or 1
-    return coeffs[used[0]::m]
+    return list(coeffs[used[0]::m])
 
 
 _SMALL = st.integers(-6, 6)
@@ -442,9 +466,10 @@ def test_reduced_certificate_equals_the_dense_one(case) -> None:
     tmpl, values = case
     family._euclid_mod_p.cache_clear()
     f = dense_reduce_mod_p(tmpl, values)
-    assert family._separable_mod_p(tmpl, values) == \
+    assert certified(tmpl, values) == \
         (f is not None and is_separable_mod_p(f, P))
-    h = family._reduce_mod_p(tmpl, values)
+    degree, indices, h = family._scan(tmpl, values)
+    assert (degree, indices) == (tmpl.degree, tmpl.parameter_indices)
     if h is not None:                             # f = x^eps h(x^m), eps <= 1
         assert h[0] and any(f[:2]) and _in_y(h) == _in_y(f)
     elif f is not None:                           # no h only when x^2 divides f

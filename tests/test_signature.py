@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superelliptic.signature import (InconsistentSignatureError, Signature, SignatureRepair,
                                      _quotient_genus_exact, complete_signature,
@@ -16,6 +18,15 @@ from superelliptic.signature import (InconsistentSignatureError, Signature, Sign
 def test_parse_render_round_trip() -> None:
     for text in ("2^8", "2^3,4^2", "2,3^2,6", "2,11,22", "3", "2^2,4^3"):
         assert Signature.parse(text).render() == text
+
+
+_SIGNATURES = st.lists(st.tuples(st.integers(2, 120), st.integers(1, 12)),
+                       min_size=1, max_size=6).map(lambda entries: Signature(tuple(entries)))
+
+
+@given(_SIGNATURES)
+def test_parse_inverts_render(sig: Signature) -> None:
+    assert Signature.parse(sig.render()) == sig
 
 
 def test_parse_normalises_order_and_merging() -> None:
@@ -252,3 +263,36 @@ def test_integer_quotient_genus_matches_fraction_formula() -> None:
                     g0 = InconsistentSignatureError, str(error), g0
                 assert _outcome(quotient_genus, genus, order, sig) == g0
     assert cases == 17_712 and inconsistent == 9_658
+
+
+@st.composite
+def _repair_cases(draw) -> tuple[int, int, Signature]:
+    """(genus, |G|, signature): a balanced signature, one entry dropped or changed.
+
+    The cone orders divide |G|; the genus is the one that balances them over a
+    genus-0 quotient when that is an integer of at least 2, else any.
+    """
+    order = draw(st.sampled_from((2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 30, 48, 60, 120)))
+    divisors = [d for d in range(2, order + 1) if order % d == 0]
+    orders = draw(st.lists(st.sampled_from(divisors), min_size=2, max_size=6))
+    twice = order * (sum(1 - Fraction(1, c) for c in orders) - 2)   # 2(g - 1) at g0 = 0
+    if twice.denominator == 1 and twice % 2 == 0 and twice >= 2:
+        genus = int(twice) // 2 + 1
+    else:
+        genus = draw(st.integers(2, 12))
+    k = draw(st.integers(0, len(orders) - 1))
+    edit = draw(st.sampled_from(("keep", "drop", "change")))
+    if edit == "drop":
+        del orders[k]
+    elif edit == "change":
+        orders[k] = draw(st.sampled_from(divisors))
+    return genus, order, Signature.of(*orders)
+
+
+@given(_repair_cases())
+def test_complete_signature_is_idempotent(case) -> None:
+    genus, order, sig = case
+    repair = complete_signature(genus, order, sig)
+    if repair.status != "unrepairable":
+        assert complete_signature(genus, order, repair.effective) == \
+            SignatureRepair("consistent", repair.effective)

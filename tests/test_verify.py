@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from superelliptic import tables
+from superelliptic import family, tables
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
@@ -234,22 +234,36 @@ def test_report_summary_rendering(ds) -> None:
 
 
 def test_each_row_derives_its_group_and_parameters_once(ds, monkeypatch) -> None:
-    counts = {"parameter_indices": 0, "ReducedGroup": 0}
-    indices = EquationTemplate.parameter_indices.fget
+    # The probe's one walk over the terms gives the degree and the parameter
+    # indices, so verify never reads the template's own properties.
+    counts = {"walk": 0, "parameter_indices": 0, "degree": 0, "ReducedGroup": 0}
+    scan = family._scan
     new = ReducedGroup.__new__
 
-    def counted_indices(template):
-        counts["parameter_indices"] += 1
-        return indices(template)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_new(cls, *args):
-        counts["ReducedGroup"] += 1
-        return new(cls, *args)
-
-    monkeypatch.setattr(EquationTemplate, "parameter_indices", property(counted_indices))
-    monkeypatch.setattr(ReducedGroup, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(family, "_scan", counted("walk", scan))
+    for name in ("parameter_indices", "degree"):
+        getter = getattr(EquationTemplate, name).fget
+        monkeypatch.setattr(EquationTemplate, name, property(counted(name, getter)))
+    monkeypatch.setattr(ReducedGroup, "__new__", staticmethod(counted("ReducedGroup", new)))
     assert len(verify_dataset(ds).rows) == 224
-    assert counts == {"parameter_indices": 224, "ReducedGroup": 224}
+    assert counts == {"walk": 224, "parameter_indices": 0, "degree": 0, "ReducedGroup": 224}
+
+
+def test_every_embedded_row_is_certified_with_42_euclid_runs(monkeypatch) -> None:
+    def exact(*_):
+        raise AssertionError("a row took the exact path")
+
+    monkeypatch.setattr(family, "_exact_probe", exact)
+    family._euclid_mod_p.cache_clear()
+    report = verify_dataset(load_embedded())
+    assert len(report.rows) == 224 and report.ok
+    assert family._euclid_mod_p.cache_info().misses == 42
 
 
 def test_more_parameters_than_probe_primes_is_still_an_error(ds) -> None:

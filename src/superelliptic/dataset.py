@@ -5,23 +5,26 @@ the signature-repair oracle (plus the one documented manual correction) on
 top of the printed signatures, classifies rows, and serializes the whole
 dataset losslessly to JSON and per-genus CSV.
 
-Every JSON document the package writes goes through :func:`dump_json`, which
-gives the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a
-newline at about twice its speed.  Reading checks each field of a row in a
-fixed order, so a malformed row reports the same first error however the
-reading is sped up; equation terms are built once per distinct JSON term
-(see :meth:`EquationTemplate.from_json_dict`).
+This module alone knows the JSON form, down to each equation term.  Every
+JSON document the package writes goes through :func:`dump_json`, which gives
+the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline at
+about twice its speed.  Reading checks each field and container where it
+reads it, in document order; a term's fields are checked exactly (``true`` is
+no integer, ``1.0`` no exact rational) before a memo keyed on them builds one
+``Term`` per distinct JSON term.
 """
 
 from __future__ import annotations
 
 import io
 from collections import namedtuple
-from functools import lru_cache
+from fractions import Fraction
+from functools import cache, lru_cache
 
 from . import tables
+from .arith import QuadNum
 from .classify import Classification, classify
-from .family import EquationTemplate, _field
+from .family import EquationTemplate, ParamCoeff, Term
 from .groups import ReducedGroup, ReducedKind
 from .signature import Signature, SignatureRepair, complete_signature
 
@@ -137,7 +140,7 @@ def _record_to_json(record: FamilyRecord) -> dict:
         "m": record.m,
         "signature": record.signature.render(),
         "dim": record.delta,
-        "equation": record.equation.to_json_dict(),
+        "equation": _equation_to_json(record.equation),
         "highlighted": record.highlighted,
     }
 
@@ -145,15 +148,15 @@ def _record_to_json(record: FamilyRecord) -> dict:
 def _record_from_json(obj: dict) -> FamilyRecord:
     record = FamilyRecord(
         genus=obj["genus"],
-        number=_field(obj, "nr", "an integer", int),
+        number=_checked(obj["nr"], "nr", "an integer", int),
         block=_block_from_json(obj["block"]),
-        label_text=_field(obj, "label", "a string", str),
-        level=_field(obj, "level", "an integer", int),
-        m=_field(obj, "m", "an integer or null", int, type(None)),
-        signature=Signature.parse(_field(obj, "signature", "a string", str)),
-        delta=_field(obj, "dim", "an integer", int),
-        equation=EquationTemplate.from_json_dict(obj["equation"]),
-        highlighted=_field(obj, "highlighted", "true or false", bool),
+        label_text=_checked(obj["label"], "label", "a string", str),
+        level=_checked(obj["level"], "level", "an integer", int),
+        m=_checked(obj["m"], "m", "an integer or null", int, type(None)),
+        signature=Signature.parse(_checked(obj["signature"], "signature", "a string", str)),
+        delta=_checked(obj["dim"], "dim", "an integer", int),
+        equation=_equation_from_json(obj["equation"]),
+        highlighted=_checked(obj["highlighted"], "highlighted", "true or false", bool),
     )
     if record.level < 1:
         raise ValueError(f"field 'level' must be at least 1, got {record.level}")
@@ -176,18 +179,18 @@ def _named_to_json(curve: NamedCurve) -> dict:
         "genus": curve.genus,
         "level": curve.level,
         "label": curve.label_text,
-        "equation": curve.equation.to_json_dict(),
+        "equation": _equation_to_json(curve.equation),
         "note": curve.note,
     }
 
 
 def _named_from_json(obj: dict) -> NamedCurve:
     curve = NamedCurve(
-        genus=_field(obj, "genus", "an integer", int),
-        level=_field(obj, "level", "an integer", int),
-        label_text=_field(obj, "label", "a string", str),
-        equation=EquationTemplate.from_json_dict(obj["equation"]),
-        note=_field(obj, "note", "a string", str),
+        genus=_checked(obj["genus"], "genus", "an integer", int),
+        level=_checked(obj["level"], "level", "an integer", int),
+        label_text=_checked(obj["label"], "label", "a string", str),
+        equation=_equation_from_json(obj["equation"]),
+        note=_checked(obj["note"], "note", "a string", str),
     )
     for key in ("genus", "level"):
         if obj[key] < 2:
@@ -276,44 +279,117 @@ def from_json(text: str) -> Dataset:
 
 def _rows_from_json(name: str, objs, parse) -> list:
     """Parse each row; a malformed one is a ValueError naming its place and field."""
-    if type(objs) is not list:
-        raise ValueError(f"field {name!r} must be a list, got {objs!r}")
     out = []
-    for i, obj in enumerate(objs):
+    for i, obj in enumerate(_checked(objs, name, "a list", list)):
         try:
-            out.append(parse(obj))
+            out.append(parse(_checked(obj, None, "an object", dict)))
         except KeyError as exc:
             raise ValueError(f"{name}[{i}]: missing key {exc.args[0]!r}") from None
-        except TypeError as exc:   # a container of the wrong type, found only now
-            raise ValueError(f"{name}[{i}]: {_misshapen(obj) or exc}") from None
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{name}[{i}]: {exc}") from None
     return out
 
 
-def _misshapen(row) -> str | None:
-    """The first JSON container of ``row`` that has the wrong type, if any, described."""
-    for path, value, kind in _containers(row):
-        if type(value) is not kind:
-            where = "" if path is None else f"field {path!r} "
-            return f"{where}must be {'an object' if kind is dict else 'a list'}, got {value!r}"
+def _checked(value, name: str | None, expected: str, *types: type):
+    """``value``, whose type must be one of ``types`` exactly; ``name`` None is the row."""
+    if type(value) not in types:
+        where = "" if name is None else f"field {name!r} "
+        raise ValueError(f"{where}must be {expected}, got {value!r}")
+    return value
 
 
-def _containers(row):
-    """(path, value, type) of each container in a row, each after its parent."""
-    yield None, row, dict
-    if "equation" in row:
-        equation = row["equation"]
-        yield "equation", equation, dict
-        if "factors" in equation:
-            factors = equation["factors"]
-            yield "equation.factors", factors, list
-            for i, factor in enumerate(factors):
-                yield f"equation.factors[{i}]", factor, list
-                for j, term in enumerate(factor):
-                    yield f"equation.factors[{i}][{j}]", term, dict
-                    if "c" in term:
-                        yield f"equation.factors[{i}][{j}].c", term["c"], dict
+def _radicand(template: EquationTemplate) -> int:
+    """-3 when a constant coefficient is irrational, else 1."""
+    return -3 if any(isinstance(t.coeff, QuadNum) and t.coeff.b
+                     for factor in template.factors for t in factor) else 1
+
+
+def _equation_to_json(template: EquationTemplate) -> dict:
+    return {
+        "factors": [[_term_to_json(t) for t in factor] for factor in template.factors],
+        "radicand": _radicand(template),
+    }
+
+
+def _term_to_json(t: Term) -> dict:
+    v = t.coeff
+    if isinstance(v, QuadNum):
+        c = {"kind": "fixed", "a": str(v.a), "b": str(v.b)}
+        if v.b:
+            c["d"] = -3
+    else:
+        c = {"kind": "param", "i": v.index, "scale": str(v.scale)}
+    return {"e": t.exponent, "c": c}
+
+
+def _equation_from_json(data) -> EquationTemplate:
+    factors = _checked(_checked(data, "equation", "an object", dict)["factors"],
+                       "equation.factors", "a list", list)
+    terms: list[list[Term]] = []
+    for i, factor in enumerate(factors):
+        # Once per term: a container's path is built only when it is misshapen.
+        if type(factor) is not list:
+            _checked(factor, f"equation.factors[{i}]", "a list", list)
+        terms.append([])
+        for j, term in enumerate(factor):
+            if type(term) is not dict:
+                _checked(term, f"equation.factors[{i}][{j}]", "an object", dict)
+            c, e = term["c"], _checked(term["e"], "e", "an integer", int)
+            if type(c) is not dict:
+                _checked(c, f"equation.factors[{i}][{j}].c", "an object", dict)
+            terms[-1].append(_term_from_json(e, c))
+    template = EquationTemplate(tuple(map(tuple, terms)))
+    derived = _radicand(template)
+    if "radicand" in data and _checked(data["radicand"], "radicand", "an integer", int) != derived:
+        raise ValueError(f"field 'radicand' is {data['radicand']!r}, but the coefficients "
+                         f"give {derived}")
+    return template
+
+
+def _term_from_json(e: int, c: dict) -> Term:
+    # Each field is checked, in order, before the memo sees it: true == 1 and
+    # 1.0 == 1 hash alike, so an unchecked key could hit a valid term's entry.
+    if c["kind"] == "fixed":
+        a, b = _rational_text("a", c["a"]), _rational_text("b", c.get("b", "0"))
+        irrational = _rational(b) != 0
+        if "d" in c or irrational:   # the radicand: type-checked when present, -3 when b != 0
+            d = _checked(c["d"], "d", "an integer", int)
+            if irrational and d != -3:
+                raise ValueError(f"field 'd' must be -3 when 'b' is nonzero, got {d}")
+        return _fixed_term(e, a, b)
+    if c["kind"] == "param":
+        return _param_term(e, _checked(c["i"], "i", "an integer", int),
+                           _rational_text("scale", c.get("scale", "1")))
+    raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {c['kind']!r}")
+
+
+@cache
+def _fixed_term(e: int, a: str | int, b: str | int) -> Term:
+    return Term(e, QuadNum(_rational(a), _rational(b)))
+
+
+@cache
+def _param_term(e: int, i: int, scale: str | int) -> Term:
+    return Term(e, ParamCoeff(i, _rational(scale)))
+
+
+def _rational_text(key: str, text) -> str | int:
+    """``text`` itself, once it is known to spell an exact rational."""
+    if type(text) not in (str, int):  # a float is inexact, and true is no number
+        raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
+                         f"got {text!r}")
+    if _rational(text) is None:
+        raise ValueError(f"coefficient field {key!r} is not a rational number: "
+                         f"{text!r}")
+    return text
+
+
+@cache
+def _rational(text: str | int) -> Fraction | None:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def export_csv(dataset: Dataset, genus: int) -> str:

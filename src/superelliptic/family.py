@@ -38,11 +38,7 @@ in gcd(f, f').)  The walk withholds the certificate when deg f >= p, as m
 may then be a multiple of p.  Euclid runs on h, memoised on its residues: the
 224 embedded rows give 42 distinct h, so a process runs it 42 times, not 224.
 
-``EquationTemplate.from_json_dict`` reads the lossless JSON form.  Each term's
-fields are type-checked exactly (``true`` is no integer, ``1.0`` no exact
-rational) before a memo keyed on those JSON scalars is consulted, so the
-table's 1,300-odd terms cost one ``Fraction`` parse per distinct string and
-one ``Term`` per distinct term.
+A template's JSON form is read and written by :mod:`superelliptic.dataset`.
 """
 
 from __future__ import annotations
@@ -138,12 +134,6 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
     # -- invariants --------------------------------------------------------
 
     @property
-    def radicand(self) -> int:
-        """-3 when a constant coefficient is irrational, else 1."""
-        return -3 if any(isinstance(t.coeff, QuadNum) and t.coeff.b
-                         for factor in self.factors for t in factor) else 1
-
-    @property
     def degree(self) -> int:
         return sum(max(t.exponent for t in factor) for factor in self.factors)
 
@@ -191,25 +181,6 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
             product = out
         return Poly(product)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "factors": [[_term_to_json(t) for t in factor] for factor in self.factors],
-            "radicand": self.radicand,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EquationTemplate":
-        template = cls(tuple(
-            tuple(_term_from_json(t) for t in factor) for factor in data["factors"]))
-        derived = template.radicand
-        radicand = _field(data, "radicand", "an integer", int) if "radicand" in data else derived
-        if radicand != derived:
-            raise ValueError(f"field 'radicand' is {radicand!r}, but the coefficients "
-                             f"give {derived}")
-        return template
-
     def __str__(self) -> str:
         return self.render()
 
@@ -235,72 +206,6 @@ def _render_factor(factor: tuple[Term, ...]) -> str:
     for p in parts[1:]:
         out += p if p.startswith("-") else "+" + p
     return out
-
-
-def _term_to_json(t: Term) -> dict:
-    if isinstance(t.coeff, QuadNum):
-        v = t.coeff
-        c: dict = {"kind": "fixed", "a": str(v.a), "b": str(v.b)}
-        if v.b:
-            c["d"] = -3
-        return {"e": t.exponent, "c": c}
-    return {"e": t.exponent,
-            "c": {"kind": "param", "i": t.coeff.index, "scale": str(t.coeff.scale)}}
-
-
-def _term_from_json(data: dict) -> Term:
-    # Each field is checked, in order, before the memo sees it: true == 1 and
-    # 1.0 == 1 hash alike, so an unchecked key could hit a valid term's entry.
-    c, e = data["c"], _field(data, "e", "an integer", int)
-    if c["kind"] == "fixed":
-        a, b = _rational_text("a", c["a"]), _rational_text("b", c.get("b", "0"))
-        irrational = _rational(b) != 0
-        if "d" in c or irrational:   # the radicand: type-checked when present, -3 when b != 0
-            d = _field(c, "d", "an integer", int)
-            if irrational and d != -3:
-                raise ValueError(f"field 'd' must be -3 when 'b' is nonzero, got {d}")
-        return _fixed_term(e, a, b)
-    if c["kind"] == "param":
-        return _param_term(e, _field(c, "i", "an integer", int),
-                           _rational_text("scale", c.get("scale", "1")))
-    raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {c['kind']!r}")
-
-
-@cache
-def _fixed_term(e: int, a: str | int, b: str | int) -> Term:
-    return Term(e, QuadNum(_rational(a), _rational(b)))
-
-
-@cache
-def _param_term(e: int, i: int, scale: str | int) -> Term:
-    return Term(e, ParamCoeff(i, _rational(scale)))
-
-
-def _field(obj: dict, key: str, expected: str, *types: type):
-    """``obj[key]``, whose type must be exactly one of ``types``: true is no integer."""
-    value = obj[key]
-    if type(value) not in types:
-        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
-    return value
-
-
-def _rational_text(key: str, text) -> str | int:
-    """``text`` itself, once it is known to spell an exact rational."""
-    if type(text) not in (str, int):  # a float is inexact, and true is no number
-        raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
-                         f"got {text!r}")
-    if _rational(text) is None:
-        raise ValueError(f"coefficient field {key!r} is not a rational number: "
-                         f"{text!r}")
-    return text
-
-
-@cache
-def _rational(text: str | int) -> Fraction | None:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return None
 
 
 def branch_count(level: int, template: EquationTemplate | int) -> int:

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superelliptic import family
+from superelliptic import dataset, family
 from superelliptic.arith import QuadNum, is_separable, is_separable_mod_p
 from superelliptic.dataset import load_embedded
 from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
@@ -75,7 +75,7 @@ def test_instantiate_explicit_values() -> None:
 
 def test_instantiate_radical_coefficient() -> None:
     quartic = t(f(4, (2, ("sqrt", 2)), 0))
-    assert quartic.radicand == -3 and t(F1).radicand == 1
+    assert dataset._radicand(quartic) == -3 and dataset._radicand(t(F1)) == 1
     poly = quartic.instantiate()
     assert poly.coeffs[2] == QuadNum(0, 2)
 
@@ -243,8 +243,7 @@ def test_template_json_round_trip() -> None:
         t(f(4, (2, ("sqrt", 2)), 0), F1),
         t(f(4, (2, ("a1", -1)), (0, Fraction(1, 3)))),
     ):
-        data = tmpl.to_json_dict()
-        assert EquationTemplate.from_json_dict(data) == tmpl
+        assert dataset._equation_from_json(dataset._equation_to_json(tmpl)) == tmpl
 
 
 # -- the modular certificate and its exact fallback ------------------------------

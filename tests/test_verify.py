@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from superelliptic import family, tables
+from superelliptic import dataset, family, tables
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
@@ -118,12 +118,12 @@ def test_inseparable_row_is_a_separability_failure(ds) -> None:
 def test_parameter_indices_must_run_from_one(ds) -> None:
     # a_2 renamed to a_99: still five free coefficients, but not a_1..a_5
     row = ds.get(3, 1)
-    data = row.equation.to_json_dict()
+    data = dataset._equation_to_json(row.equation)
     for factor in data["factors"]:
         for term in factor:
             if term["c"]["kind"] == "param" and term["c"]["i"] == 2:
                 term["c"]["i"] = 99
-    result = verify_row(row._replace(equation=EquationTemplate.from_json_dict(data)))
+    result = verify_row(row._replace(equation=dataset._equation_from_json(data)))
     failures = [x for x in result.findings if x.severity == "failure"]
     assert [x.code for x in failures] == ["parameters"]
     assert "a_1, a_3, a_4, a_5, a_99, expected a_1 to a_5" in failures[0].message

@@ -215,7 +215,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_levels(args) -> int:
-    pairs = enumerate_levels(args.genus)
+    try:
+        pairs = enumerate_levels(args.genus)
+    except ValueError as exc:   # a genus below 2: a bad argument, as levels reads no dataset
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rows = [{"level": n, "branch_points": b,
              "normal_form": normal_form_admissible(n, b)} for n, b in pairs]
     if args.format == "json":

@@ -386,6 +386,8 @@ def _rational_text(key: str, text) -> str | int:
 
 @cache
 def _rational(text: str | int) -> Fraction | None:
+    if type(text) is str and ("e" in text or "E" in text):
+        return None   # no exponent notation: Fraction("1e10000000") builds 10^10000000
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

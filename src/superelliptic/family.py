@@ -12,25 +12,25 @@ infinity when the level does not divide the degree) and hence the genus.
 (level, branch count) pairs for a given genus, whether or not each admits the
 y^n = f(x) normal form (``normal_form_admissible`` decides that).
 
-``separability_probe`` sets the parameters to the primes 5, 7, 11, ... in
-order of parameter index, as many as there are, and checks that the resulting
-polynomial has the expected degree and no repeated roots: a modular
-certificate plus exact fallback.  The certificate reduces the template
+``separability_probe`` sets each parameter a_i to the i-th prime from 5
+(a_1 = 5, a_2 = 7, a_3 = 11, ...), one fixed rational point, and checks that
+the resulting polynomial has the expected degree and no repeated roots: a
+modular certificate plus exact fallback.  The certificate reduces the template
 straight to F_p for the prime p = 1,073,741,719, sending sqrt(-3) to a fixed
 square root of -3 mod p, and runs Euclid on f and f' there.  When the degree
 survives and gcd(f, f') = 1 mod p, the discriminant of f is a unit at a prime
 above p, hence nonzero, and f is separable over Q(sqrt(-3)); that answer is
 final.  Every other outcome (degree drop or common factor mod p, a
-denominator divisible by p, a missing parameter) runs the exact computation
-over Q(sqrt(-3)), whose messages are the probe's.  Failures are reported, not
-raised, so a verification run can collect them.
+denominator divisible by p) runs the exact computation over Q(sqrt(-3)),
+whose messages are the probe's.  Failures are reported, not raised, so a
+verification run can collect them.
 
 The certificate never expands f in x.  One walk over each factor's terms
-(``probe``) gives the template's degree and parameter indices, which the
-genus and parameter checks of ``verify`` read too, and the terms' residues
-mod p.  Each factor is x^lo times a polynomial in y = x^m, lo its lowest
-exponent with a nonzero residue, m the gcd of all exponents' distances from
-their factor's lo, and h, the product of those polynomials, gives
+(``_scan``) gives the template's degree and parameter indices, which the probe
+returns for the genus and parameter checks of ``verify``, and the terms'
+residues mod p.  Each factor is x^lo times a polynomial in y = x^m, lo its
+lowest exponent with a nonzero residue, m the gcd of all exponents' distances
+from their factor's lo, and h, the product of those polynomials, gives
 f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not dividing m, f is
 separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0
 of h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2
@@ -47,7 +47,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from typing import Mapping, Union
 
 from .arith import Poly, QuadNum, is_separable, is_separable_mod_p
 
@@ -61,8 +60,6 @@ __all__ = [
     "genus_of_family",
     "enumerate_levels",
     "normal_form_admissible",
-    "probe_assignment",
-    "probe",
     "separability_probe",
     "ProbeResult",
 ]
@@ -89,6 +86,8 @@ class ParamCoeff(namedtuple("ParamCoeff", "index scale")):
     def __new__(cls, index: int, scale: Fraction = Fraction(1)) -> "ParamCoeff":
         if index < 1:
             raise ValueError(f"parameter index must be positive, got {index}")
+        if index > 1000:   # the probe sets a_i to the i-th prime: this keeps that search short
+            raise ValueError(f"parameter index must be at most 1000, got {index}")
         scale = Fraction(scale)
         if scale == 0:
             raise ValueError("parameter scale must be nonzero")
@@ -163,19 +162,15 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
 
     # -- instantiation ---------------------------------------------------------
 
-    def instantiate(self, values: Mapping[int, Union[int, Fraction, QuadNum]] | None = None) -> Poly:
-        """Expand the product with parameters set to ``values`` (default probe)."""
-        if values is None:
-            values = probe_assignment(self)
+    def instantiate(self) -> Poly:
+        """Expand the product at the probe point, a_i the i-th prime from 5."""
         product = [QuadNum(1)]
         for factor in self.factors:
             nonzero = [(k, a) for k, a in enumerate(product) if a]
             out = [QuadNum(0)] * (len(product) + max(t.exponent for t in factor))
             for e, c in factor:
                 if isinstance(c, ParamCoeff):
-                    if c.index not in values:
-                        raise KeyError(f"no value for parameter a_{c.index}")
-                    c = QuadNum.coerce(values[c.index]) * QuadNum(c.scale)
+                    c = QuadNum(_probe_prime(c.index) * c.scale)
                 for k, a in nonzero:
                     out[k + e] += c * a
             product = out
@@ -277,61 +272,51 @@ def normal_form_admissible(level: int, branch_points: int) -> bool:
     return branch_points % level == 0 or gcd(level, branch_points - 1) == 1
 
 
-def probe_assignment(template: EquationTemplate) -> dict[int, int]:
-    """Distinct fixed primes 5, 7, 11, ... keyed by parameter index."""
-    indices = template.parameter_indices
-    return dict(zip(indices, _probe_primes(len(indices)).values()))
+_PRIMES = [2, 3, 5]   # the primes in order: found once per process, extended on demand
 
 
-_PROBE_PRIMES = {1: 5}   # the k-th probe prime by k: found once per process, extended on demand
-
-
-def _probe_primes(count: int) -> dict[int, int]:
-    """The probe primes 5, 7, 11, ... keyed 1, 2, 3, ...: at least ``count`` of them."""
-    n = _PROBE_PRIMES[len(_PROBE_PRIMES)]
-    while len(_PROBE_PRIMES) < count:
+def _probe_prime(index: int) -> int:
+    """The value of a_index at the probe point: the index-th prime from 5."""
+    n = _PRIMES[-1]
+    while len(_PRIMES) < index + 2:
         n += 2
         if all(n % k for k in range(3, isqrt(n) + 1, 2)):
-            _PROBE_PRIMES[len(_PROBE_PRIMES) + 1] = n
-    return _PROBE_PRIMES
+            _PRIMES.append(n)
+    return _PRIMES[index + 1]
 
 
-ProbeResult = namedtuple("ProbeResult", "ok messages")
+class ProbeResult(namedtuple("ProbeResult", "degree indices messages")):
+    """The template's degree and parameter indices, and the probe's failures."""
+
+    __slots__ = ()
+    ok = property(lambda self: not self.messages)
 
 
-def separability_probe(level: int, template: EquationTemplate,
-                       values: Mapping[int, Union[int, Fraction, QuadNum]] | None = None) -> ProbeResult:
-    """Check shape, degree and separability at the probe assignment (see module doc)."""
-    messages = probe(level, template, values)[2]
-    return ProbeResult(not messages, tuple(messages))
-
-
-def probe(level: int, template: EquationTemplate, values: Mapping | None = None
-          ) -> tuple[int, tuple[int, ...], list[str]]:
+def separability_probe(level: int, template: EquationTemplate) -> ProbeResult:
     """Degree, parameter indices and probe failures of f, from one walk over its terms.
 
-    ``values`` defaults to the probe primes.  A level and degree with no normal
-    form are the one failure, and separability is not decided; otherwise no
-    failures means that f keeps its degree and has no repeated root there.
+    A level and degree with no normal form are the one failure, and
+    separability is not decided; otherwise no failures means that f keeps its
+    degree and has no repeated root at the probe point (see module doc).
     """
-    degree, indices, h = _scan(template, values)
+    degree, indices, h = _scan(template)
     try:
         branch_count(level, degree)
     except ValueError as exc:
-        return degree, indices, [str(exc)]
+        return ProbeResult(degree, indices, (str(exc),))
     if h is not None and _euclid_mod_p(h):
-        return degree, indices, []
-    return degree, indices, _exact_probe(template, values, degree)
+        return ProbeResult(degree, indices, ())
+    return ProbeResult(degree, indices, _exact_probe(template, degree))
 
 
-def _exact_probe(template: EquationTemplate, values: Mapping | None, degree: int) -> list[str]:
-    poly = template.instantiate(values)
+def _exact_probe(template: EquationTemplate, degree: int) -> tuple[str, ...]:
+    poly = template.instantiate()
     if poly.is_zero or poly.degree != degree:
-        return [f"instantiated degree {'0' if poly.is_zero else poly.degree} "
-                f"!= template degree {degree}"]
+        return (f"instantiated degree {'0' if poly.is_zero else poly.degree} "
+                f"!= template degree {degree}",)
     if not is_separable(poly):
-        return ["instantiated polynomial has a repeated root"]
-    return []
+        return ("instantiated polynomial has a repeated root",)
+    return ()
 
 
 @cache
@@ -339,33 +324,24 @@ def _euclid_mod_p(h: tuple[int, ...]) -> bool:
     return is_separable_mod_p(h, CERTIFICATE_PRIME)
 
 
-def _scan(template: EquationTemplate, values: Mapping | None = None):
+def _scan(template: EquationTemplate):
     """(degree, parameter indices, h) from one walk over the terms.
 
-    h is in F_p[y], lowest degree first, with f = x^eps h(x^m) at ``values``,
-    eps <= 1 and h(0) != 0, so f is separable mod p iff h is.  h is None when
-    a coefficient has no image in F_p, a parameter has no value, a factor's
-    leading coefficient vanishes mod p (the degree would drop), x^2 divides
-    f mod p (then gcd(f, f') is not 1 either), or deg f >= p (module doc).
-
-    The probe primes go to the indices in increasing order, which the walk
-    knows only at its end.  It gives a_i the i-th prime, which is right when
-    the indices run 1, 2, ..., k, and walks again with the right values if not.
+    h is in F_p[y], lowest degree first, with f = x^eps h(x^m) at the probe
+    point, eps <= 1 and h(0) != 0, so f is separable mod p iff h is.  h is
+    None when a coefficient has no image in F_p, a factor's leading
+    coefficient vanishes mod p (the degree would drop), x^2 divides f mod p
+    (then gcd(f, f') is not 1 either), or deg f >= p (module doc).
     """
     p = CERTIFICATE_PRIME
-    if values is None:   # k <= the number of terms, so the primes suffice
-        params = _probe_primes(sum(map(len, template.factors)))
-    else:
-        params = {i: _number_mod_p(v) if isinstance(v, QuadNum) else _rational_mod_p(v)
-                  for i, v in values.items()}
     degree, eps, m, seen, factors, certify = 0, 0, 0, set(), [], True
     for factor in template.factors:
         top, residues = -1, []
         for e, c in factor:
             if type(c) is ParamCoeff:
                 seen.add(c.index)
-                value, scale = params.get(c.index), _rational_mod_p(c.scale)
-                c = None if value is None or scale is None else value * scale % p
+                scale = _rational_mod_p(c.scale)
+                c = None if scale is None else _probe_prime(c.index) * scale % p
             else:
                 c = _number_mod_p(c)
             if e > top:
@@ -384,8 +360,6 @@ def _scan(template: EquationTemplate, values: Mapping | None = None):
         else:
             certify = False
     indices = tuple(sorted(seen))
-    if values is None and indices and indices[-1] != len(indices):
-        return _scan(template, probe_assignment(template))
     if not certify or eps > 1 or degree >= p:
         return degree, indices, None
     m = m or 1

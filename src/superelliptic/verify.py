@@ -14,8 +14,8 @@ count B, 2g = (n - 1)(B - 2) makes (n, B) one of the admissible splittings of
 g, the normal form y^n = f(x) exists by construction, and the branch data is
 valid cyclic-cover data.  The separability probe runs only on rows whose
 level and degree have that shape, so a badly shaped row is reported once,
-under ``genus``.  One walk over the equation's terms (``family.probe``) gives
-the degree for the genus check, the parameter indices for the parameter
+under ``genus``.  One walk over the equation's terms (``separability_probe``)
+gives the degree for the genus check, the parameter indices for the parameter
 check, and, on a shaped row, the probe's answer.
 
 A finding is a warning when :data:`superelliptic.tables.ERRATA` has an entry
@@ -32,7 +32,7 @@ from collections import namedtuple
 from . import tables
 from .classify import classify
 from .dataset import Dataset, FamilyRecord, repair_signature
-from .family import genus_of_family, probe
+from .family import genus_of_family, separability_probe
 from .groups import LabelError, parse_group_label
 from .signature import SignatureRepair, moduli_dimension
 
@@ -108,7 +108,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     reduced = record.reduced_group()
     order = record.level * reduced.order
-    degree, indices, separability = probe(record.level, record.equation)
+    degree, indices, separability = separability_probe(record.level, record.equation)
 
     try:
         label = parse_group_label(record.label_text, context_order=order)

@@ -89,13 +89,13 @@ def test_instantiate_product_against_sympy() -> None:
     # (x^2 - 1)(x + 1), then (x^2 + a_1)(x^3 + sqrt(-3)x)(x + 1) at a_1 = 5
     one = QuadNum(1)
     plain = EquationTemplate(((Term(2, one), Term(0, QuadNum(-1))), (Term(1, one), Term(0, one))))
-    assert plain.instantiate({}) == Poly([-1, -1, 1, 1])
+    assert plain.instantiate() == Poly([-1, -1, 1, 1])
     mixed = EquationTemplate(((Term(2, one), Term(0, ParamCoeff(1))),
                               (Term(3, one), Term(1, QuadNum(0, 1))),
                               (Term(1, one), Term(0, one))))
     x = sp.Symbol("x")
     expected = sp.expand((x**2 + 5) * (x**3 + _R * x) * (x + 1))
-    assert sp.expand(_to_sympy(mixed.instantiate({1: 5}), x) - expected) == 0
+    assert sp.expand(_to_sympy(mixed.instantiate(), x) - expected) == 0
 
 
 def _to_sympy(p: Poly, x: sp.Symbol) -> sp.Expr:
@@ -136,7 +136,7 @@ _SMALL_FACTOR = (st.lists(st.builds(QuadNum, _SMALL, st.one_of(st.just(Fraction(
 @settings(max_examples=50, deadline=None)
 @given(_SMALL_FACTOR, _SMALL_FACTOR, st.booleans())
 def test_separability_against_sympy_over_q_sqrt_minus_3(g, h, square) -> None:
-    f = EquationTemplate((g, h, h) if square else (g, h)).instantiate({})
+    f = EquationTemplate((g, h, h) if square else (g, h)).instantiate()
     x = sp.Symbol("x")
     big_f = sp.Poly(_to_sympy(f, x), x, extension=_R)
     assert is_separable(f) is (sp.gcd(big_f, big_f.diff(x)).degree() == 0)

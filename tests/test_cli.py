@@ -226,6 +226,13 @@ def test_timestamps_flag_adds_marker(capsys, argv) -> None:
     assert rest == run(capsys, *argv)[1]
 
 
+@pytest.mark.parametrize("genus", ["1", "0", "-3"])
+def test_levels_below_genus_2_is_a_usage_error(capsys, genus) -> None:
+    # levels reads no dataset, so a bad genus is no invalid dataset
+    assert run(capsys, "levels", "--genus", genus) == (
+        2, "", f"error: genus must be at least 2, got {genus}\n")
+
+
 def test_levels_takes_no_data_option(capsys) -> None:
     # levels reads no dataset, so --data is a usage error rather than ignored
     with pytest.raises(SystemExit) as exc:
@@ -334,9 +341,13 @@ def _first_term(payload) -> dict:
     pytest.param(lambda p: _first_term(p).update(e=6.9), "field 'e'", id="e-float"),
     pytest.param(lambda p: _first_term(p).update(e=True), "field 'e'", id="e-bool"),
     pytest.param(lambda p: _first_param_coeff(p).update(i=1.5), "field 'i'", id="i-float"),
+    pytest.param(lambda p: _first_param_coeff(p).update(i=10**6),
+                 "parameter index must be at most 1000, got 1000000", id="i-million"),
     pytest.param(lambda p: _first_fixed_coeff(p).update(d=-3.0), "field 'd'", id="d-float"),
     pytest.param(lambda p: _first_fixed_coeff(p).update(a=0.1), "field 'a'", id="a-float"),
     pytest.param(lambda p: _first_fixed_coeff(p).update(a=True), "field 'a'", id="a-bool"),
+    pytest.param(lambda p: _first_fixed_coeff(p).update(a="1e1000000"),
+                 "coefficient field 'a' is not a rational number: '1e1000000'", id="exponent"),
     pytest.param(lambda p: _first_fixed_coeff(p).update(b=0.5), "field 'b'", id="b-float"),
     pytest.param(lambda p: _sqrt_row_coeffs(p)[0].update(d=5), "field 'd'", id="d-five"),
     pytest.param(lambda p: _sqrt_row_coeffs(p)[-1].update(b="1", d=5), "field 'd'",

@@ -17,8 +17,8 @@ from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
                                   EquationTemplate, NonSuperellipticError, ParamCoeff, Term,
                                   branch_count, enumerate_levels,
                                   genus_of_family,
-                                  normal_form_admissible, probe_assignment,
-                                  separability_probe, superelliptic_genus)
+                                  normal_form_admissible, separability_probe,
+                                  superelliptic_genus)
 from superelliptic.tables import F1, X, f, spread, t
 
 P = CERTIFICATE_PRIME
@@ -53,24 +53,19 @@ def test_template_validation() -> None:
         ParamCoeff(0)
     with pytest.raises(ValueError):
         ParamCoeff(1, Fraction(0))
+    assert ParamCoeff(1000).index == 1000
+    with pytest.raises(ValueError, match="parameter index must be at most 1000, got 1001"):
+        ParamCoeff(1001)
 
 
 def test_instantiate_default_probe() -> None:
     tmpl = t(f(1), f(6, (2, "a1"), (4, "a2"), 0))
     poly = tmpl.instantiate()
     assert poly.degree == 7
-    primes = probe_assignment(tmpl)
-    assert primes == {1: 5, 2: 7}
-    assert poly.coeffs[3] == QuadNum(5)      # x * a_1 x^2
-    assert poly.coeffs[5] == QuadNum(7)
-
-
-def test_instantiate_explicit_values() -> None:
-    tmpl = t(f(4, (2, "a1"), 0))
-    poly = tmpl.instantiate({1: Fraction(-2)})
-    assert poly.coeffs[2] == QuadNum(-2)
-    with pytest.raises(KeyError):
-        tmpl.instantiate({2: 1})
+    assert poly.coeffs[3] == QuadNum(5)      # x * a_1 x^2, a_1 = 5
+    assert poly.coeffs[5] == QuadNum(7)      # a_2 = 7
+    scaled = t(f(4, (2, ("a1", Fraction(-2, 5))), 0)).instantiate()
+    assert scaled.coeffs[2] == QuadNum(-2)
 
 
 def test_instantiate_radical_coefficient() -> None:
@@ -99,11 +94,10 @@ def test_branch_count_needs_a_nonconstant_f() -> None:
         branch_count(2, t(f((0, 3))))
 
 
-def test_probe_assignment_has_primes_for_25_parameters() -> None:
-    assert probe_assignment(t(spread(26, 1, 25))) == \
-        dict(zip(range(1, 26), sympy.primerange(5, 104)))     # 5, 7, ..., 103
-    assert probe_assignment(t(spread(27, 1, 26))) == \
-        dict(zip(range(1, 27), sympy.primerange(5, 108)))     # and 107: no cap
+def test_probe_prime_is_the_ith_prime_from_5() -> None:
+    assert [family._probe_prime(i) for i in range(1, 31)] == \
+        [sympy.prime(i + 2) for i in range(1, 31)]             # 5, 7, ..., 131: no cap
+    assert family._probe_prime(1000) == sympy.prime(1002) == 7933   # the largest index
 
 
 def test_branch_count_rejects_bad_shape() -> None:
@@ -222,17 +216,16 @@ def test_separability_probe_accepts_generic_family() -> None:
 
 
 def test_separability_probe_flags_degeneracies() -> None:
-    tmpl = t(f(2, (1, "a1"), 0))
-    bad = separability_probe(2, tmpl, {1: Fraction(2)})    # x^2+2x+1 = (x+1)^2
+    bad = separability_probe(2, t(f(2, (1, ("a1", Fraction(2, 5))), 0)))   # (x+1)^2 at a_1 = 5
     assert not bad.ok
     assert any("repeated root" in m for m in bad.messages)
-    good = separability_probe(2, tmpl, {1: Fraction(3)})
+    good = separability_probe(2, t(f(2, (1, ("a1", Fraction(3, 5))), 0)))
     assert good.ok
 
 
 def test_separability_probe_flags_degree_drop() -> None:
-    tmpl = t(f(0, (2, "a1")))        # a_1 x^2 alone: vanishes at a_1 = 0
-    result = separability_probe(2, tmpl, {1: Fraction(0)})
+    tmpl = t(f(0, (2, 0)))           # 0x^2 + 1: the x^2 term vanishes
+    result = separability_probe(2, tmpl)
     assert not result.ok
 
 
@@ -248,21 +241,21 @@ def test_template_json_round_trip() -> None:
 
 # -- the modular certificate and its exact fallback ------------------------------
 
-def reduced(tmpl: EquationTemplate, values=None) -> tuple[int, ...] | None:
+def reduced(tmpl: EquationTemplate) -> tuple[int, ...] | None:
     """h with f = x^eps h(x^m) mod P, from the probe's walk (None: no certificate)."""
-    return family._scan(tmpl, values)[2]
+    return family._scan(tmpl)[2]
 
 
-def certified(tmpl: EquationTemplate, values=None) -> bool:
-    h = reduced(tmpl, values)
+def certified(tmpl: EquationTemplate) -> bool:
+    h = reduced(tmpl)
     return h is not None and family._euclid_mod_p(h)
 
 
-def exact_probe(monkeypatch, level: int, tmpl: EquationTemplate, values=None):
+def exact_probe(monkeypatch, level: int, tmpl: EquationTemplate):
     """The probe with the certificate switched off: the exact path alone."""
     with monkeypatch.context() as m:
         m.setattr(family, "_euclid_mod_p", lambda h: False)
-        return separability_probe(level, tmpl, values)
+        return separability_probe(level, tmpl)
 
 
 def test_certificate_prime_has_a_square_root_of_minus_3() -> None:
@@ -310,29 +303,30 @@ def test_dropped_constant_fails_both_paths_alike(monkeypatch) -> None:
         assert fast == exact_probe(monkeypatch, r.level, bad), r.key
 
 
+# ``values``: the probe's a_i that a case's scales were chosen against.
 @pytest.mark.parametrize("tmpl,values", [
-    (t(f(1, (0, 1)), f(0, (3, ("a1", P)))), {1: 1}),           # (x+1)(P*x^3+1): degree drops mod P
-    (t(f(2, (1, "a1"), (0, 1))), {1: P + 2}),                   # x^2+(P+2)x+1 = (x+1)^2 mod P
+    (t(f(1, (0, 1)), f(0, (3, ("a1", Fraction(P, 5))))), {1: 5}),   # (x+1)(P*x^3+1): degree drops mod P
+    (t(f(2, (1, ("a1", Fraction(P + 2, 5))), (0, 1))), {1: 5}),     # x^2+(P+2)x+1 = (x+1)^2 mod P
     (t(f(2, (1, Fraction(1, P)), 0)), None),                    # denominator P
     (t(f(2, (1, ("a1", Fraction(1, P))), 0)), None),            # parameter scale 1/P
     (t(f(2, (0, -P))), None),                                   # x^2 - P: x^2 mod P
 ])
 def test_forced_fallbacks_return_the_exact_result(monkeypatch, tmpl, values) -> None:
-    assert not certified(tmpl, values)
-    result = separability_probe(2, tmpl, values)
-    assert result == exact_probe(monkeypatch, 2, tmpl, values)
+    assert all(family._probe_prime(i) == v for i, v in (values or {}).items())
+    assert not certified(tmpl)
+    result = separability_probe(2, tmpl)
+    assert result == exact_probe(monkeypatch, 2, tmpl)
     assert result.ok
 
 
-def test_probe_primes_follow_the_index_order_when_indices_skip(monkeypatch) -> None:
-    # a_2 is the only parameter, so it takes 5: x^2 + 5x + 25/4 = (x + 5/2)^2.
-    # The walk's first guess, a_2 = 7 (the second prime), is separable.
+def test_a_i_takes_the_ith_prime_when_indices_skip(monkeypatch) -> None:
+    # a_2 is the only parameter and still takes 7, the second prime, so
+    # x^2 + 7x + 25/4 is separable; at a_2 = 5 it would be (x + 5/2)^2.
     tmpl = t(f(2, (1, "a2"), (0, Fraction(25, 4))))
-    assert probe_assignment(tmpl) == {2: 5}
     result = separability_probe(2, tmpl)
-    assert result.messages == ("instantiated polynomial has a repeated root",)
+    assert result.ok and certified(tmpl)
     assert result == exact_probe(monkeypatch, 2, tmpl)
-    assert family.probe(2, t(f(3, (2, "a5"), (1, "a2"), 0))) == (3, (2, 5), [])
+    assert separability_probe(2, t(f(3, (2, "a5"), (1, "a2"), 0))) == (3, (2, 5), ())
 
 
 def test_certificate_is_withheld_when_the_degree_reaches_p() -> None:
@@ -340,13 +334,6 @@ def test_certificate_is_withheld_when_the_degree_reaches_p() -> None:
     # it is x^P - 1 = h(x^P) with h = y - 1 separable: the lemma needs P > deg f.
     # (Only the walk is called: the exact path cannot expand f at this degree.)
     assert family._scan(t(f(P, (1, -P), (0, P - 1)))) == (P, (), None)
-
-
-def test_missing_parameter_falls_back_to_the_exact_error() -> None:
-    tmpl = t(f(2, (1, "a1"), (0, "a2")))
-    assert not certified(tmpl, {1: 2})
-    with pytest.raises(KeyError, match="a_2"):
-        separability_probe(2, tmpl, {1: 2})
 
 
 def test_separable_mod_p_on_coefficient_lists() -> None:
@@ -374,7 +361,7 @@ def _factors(draw, max_degree: int = 4) -> tuple[Term, ...]:
 def test_certificate_never_accepts_an_inseparable_polynomial(factors) -> None:
     tmpl = EquationTemplate(tuple(factors))
     if certified(tmpl):
-        poly = tmpl.instantiate({})
+        poly = tmpl.instantiate()
         assert poly.degree == tmpl.degree
         assert is_separable(poly)
 
@@ -393,20 +380,16 @@ def _residue(q: QuadNum) -> int | None:
             + q.b.numerator * pow(q.b.denominator, -1, P) * SQRT_MINUS_3_MOD_P) % P
 
 
-def dense_reduce_mod_p(tmpl: EquationTemplate, values) -> list[int] | None:
+def dense_reduce_mod_p(tmpl: EquationTemplate) -> list[int] | None:
     """f mod P expanded densely in x, as the certificate did before y = x^m."""
     product = [1]
     for factor in tmpl.factors:
         dense = [0] * (1 + max(u.exponent for u in factor))
         for u in factor:
-            if isinstance(u.coeff, QuadNum):
-                c = _residue(u.coeff)
-            elif u.coeff.index in values:
-                value = _residue(QuadNum.coerce(values[u.coeff.index]))
-                scale = _residue(QuadNum(u.coeff.scale))
-                c = None if value is None or scale is None else value * scale % P
-            else:
-                return None
+            c = u.coeff
+            if isinstance(c, ParamCoeff):              # a_i is the i-th prime from 5
+                c = QuadNum(sympy.prime(c.index + 2) * c.scale)
+            c = _residue(c)
             if c is None:
                 return None
             dense[u.exponent] = c
@@ -435,12 +418,22 @@ _SPECIAL = st.sampled_from((P, -2 * P, Fraction(1, P), Fraction(P, 2), QuadNum(0
                             QuadNum(1, Fraction(1, P))))
 
 
+def _valued(c: QuadNum | ParamCoeff, values: dict) -> QuadNum | ParamCoeff:
+    """A parameter given a value: scaled to take it at the probe point, or the
+    fixed number itself when it is 0 or irrational, which no scale can give."""
+    if isinstance(c, QuadNum) or c.index not in values:
+        return c
+    v = QuadNum.coerce(values[c.index]) * QuadNum(c.scale)
+    return v if v.b or not v else ParamCoeff(c.index, v.a / sympy.prime(c.index + 2))
+
+
 @st.composite
-def _sparse_case(draw) -> tuple[EquationTemplate, dict]:
+def _sparse_case(draw) -> EquationTemplate:
     """Sparse factors with exponents lo + step*k (k = 0 alone: the monomial c x^lo).
 
     The lowest exponents give f = x^eps h(x^m) with eps 0 or 1, or x^2 | f
-    from one or from two factors; half the cases draw special numbers.
+    from one or from two factors; half the cases draw special numbers.  The
+    parameters a_1, a_2 and maybe a_3 get drawn values; a_3 may keep its prime.
     """
     special = draw(st.booleans())
     number = st.one_of(_RATIONAL, _SQRT, *([_SPECIAL] if special else []))
@@ -456,18 +449,19 @@ def _sparse_case(draw) -> tuple[EquationTemplate, dict]:
     if draw(st.booleans()):                       # a repeated factor
         factors.append(draw(st.sampled_from(factors)))
     values = draw(st.fixed_dictionaries({1: number, 2: number}, optional={3: number}))
-    return EquationTemplate(tuple(draw(st.permutations(factors)))), values
+    factors = [tuple(Term(u.exponent, _valued(u.coeff, values)) for u in factor)
+               for factor in factors]
+    return EquationTemplate(tuple(draw(st.permutations(factors))))
 
 
 @settings(max_examples=200)
 @given(_sparse_case())
-def test_reduced_certificate_equals_the_dense_one(case) -> None:
-    tmpl, values = case
+def test_reduced_certificate_equals_the_dense_one(tmpl) -> None:
     family._euclid_mod_p.cache_clear()
-    f = dense_reduce_mod_p(tmpl, values)
-    assert certified(tmpl, values) == \
+    f = dense_reduce_mod_p(tmpl)
+    assert certified(tmpl) == \
         (f is not None and is_separable_mod_p(f, P))
-    degree, indices, h = family._scan(tmpl, values)
+    degree, indices, h = family._scan(tmpl)
     assert (degree, indices) == (tmpl.degree, tmpl.parameter_indices)
     if h is not None:                             # f = x^eps h(x^m), eps <= 1
         assert h[0] and any(f[:2]) and _in_y(h) == _in_y(f)

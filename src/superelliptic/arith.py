@@ -8,10 +8,15 @@ built on :class:`fractions.Fraction` -- and floating point is never involved.
 Conventions:
 
 * A ``QuadNum`` with b == 0 is a rational: it equals and hashes like its
-  :class:`~fractions.Fraction`.
+  :class:`~fractions.Fraction`.  It has only the arithmetic the exact
+  separability path runs: ``+`` and ``-`` of two ``QuadNum``s, ``*`` by a
+  ``QuadNum`` or an ``int``, and ``inverse()``.  An ``int`` or ``Fraction``
+  enters as ``QuadNum(x)``; there is no division operator and no mixed
+  ``+``/``-``.
 * ``Poly`` is an immutable dense tuple of ``QuadNum`` coefficients, lowest
-  degree first, with no trailing zero: ``Poly([-1, 0, 1])`` is x^2 - 1.  The
-  zero polynomial is the empty tuple and has no degree (``degree`` raises).
+  degree first, with no trailing zero: ``Poly([-1, 0, 1])`` is x^2 - 1, its
+  ``int`` and ``Fraction`` coefficients wrapped.  The zero polynomial is the
+  empty tuple and has no degree (``degree`` raises).
 * ``is_separable`` and ``is_separable_mod_p`` run Euclid's algorithm on
   gcd(f, f') over dense coefficients: the first over Q(sqrt(-3)), the second
   on integer residues over a prime field F_p, updating f in place.  The
@@ -21,11 +26,8 @@ Conventions:
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
-
-RationalLike = Union[int, Fraction]
-NumberLike = Union[int, Fraction, "QuadNum"]
 
 __all__ = [
     "QuadNum",
@@ -40,7 +42,7 @@ class QuadNum:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: RationalLike, b: RationalLike = 0):
+    def __init__(self, a: int | Fraction, b: int | Fraction = 0):
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
 
@@ -51,53 +53,26 @@ class QuadNum:
         # pickle and deepcopy would restore the slots through __setattr__
         return (QuadNum, (self.a, self.b))
 
-    # -- helpers ---------------------------------------------------------
-
-    @staticmethod
-    def coerce(value: NumberLike) -> "QuadNum":
-        if isinstance(value, QuadNum):
-            return value
-        return QuadNum(Fraction(value))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other: NumberLike) -> "QuadNum":
-        o = QuadNum.coerce(other)
-        return QuadNum(self.a + o.a, self.b + o.b)
+    def __add__(self, other: QuadNum) -> QuadNum:
+        return QuadNum(self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
+    def __sub__(self, other: QuadNum) -> QuadNum:
+        return QuadNum(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b)
+    def __mul__(self, other: QuadNum | int) -> QuadNum:
+        if isinstance(other, int):  # is_separable scales by an exponent
+            return QuadNum(self.a * other, self.b * other)
+        return QuadNum(self.a * other.a - 3 * self.b * other.b,
+                       self.a * other.b + self.b * other.a)
 
-    def __sub__(self, other: NumberLike) -> "QuadNum":
-        return self + (-QuadNum.coerce(other))
-
-    def __rsub__(self, other: NumberLike) -> "QuadNum":
-        return QuadNum.coerce(other) + (-self)
-
-    def __mul__(self, other: NumberLike) -> "QuadNum":
-        o = QuadNum.coerce(other)
-        return QuadNum(self.a * o.a - 3 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadNum":
+    def inverse(self) -> QuadNum:
         if not self:
             raise ZeroDivisionError("division by zero")
         # (a + b sqrt(-3))(a - b sqrt(-3)) = a^2 + 3b^2, positive for a nonzero number
         norm = self.a * self.a + 3 * self.b * self.b
         return QuadNum(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other: NumberLike) -> "QuadNum":
-        return self * QuadNum.coerce(other).inverse()
-
-    def __rtruediv__(self, other: NumberLike) -> "QuadNum":
-        return QuadNum.coerce(other) * self.inverse()
 
     # -- comparisons / hashing -------------------------------------------
 
@@ -109,9 +84,7 @@ class QuadNum:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -119,7 +92,7 @@ class QuadNum:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_rational:
+        if self.b == 0:
             return str(self.a)
         root = "sqrt(-3)"
         if self.b == 1:
@@ -143,10 +116,11 @@ class Poly(namedtuple("Poly", "coeffs")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
-    def __new__(cls, coeffs: Iterable[NumberLike] = ()) -> "Poly":
+    def __new__(cls, coeffs: Iterable[QuadNum | int | Fraction] = ()) -> Poly:
         if isinstance(coeffs, Mapping):  # iterating it would read the exponents
             raise TypeError("Poly takes dense coefficients, lowest degree first, not a mapping")
-        return super().__new__(cls, tuple(_trim([QuadNum.coerce(c) for c in coeffs])))
+        return super().__new__(cls, tuple(_trim(
+            [c if isinstance(c, QuadNum) else QuadNum(c) for c in coeffs])))
 
     @property
     def is_zero(self) -> bool:

@@ -8,7 +8,10 @@ Three sufficiency criteria are applied in priority order:
 2. If some cone order appears an odd number of times in the signature, the
    curve is definable over its field of moduli (odd-signature criterion).
 3. If the locus is zero-dimensional the curve is rigid, hence definable
-   (quasiplatonic rigidity).
+   (quasiplatonic rigidity).  It never decides a row whose dimension matches
+   its signature: dimension 0 means r = 3 cone points, an odd count, so
+   criterion 2 applies first.  Only a dimension contradicting the signature
+   reaches it, and no embedded row does.
 
 When none applies the honest answer is "possibly not definable": the methods
 prove nothing either way, and the published tables highlight exactly these

@@ -30,6 +30,9 @@ from .signature import Signature, SignatureRepair, complete_signature
 
 DATASET_VERSION = "v1"
 
+# A JSON equation's largest degree: the exact separability path expands f densely.
+MAX_DEGREE = 1000
+
 CSV_COLUMNS = ("Nr", "reduced_group", "full_group", "order", "n", "m",
                "signature", "delta", "blue", "equation")
 
@@ -50,6 +53,12 @@ class FamilyRecord(namedtuple("FamilyRecord", "genus number block label_text lev
     def group_order(self) -> int:
         return self.level * self.reduced_group().order
 
+    def prints(self, entry: tables.Erratum) -> bool:
+        """False when ``entry`` documents a signature or label this row does not print."""
+        if entry.code == "signature":   # parsed: (5, 5) stores 2,22,22 for 2,22^2
+            return Signature.parse(entry.printed) == self.signature
+        return entry.code != "label" or entry.printed == self.label_text
+
     def cells(self) -> list[str]:
         """The printed columns shared by ``list`` and the CSV export."""
         reduced = self.reduced_group()
@@ -69,8 +78,9 @@ def repair_signature(record: FamilyRecord, order: int | None = None) -> Signatur
     """Resolve a row's printed signature to the one its own data forces.
 
     This is :func:`complete_signature`'s repair, except that an unrepairable
-    row whose documented manual correction balances comes back
-    ``manually_corrected``.  ``order``, when given, is the row's group order.
+    row printing the signature its manual correction documents comes back
+    ``manually_corrected`` when the correction balances.  ``order``, when
+    given, is the row's group order.
     """
     order = record.group_order() if order is None else order
     try:
@@ -78,7 +88,8 @@ def repair_signature(record: FamilyRecord, order: int | None = None) -> Signatur
     except ValueError as exc:  # a genus below 2: no signature can balance
         raise ValueError(f"genus {record.genus} nr {record.number}: {exc}") from exc
     manual = tables.ERRATA_BY_ROW.get(record.key, {}).get("signature")
-    if repair.status == "unrepairable" and manual is not None and manual.why:
+    if (repair.status == "unrepairable" and manual is not None and manual.why
+            and record.prints(manual)):
         corrected = Signature.parse(manual.derived)
         if complete_signature(record.genus, order, corrected).status == "consistent":
             return SignatureRepair("manually_corrected", corrected, edit=manual.why)
@@ -339,6 +350,8 @@ def _equation_from_json(data) -> EquationTemplate:
                 _checked(c, f"equation.factors[{i}][{j}].c", "an object", dict)
             terms[-1].append(_term_from_json(e, c))
     template = EquationTemplate(tuple(map(tuple, terms)))
+    if template.degree > MAX_DEGREE:
+        raise ValueError(f"equation degree must be at most {MAX_DEGREE}, got {template.degree}")
     derived = _radicand(template)
     if "radicand" in data and _checked(data["radicand"], "radicand", "an integer", int) != derived:
         raise ValueError(f"field 'radicand' is {data['radicand']!r}, but the coefficients "

@@ -20,9 +20,11 @@ check, and, on a shaped row, the probe's answer.
 
 A finding is a warning when :data:`superelliptic.tables.ERRATA` has an entry
 with its row, its code and the value the check derived (the effective
-signature, the forced group order, the verdict); everything else is a
-failure.  An entry for a check that does not fire, or derives another value,
-is a stale ``erratum`` failure.  Strict mode promotes warnings to failures.
+signature, the forced group order, the verdict), and the row prints the
+signature or label the entry documents; everything else is a failure.  An
+entry for a check that does not fire, derives another value, or meets a row
+printing another value is a stale ``erratum`` failure.  Strict mode promotes
+warnings to failures.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     matched: set[str] = set()
 
     def add(code: str, message: str, derived: str | None = None) -> None:
-        documented = code in errata and errata[code].derived == derived
+        entry = errata.get(code)
+        documented = entry is not None and entry.derived == derived and record.prints(entry)
         if documented:
             matched.add(code)
         severity = WARNING if documented and not strict else FAILURE
@@ -191,8 +194,9 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     for code, entry in errata.items():
         if code in CHECKS and code not in matched:
-            add("erratum", f"documented {code} erratum expects {entry.derived}, "
-                           f"which the {code} check does not derive")
+            why = (f"which the {code} check does not derive" if record.prints(entry)
+                   else f"but the row does not print {entry.printed}")
+            add("erratum", f"documented {code} erratum expects {entry.derived}, {why}")
 
     return RowResult(record, resolution, classification, tuple(findings))
 

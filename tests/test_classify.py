@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from superelliptic.classify import Reason, Verdict, classify
+from superelliptic.dataset import classify_record, load_embedded
 from superelliptic.groups import ReducedGroup, ReducedKind
-from superelliptic.signature import Signature
+from superelliptic.signature import Signature, moduli_dimension
 
 
 def test_noncyclic_reduced_group_always_suffices() -> None:
@@ -36,6 +40,25 @@ def test_priority_group_beats_signature_beats_rigidity() -> None:
     assert classify(ReducedGroup.dihedral(3), odd, 0).reason is Reason.UNIQUE_SUBGROUP
     # cyclic + odd signature wins over rigidity
     assert classify(ReducedGroup.cyclic(2), odd, 0).reason is Reason.ODD_SIGNATURE
+
+
+@given(st.lists(st.integers(2, 60), min_size=3, max_size=9), st.integers(1, 12))
+def test_quasiplatonic_never_decides_a_dimension_that_matches_the_signature(orders,
+                                                                          m) -> None:
+    # dimension 0 over a genus-0 quotient means r = 3 cone points, and an odd
+    # number of them gives some order an odd multiplicity: criterion 2 decides first
+    sig = Signature.of(*orders)
+    dim = moduli_dimension(0, sig.point_count)
+    assert dim > 0 or sig.has_odd_multiplicity
+    assert classify(ReducedGroup.cyclic(m), sig, dim).reason is not Reason.QUASIPLATONIC
+
+
+def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
+    reasons = [classify_record(r).reason for r in load_embedded()]
+    assert reasons.count(Reason.UNIQUE_SUBGROUP) == 125
+    assert reasons.count(Reason.ODD_SIGNATURE) == 66
+    assert reasons.count(None) == 33
+    assert Reason.QUASIPLATONIC not in reasons
 
 
 def test_no_criterion_applies() -> None:

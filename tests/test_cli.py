@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -407,9 +411,9 @@ def test_misshapen_named_curve_is_io_error_naming_the_field(capsys, tmp_path, ed
 
 def test_unshaped_row_of_high_degree_is_one_genus_failure(capsys, tmp_path,
                                                          monkeypatch) -> None:
-    # Level 4 over x^1000002 + x + 1: gcd(4, 1000002) = 2 admits no normal form.
+    # Level 4 over x^998 + x + 1: gcd(4, 998) = 2 admits no normal form.
     # That is the row's genus failure, and its separability is never decided:
-    # neither Euclid nor the exact path may run on its million coefficients.
+    # neither Euclid nor the exact path may run on its 999 coefficients.
     from superelliptic import family
     euclid, exact = family._euclid_mod_p, family._exact_probe
 
@@ -422,11 +426,69 @@ def test_unshaped_row_of_high_degree_is_one_genus_failure(capsys, tmp_path,
     monkeypatch.setattr(family, "_exact_probe", short(exact, lambda *a: a[-1]))
     one = {"kind": "fixed", "a": "1", "b": "0"}
     path = _edited_export(tmp_path, lambda p: p["families"][3].update(
-        level=4, equation={"factors": [[{"e": e, "c": one} for e in (1000002, 1, 0)]]}))
+        level=4, equation={"factors": [[{"e": e, "c": one} for e in (998, 1, 0)]]}))
     code, out, err = run(capsys, "verify", "--data", path)
     assert code == 1 and err == ""
-    assert ("genus 3 nr 4 (genus): level 4 with degree 1000002: gcd 2" in out
+    assert ("genus 3 nr 4 (genus): level 4 with degree 998: gcd 2" in out
             and "(separability)" not in out)
+
+
+def test_degree_above_1000_is_io_error_naming_the_row(capsys, tmp_path) -> None:
+    # 1000 bounds a parameter index too; the exact probe expands f densely
+    one = {"kind": "fixed", "a": "1", "b": "0"}
+
+    def with_factors(*factors):
+        return lambda p: p["families"][3].update(equation={"factors": [
+            [{"e": e, "c": one} for e in factor] for factor in factors]})
+
+    path = _edited_export(tmp_path, with_factors((1000, 0)))
+    assert run(capsys, "list", "--data", path)[0] == 0
+    for factors, degree in ((((500, 0), (501, 0)), 1001), (((10**7, 0),), 10**7)):
+        path = _edited_export(tmp_path, with_factors(*factors))
+        for argv in (["list", "--data", path], ["verify", "--data", path]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err == ("error: invalid dataset: families[3]: equation degree must be "
+                           f"at most 1000, got {degree}\n")
+
+
+def test_verify_of_a_huge_exponent_exits_3_at_once(tmp_path) -> None:
+    # x^10000000 at a shaped level once sent verify into the exact path's
+    # dense expansion: 1.5 GB after four minutes
+    path = _edited_export(tmp_path, lambda p: _first_term(p).update(e=10**7))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import sys\n"
+                           "from superelliptic.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))", "verify", "--data", path],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "families[0]: equation degree must be at most 1000" in proc.stderr
+
+
+def _edit_row(genus: int, number: int, **fields):
+    def edit(payload):
+        next(r for r in payload["families"]
+             if (r["genus"], r["nr"]) == (genus, number)).update(fields)
+    return edit
+
+
+@pytest.mark.parametrize("edit,failure", [
+    pytest.param(_edit_row(6, 11, signature="2^2,3^3,6^2"),
+                 "genus 6 nr 11 (erratum): documented signature erratum expects 2^4,6^2, "
+                 "but the row does not print 2^3,3^2,6^2", id="signature"),
+    pytest.param(_edit_row(6, 20, label="D_10 × C_7"),
+                 "genus 6 nr 20 (erratum): documented label erratum expects 50, but the row "
+                 "does not print D_10 × C_2", id="label"),
+])
+def test_an_erratum_excuses_only_the_value_it_documents(capsys, tmp_path, edit,
+                                                          failure) -> None:
+    path = _edited_export(tmp_path, edit)
+    code, out, err = run(capsys, "verify", "--data", path)
+    assert (code, err) == (1, "")
+    assert f"[failure] {failure}" in out.splitlines()
+    if "signature" in failure:
+        code, out, _ = run(capsys, "row", "--genus", "6", "--nr", "11", "--data", path)
+        assert code == 0 and "signature_status: unrepairable" in out.splitlines()
 
 
 def test_repeated_row_is_io_error_naming_the_row(capsys, tmp_path) -> None:

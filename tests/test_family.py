@@ -414,8 +414,8 @@ _SMALL = st.integers(-6, 6)
 _RATIONAL = st.one_of(_SMALL, st.builds(Fraction, _SMALL, st.sampled_from((2, 3))))
 _SQRT = st.tuples(_RATIONAL, _SMALL.filter(bool)).map(lambda ab: QuadNum(*ab))
 # numbers that vanish mod P or have no image in F_P
-_SPECIAL = st.sampled_from((P, -2 * P, Fraction(1, P), Fraction(P, 2), QuadNum(0, P),
-                            QuadNum(1, Fraction(1, P))))
+_SPECIAL = st.sampled_from((QuadNum(P), QuadNum(-2 * P), QuadNum(Fraction(1, P)),
+                            QuadNum(Fraction(P, 2)), QuadNum(0, P), QuadNum(1, Fraction(1, P))))
 
 
 def _valued(c: QuadNum | ParamCoeff, values: dict) -> QuadNum | ParamCoeff:
@@ -423,7 +423,7 @@ def _valued(c: QuadNum | ParamCoeff, values: dict) -> QuadNum | ParamCoeff:
     fixed number itself when it is 0 or irrational, which no scale can give."""
     if isinstance(c, QuadNum) or c.index not in values:
         return c
-    v = QuadNum.coerce(values[c.index]) * QuadNum(c.scale)
+    v = values[c.index] * QuadNum(c.scale)
     return v if v.b or not v else ParamCoeff(c.index, v.a / sympy.prime(c.index + 2))
 
 
@@ -436,9 +436,9 @@ def _sparse_case(draw) -> EquationTemplate:
     parameters a_1, a_2 and maybe a_3 get drawn values; a_3 may keep its prime.
     """
     special = draw(st.booleans())
-    number = st.one_of(_RATIONAL, _SQRT, *([_SPECIAL] if special else []))
+    number = st.one_of(_RATIONAL.map(QuadNum), _SQRT, *([_SPECIAL] if special else []))
     scale = st.sampled_from((1, -1, 2, Fraction(-1, 3), *((P, Fraction(1, P)) if special else ())))
-    coeff = st.one_of(number.map(QuadNum.coerce).filter(bool),
+    coeff = st.one_of(number.filter(bool),
                       st.builds(ParamCoeff, st.integers(1, 3), scale))
     factors = []
     for lo in draw(st.sampled_from(((0,), (0, 0), (0, 0, 0), (1,), (0, 1), (0, 0, 1),

@@ -100,7 +100,7 @@ def _modules_after(code: str) -> set[str]:
 
 
 def test_cli_call_imports_no_heavy_modules() -> None:
-    heavy = {"dataclasses", "inspect", "csv", "datetime", "json"}
+    heavy = {"dataclasses", "inspect", "csv", "datetime", "json", "typing"}
     bare = _modules_after("")
     for argv in (["list", "--genus", "3"], ["levels", "--genus", "5"],
                  ["verify", "--genus", "3"]):

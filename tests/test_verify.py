@@ -198,6 +198,29 @@ def test_finding_that_derives_another_value_stays_a_failure(ds) -> None:
         "documented label erratum expects 50, which the label check does not derive"]
 
 
+def test_signature_erratum_excuses_only_the_signature_it_documents(ds) -> None:
+    # (6, 11)'s manual correction to 2^4,6^2 is written for the printed 2^3,3^2,6^2
+    row = ds.get(6, 11)._replace(signature=Signature.parse("2^2,3^3,6^2"))
+    result = verify_row(row)
+    assert result.resolution.status == "unrepairable"
+    assert result.resolution.effective == row.signature
+    assert {x.severity for x in result.findings} == {"failure"}
+    assert [x.message for x in result.findings if x.code == "erratum"][0] == (
+        "documented signature erratum expects 2^4,6^2, but the row does not print "
+        "2^3,3^2,6^2")
+
+
+def test_label_erratum_excuses_only_the_label_it_documents(ds) -> None:
+    # (6, 20)'s entry covers the printed D_10 × C_2; another label forcing the
+    # same order 50 is a failure of its own
+    result = verify_row(ds.get(6, 20)._replace(label_text="D_10 × C_7"))
+    assert [(x.severity, x.code, x.message) for x in result.findings] == [
+        ("failure", "label", "printed group 'D_10 × C_7' has order 70, but level 5 over "
+                             "D_10 forces 50"),
+        ("failure", "erratum", "documented label erratum expects 50, but the row does not "
+                               "print D_10 × C_2")]
+
+
 def test_stale_classification_entry_is_reported(ds) -> None:
     # highlighting (6, 11) as the recomputation says leaves its entry unused
     result = verify_row(ds.get(6, 11)._replace(highlighted=True))

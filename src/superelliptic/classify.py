@@ -15,7 +15,8 @@ Three sufficiency criteria are applied in priority order:
 
 When none applies the honest answer is "possibly not definable": the methods
 prove nothing either way, and the published tables highlight exactly these
-rows.
+rows.  A :class:`Classification` stores only the proving :class:`Reason`, or
+None for "possibly not definable"; its verdict and theorem text derive from it.
 """
 
 from __future__ import annotations
@@ -44,19 +45,18 @@ THEOREM_TEXT = {
     Reason.UNIQUE_SUBGROUP: "unique-subgroup descent criterion",
     Reason.ODD_SIGNATURE: "odd-signature criterion",
     Reason.QUASIPLATONIC: "quasiplatonic rigidity",
+    None: "no applicable sufficiency criterion",
 }
 
-_NO_CRITERION = "no applicable sufficiency criterion"
 
-
-class Classification(namedtuple("Classification", "verdict reason theorem")):
-    """A verdict, its reason (None when no criterion applies) and the theorem text."""
+class Classification(namedtuple("Classification", "reason")):
+    """The criterion that proves definability, or None when none applies."""
 
     __slots__ = ()
-
-    @property
-    def is_definable(self) -> bool:
-        return self.verdict is Verdict.DEFINABLE
+    is_definable = property(lambda self: self.reason is not None)
+    verdict = property(lambda self: Verdict.DEFINABLE if self.is_definable
+                       else Verdict.POSSIBLY_NOT_DEFINABLE)
+    theorem = property(lambda self: THEOREM_TEXT[self.reason])
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,12 +74,9 @@ def classify(reduced: ReducedGroup, sig: Signature, delta: int) -> Classificatio
     through the dataset layer, which performs the repairs.
     """
     if not reduced.is_cyclic_or_trivial:
-        return Classification(Verdict.DEFINABLE, Reason.UNIQUE_SUBGROUP,
-                              THEOREM_TEXT[Reason.UNIQUE_SUBGROUP])
+        return Classification(Reason.UNIQUE_SUBGROUP)
     if sig.has_odd_multiplicity:
-        return Classification(Verdict.DEFINABLE, Reason.ODD_SIGNATURE,
-                              THEOREM_TEXT[Reason.ODD_SIGNATURE])
+        return Classification(Reason.ODD_SIGNATURE)
     if delta == 0:
-        return Classification(Verdict.DEFINABLE, Reason.QUASIPLATONIC,
-                              THEOREM_TEXT[Reason.QUASIPLATONIC])
-    return Classification(Verdict.POSSIBLY_NOT_DEFINABLE, None, _NO_CRITERION)
+        return Classification(Reason.QUASIPLATONIC)
+    return Classification(None)

@@ -279,7 +279,10 @@ def _write_json(obj, newline: str, out: list[str], escape) -> None:
 
 def from_json(text: str) -> Dataset:
     import json  # imported on use: most calls read no JSON
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:      # arrays or objects nested past the interpreter's limit
+        raise ValueError("JSON nested too deeply to read") from None
     version = payload.get("version")
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {version!r}")

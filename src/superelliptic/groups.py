@@ -48,7 +48,7 @@ _POLYHEDRAL = {
 class ReducedGroup(namedtuple("ReducedGroup", "kind m")):
     """A finite subgroup of the Moebius group, up to conjugacy.
 
-    ``m``: the order of C_m, half that of a dihedral group, None if polyhedral."""
+    ``m``: the order of C_m, half that of a dihedral group (V_4 has m = 2), None if polyhedral."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
@@ -63,15 +63,6 @@ class ReducedGroup(namedtuple("ReducedGroup", "kind m")):
             if m is None or m < least:
                 raise ValueError(f"{kind.value} block needs m >= {least}, got {m}")
         return super().__new__(cls, kind, m)
-
-    @classmethod
-    def cyclic(cls, m: int) -> "ReducedGroup":
-        return cls(ReducedKind.CYCLIC, m)
-
-    @classmethod
-    def dihedral(cls, m: int) -> "ReducedGroup":
-        """Dihedral group of order 2m (m = 2 is the Klein four-group)."""
-        return cls(ReducedKind.DIHEDRAL, m)
 
     @property
     def order(self) -> int:
@@ -100,8 +91,8 @@ class LabelError(ValueError):
     pass
 
 
-class GroupLabel(namedtuple("GroupLabel", "text order recognized")):
-    """A full-group label as printed, with its order when determinable.
+class GroupLabel(namedtuple("GroupLabel", "order recognized")):
+    """What a full-group label says: its order when determinable.
 
     ``recognized`` is True when the name itself pins the order down (C_k, D_k,
     V_4, A_4, S_4, A_5, their products and powers); opaque names (G_5, K, ...)
@@ -110,14 +101,12 @@ class GroupLabel(namedtuple("GroupLabel", "text order recognized")):
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return self.text
-
 
 _ATOM_ORDERS = {"V_4": 4, **dict(_POLYHEDRAL.values())}
 _SUBSCRIPTED = re.compile(r"^([CD])_(\d+)$")
 _OPAQUE = re.compile(r"^(G_\d+|K)$")
 _POWER = re.compile(r"^(.*?)\^(\d+)$")
+_MAX_ORDER = 2 ** 64   # far above any table group: the largest order is 180
 
 
 def _atom_order(atom: str) -> int | None:
@@ -127,17 +116,20 @@ def _atom_order(atom: str) -> int | None:
     if power:
         atom, exponent = power.group(1), int(power.group(2))
         atom = atom.strip().strip("{}").strip()
-    if atom in _ATOM_ORDERS:
-        return _ATOM_ORDERS[atom] ** exponent
     sub = _SUBSCRIPTED.match(atom)
-    if sub:
-        kind, k = sub.group(1), int(sub.group(2))
-        if k < 1 or (kind == "D" and (k % 2 or k < 4)):
+    if atom in _ATOM_ORDERS:
+        base = _ATOM_ORDERS[atom]
+    elif sub:
+        kind, base = sub.group(1), int(sub.group(2))
+        if base < 1 or (kind == "D" and (base % 2 or base < 4)):
             raise LabelError(f"impossible group label atom {atom!r}")
-        return k ** exponent
-    if _OPAQUE.match(atom):
+    elif _OPAQUE.match(atom):
         return None
-    raise LabelError(f"unrecognized group label atom {atom!r}")
+    else:
+        raise LabelError(f"unrecognized group label atom {atom!r}")
+    if base > 1 and exponent > 64:    # then base ** exponent > 2^64: not built
+        raise LabelError(f"group label atom {atom!r}^{exponent} has order above 2^64")
+    return base ** exponent
 
 
 @cache
@@ -145,17 +137,23 @@ def parse_group_label(text: str, context_order: int | None = None) -> GroupLabel
     """Parse a full-group label; opaque or blank labels take ``context_order``.
 
     Accepts direct products separated by the times sign (either the Unicode
-    character or a surrounded lowercase x) and powers like C_3^2.  Memoised;
-    a LabelError is not, so every call with a bad label raises it.
+    character or a surrounded lowercase x) and powers like C_3^2.  A label of
+    order above 2^64, or with a number of more than 20 digits, is a
+    LabelError, raised before so large a number is built.  Memoised; a
+    LabelError is not, so every call with a bad label raises it.
     """
     cleaned = text.strip()
     if not cleaned:
-        return GroupLabel("", context_order, False)
+        return GroupLabel(context_order, False)
+    if re.search(r"\d{21}", cleaned):     # above 2^64; int() would be slow, or fail
+        raise LabelError("group label holds a number above 2^64")
     atoms = re.split(r"\s*×\s*|\s+x\s+", cleaned)
     order = 1
     for atom in atoms:
         atom_order = _atom_order(atom.strip())
         if atom_order is None:
-            return GroupLabel(cleaned, context_order, False)
+            return GroupLabel(context_order, False)
         order *= atom_order
-    return GroupLabel(cleaned, order, True)
+        if order > _MAX_ORDER:
+            raise LabelError("group label has order above 2^64")
+    return GroupLabel(order, True)

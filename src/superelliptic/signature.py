@@ -157,8 +157,8 @@ def moduli_dimension(g0: int, r: int) -> int:
 
 
 class SignatureRepair(namedtuple("SignatureRepair",
-                                 "status effective candidates edit ambiguous",
-                                 defaults=((), None, False))):
+                                 "status effective candidates edit",
+                                 defaults=((), None))):
     """Outcome of :func:`complete_signature`.
 
     status is one of ``consistent`` (no edit needed), ``completed`` (one order
@@ -167,10 +167,11 @@ class SignatureRepair(namedtuple("SignatureRepair",
     from a documented correction, whose reason is in ``edit``).  The signature
     to use downstream is ``effective``: it balances over a genus-0 quotient
     unless the status is ``unrepairable`` (then it is the input itself).
-    Every consistent single-edit alternative is in ``candidates``.
+    ``candidates`` holds every consistent single-edit repair; several are ``ambiguous``.
     """
 
     __slots__ = ()
+    ambiguous = property(lambda self: len(self.candidates) > 1)
 
     @property
     def changed(self) -> bool:
@@ -186,8 +187,8 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
     lacks ramification d = 2*g0, so an appended c solves 1 - 1/c = d and o
     replaced by c solves 1/o - 1/c = d; c counts if it is an integer >= 2
     dividing the group order.  Replacing the largest printed order is
-    preferred; all balancing replacements are reported and ``ambiguous`` is
-    set.  Idempotent: a consistent signature comes back unchanged.
+    preferred; all balancing replacements are reported (``ambiguous`` when
+    several).  Idempotent: a consistent signature comes back unchanged.
     """
     g0 = _quotient_genus_exact(genus, group_order, sig)
     if g0 == 0:
@@ -213,7 +214,6 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
             replaced.append((f"replaced {old} with {new}", Signature.of(*rest, new)))
     if replaced:
         edit, chosen = replaced[0]
-        return SignatureRepair("corrected", chosen, tuple(s for _, s in replaced), edit,
-                               ambiguous=len(replaced) > 1)
+        return SignatureRepair("corrected", chosen, tuple(s for _, s in replaced), edit)
 
     return SignatureRepair("unrepairable", sig)

@@ -60,9 +60,10 @@ class RowResult(namedtuple("RowResult", "record resolution classification findin
         return not any(f.severity == FAILURE for f in self.findings)
 
 
-class VerifyReport:
-    def __init__(self) -> None:
-        self.rows: list[RowResult] = []
+class VerifyReport(namedtuple("VerifyReport", "rows")):
+    """One :class:`RowResult` per row checked, in order."""
+
+    __slots__ = ()
 
     @property
     def findings(self) -> tuple[Finding, ...]:
@@ -86,11 +87,9 @@ class VerifyReport:
         for row in self.rows:
             by_genus.setdefault(row.record.genus, []).append(row)
         for genus in sorted(by_genus):
-            rows = by_genus[genus]
-            nfail = sum(1 for r in rows for f in r.findings if f.severity == FAILURE)
-            nwarn = sum(1 for r in rows for f in r.findings if f.severity == WARNING)
-            lines.append(f"genus {genus}: {len(rows)} rows checked, "
-                         f"{nfail} failure(s), {nwarn} warning(s)")
+            part = VerifyReport(tuple(by_genus[genus]))
+            lines.append(f"genus {genus}: {len(part.rows)} rows checked, "
+                         f"{len(part.failures)} failure(s), {len(part.warnings)} warning(s)")
         lines.append(f"total: {len(self.rows)} rows, {len(self.failures)} "
                      f"failure(s), {len(self.warnings)} warning(s)")
         return "\n".join(lines)
@@ -203,9 +202,6 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
 def verify_dataset(dataset: Dataset, genera=None, strict: bool = False) -> VerifyReport:
     """Verify every row, or the rows of ``genera``: a genus with none is a KeyError."""
-    report = VerifyReport()
     rows = dataset if genera is None else [
         r for g in sorted(set(genera)) for r in dataset.genus_rows(g)]
-    for record in rows:
-        report.rows.append(verify_row(record, strict=strict))
-    return report
+    return VerifyReport(tuple(verify_row(record, strict=strict) for record in rows))

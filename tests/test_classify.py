@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superelliptic.classify import Reason, Verdict, classify
+from superelliptic.classify import THEOREM_TEXT, Classification, Reason, Verdict, classify
 from superelliptic.dataset import classify_record, load_embedded
 from superelliptic.groups import ReducedGroup, ReducedKind
 from superelliptic.signature import Signature, moduli_dimension
@@ -13,7 +13,7 @@ from superelliptic.signature import Signature, moduli_dimension
 
 def test_noncyclic_reduced_group_always_suffices() -> None:
     sig = Signature.parse("2^6")        # even multiplicities, positive dim
-    for reduced in (ReducedGroup.dihedral(2),
+    for reduced in (ReducedGroup(ReducedKind.DIHEDRAL, 2),
                     ReducedGroup(ReducedKind.TETRAHEDRAL),
                     ReducedGroup(ReducedKind.OCTAHEDRAL),
                     ReducedGroup(ReducedKind.ICOSAHEDRAL)):
@@ -23,13 +23,13 @@ def test_noncyclic_reduced_group_always_suffices() -> None:
 
 
 def test_odd_multiplicity_suffices_for_cyclic() -> None:
-    result = classify(ReducedGroup.cyclic(2), Signature.parse("2^3,4^2"), 2)
+    result = classify(ReducedGroup(ReducedKind.CYCLIC, 2), Signature.parse("2^3,4^2"), 2)
     assert result.verdict is Verdict.DEFINABLE
     assert result.reason is Reason.ODD_SIGNATURE
 
 
 def test_rigid_family_suffices() -> None:
-    result = classify(ReducedGroup.cyclic(11), Signature.parse("2^2,11^2"), 0)
+    result = classify(ReducedGroup(ReducedKind.CYCLIC, 11), Signature.parse("2^2,11^2"), 0)
     assert result.verdict is Verdict.DEFINABLE
     assert result.reason is Reason.QUASIPLATONIC
 
@@ -37,9 +37,11 @@ def test_rigid_family_suffices() -> None:
 def test_priority_group_beats_signature_beats_rigidity() -> None:
     odd = Signature.parse("2,3^2,6")
     # a dihedral reduced group wins even when the signature is odd and rigid
-    assert classify(ReducedGroup.dihedral(3), odd, 0).reason is Reason.UNIQUE_SUBGROUP
+    dihedral = ReducedGroup(ReducedKind.DIHEDRAL, 3)
+    assert classify(dihedral, odd, 0).reason is Reason.UNIQUE_SUBGROUP
     # cyclic + odd signature wins over rigidity
-    assert classify(ReducedGroup.cyclic(2), odd, 0).reason is Reason.ODD_SIGNATURE
+    cyclic = ReducedGroup(ReducedKind.CYCLIC, 2)
+    assert classify(cyclic, odd, 0).reason is Reason.ODD_SIGNATURE
 
 
 @given(st.lists(st.integers(2, 60), min_size=3, max_size=9), st.integers(1, 12))
@@ -50,7 +52,8 @@ def test_quasiplatonic_never_decides_a_dimension_that_matches_the_signature(orde
     sig = Signature.of(*orders)
     dim = moduli_dimension(0, sig.point_count)
     assert dim > 0 or sig.has_odd_multiplicity
-    assert classify(ReducedGroup.cyclic(m), sig, dim).reason is not Reason.QUASIPLATONIC
+    reduced = ReducedGroup(ReducedKind.CYCLIC, m)
+    assert classify(reduced, sig, dim).reason is not Reason.QUASIPLATONIC
 
 
 def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
@@ -62,22 +65,36 @@ def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
 
 
 def test_no_criterion_applies() -> None:
-    result = classify(ReducedGroup.cyclic(1), Signature.parse("2^8"), 5)
+    result = classify(ReducedGroup(ReducedKind.CYCLIC, 1), Signature.parse("2^8"), 5)
     assert result.verdict is Verdict.POSSIBLY_NOT_DEFINABLE
     assert result.reason is None
     assert not result.is_definable
 
 
 def test_json_shapes() -> None:
-    definable = classify(ReducedGroup.cyclic(2), Signature.parse("2^3,4^2"), 2)
-    assert definable.to_json_dict() == {
-        "verdict": "definable",
-        "reason": "odd_signature",
-        "theorem": "odd-signature criterion",
-    }
-    blue = classify(ReducedGroup.cyclic(2), Signature.parse("2^6"), 3)
-    assert blue.to_json_dict() == {
-        "verdict": "possibly_not_definable",
-        "reason": None,
-        "theorem": "no applicable sufficiency criterion",
-    }
+    # all four outcomes; no CLI call reaches quasiplatonic, so no digest pins its text
+    cyclic = ReducedGroup(ReducedKind.CYCLIC, 2)
+    outcomes = [
+        (classify(ReducedGroup(ReducedKind.DIHEDRAL, 2), Signature.parse("2^6"), 3),
+         "definable", "unique_subgroup", "unique-subgroup descent criterion"),
+        (classify(cyclic, Signature.parse("2^3,4^2"), 2),
+         "definable", "odd_signature", "odd-signature criterion"),
+        (classify(cyclic, Signature.parse("2^2,4^2"), 0),
+         "definable", "quasiplatonic", "quasiplatonic rigidity"),
+        (classify(cyclic, Signature.parse("2^6"), 3),
+         "possibly_not_definable", None, "no applicable sufficiency criterion"),
+    ]
+    for result, verdict, reason, theorem in outcomes:
+        assert result.to_json_dict() == {"verdict": verdict, "reason": reason,
+                                         "theorem": theorem}
+        assert result.theorem == theorem and result.verdict.value == verdict
+        assert result.is_definable is (reason is not None)
+
+
+def test_a_classification_is_its_reason() -> None:
+    assert Classification._fields == ("reason",)
+    for reason in (*Reason, None):
+        result = Classification(reason)
+        assert result.theorem == THEOREM_TEXT[reason]
+        assert result.verdict is (Verdict.DEFINABLE if reason else
+                                  Verdict.POSSIBLY_NOT_DEFINABLE)

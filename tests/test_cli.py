@@ -491,6 +491,38 @@ def test_an_erratum_excuses_only_the_value_it_documents(capsys, tmp_path, edit,
         assert code == 0 and "signature_status: unrepairable" in out.splitlines()
 
 
+@pytest.mark.parametrize("key", ["families", "note"])
+def test_deeply_nested_data_is_io_error(capsys, tmp_path, key) -> None:
+    # json.loads raises RecursionError past the interpreter's nesting limit
+    deep = "[" * 100_000 + "]" * 100_000
+    edit = ((lambda p: p.update(families="DEEP")) if key == "families" else
+            (lambda p: p["named_curves"][0].update(note="DEEP")))
+    path = Path(_edited_export(tmp_path, edit))
+    path.write_text(path.read_text(encoding="utf-8").replace('"DEEP"', deep),
+                    encoding="utf-8")
+    for argv in (["list", "--data", str(path)], ["verify", "--data", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: invalid dataset: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("label", [
+    pytest.param("C_2^20000", id="power"),
+    pytest.param("C_" + "7" * 5000, id="subscript"),
+    pytest.param(" × ".join(["C_" + "9" * 3000] * 2), id="product"),
+    pytest.param("C_3^10000000", id="slow-power"),
+])
+def test_huge_label_is_a_label_failure_not_an_abort(capsys, tmp_path, label) -> None:
+    path = _edited_export(tmp_path, _edit_row(3, 1, label=label))
+    code, out, err = run(capsys, "verify", "--data", path)
+    assert (code, err) == (1, "")
+    failures = [line for line in out.splitlines() if line.startswith("[failure]")]
+    assert len(failures) == 1
+    assert failures[0].startswith("[failure] genus 3 nr 1 (label): ")
+    assert failures[0].endswith("above 2^64")
+    assert out.splitlines()[-1] == "total: 224 rows, 1 failure(s), 14 warning(s)"
+
+
 def test_repeated_row_is_io_error_naming_the_row(capsys, tmp_path) -> None:
     path = _edited_export(tmp_path, lambda p: p["families"].append(p["families"][3]))
     for argv in (["list", "--data", path], ["verify", "--data", path]):

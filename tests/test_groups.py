@@ -11,30 +11,30 @@ from superelliptic.groups import (LabelError, ReducedGroup, ReducedKind,
 
 
 def test_reduced_group_construction() -> None:
-    assert ReducedGroup.cyclic(1) == ReducedGroup(ReducedKind.CYCLIC, 1)
-    assert ReducedGroup.cyclic(1).order == 1
-    assert ReducedGroup.cyclic(7).order == 7
-    assert ReducedGroup.dihedral(2).order == 4
-    assert ReducedGroup.dihedral(12).order == 24
+    assert ReducedGroup(ReducedKind.CYCLIC, 1) == (ReducedKind.CYCLIC, 1)
+    assert ReducedGroup(ReducedKind.CYCLIC, 1).order == 1
+    assert ReducedGroup(ReducedKind.CYCLIC, 7).order == 7
+    assert ReducedGroup(ReducedKind.DIHEDRAL, 2).order == 4
+    assert ReducedGroup(ReducedKind.DIHEDRAL, 12).order == 24
     assert ReducedGroup(ReducedKind.TETRAHEDRAL).order == 12
     assert ReducedGroup(ReducedKind.OCTAHEDRAL).order == 24
     assert ReducedGroup(ReducedKind.ICOSAHEDRAL).order == 60
 
 
 def test_reduced_group_describe() -> None:
-    assert ReducedGroup.cyclic(1).describe() == "{1}"
-    assert ReducedGroup.cyclic(5).describe() == "C_5"
-    assert ReducedGroup.dihedral(2).describe() == "V_4"
-    assert ReducedGroup.dihedral(6).describe() == "D_12"
+    assert ReducedGroup(ReducedKind.CYCLIC, 1).describe() == "{1}"
+    assert ReducedGroup(ReducedKind.CYCLIC, 5).describe() == "C_5"
+    assert ReducedGroup(ReducedKind.DIHEDRAL, 2).describe() == "V_4"
+    assert ReducedGroup(ReducedKind.DIHEDRAL, 6).describe() == "D_12"
     assert ReducedGroup(ReducedKind.TETRAHEDRAL).describe() == "A_4"
     assert ReducedGroup(ReducedKind.OCTAHEDRAL).describe() == "S_4"
     assert ReducedGroup(ReducedKind.ICOSAHEDRAL).describe() == "A_5"
 
 
 def test_reduced_group_cyclicity_flag() -> None:
-    assert ReducedGroup.cyclic(1).is_cyclic_or_trivial
-    assert ReducedGroup.cyclic(9).is_cyclic_or_trivial
-    assert not ReducedGroup.dihedral(2).is_cyclic_or_trivial
+    assert ReducedGroup(ReducedKind.CYCLIC, 1).is_cyclic_or_trivial
+    assert ReducedGroup(ReducedKind.CYCLIC, 9).is_cyclic_or_trivial
+    assert not ReducedGroup(ReducedKind.DIHEDRAL, 2).is_cyclic_or_trivial
     assert not ReducedGroup(ReducedKind.ICOSAHEDRAL).is_cyclic_or_trivial
 
 
@@ -112,7 +112,6 @@ def test_blank_label() -> None:
     label = parse_group_label("", context_order=8)
     assert not label.recognized
     assert label.order == 8
-    assert label.text == ""
 
 
 @pytest.mark.parametrize("bad", ["D_7", "D_2", "X_9", "C_0", "C_2 × Q_8"])
@@ -138,3 +137,17 @@ def test_memoised_label_parse_ignores_how_the_order_is_passed() -> None:
         positional = parse_group_label(text, 48)
         assert parse_group_label(text, context_order=48) == positional
         assert parse_group_label(text, 48) is positional
+
+
+
+def test_label_order_bound_is_2_to_the_64() -> None:
+    assert parse_group_label("C_3^2").order == 9
+    assert parse_group_label("C_2^64").order == 2 ** 64
+    assert parse_group_label("C_1^99999999999999999999").order == 1
+    assert parse_group_label(f"C_{2 ** 32} × C_{2 ** 32}").order == 2 ** 64
+    # each is decided before its power or product is built
+    for text in ("C_2^65", f"C_{2 ** 64 + 1}", f"C_{2 ** 32} × C_{2 ** 32 + 2}",
+                 "V_4^33", "C_1^" + "1" * 21, "C_2^20000", "C_" + "7" * 5000,
+                 " × ".join(["C_" + "9" * 3000] * 2), "C_3^10000000"):
+        with pytest.raises(LabelError, match="above 2\\^64"):
+            parse_group_label(text, 6)

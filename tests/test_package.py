@@ -17,10 +17,11 @@ import pytest
 import superelliptic
 from superelliptic.dataset import classify_record, load_embedded, repair_signature
 from superelliptic.arith import QuadNum
+from superelliptic.classify import Classification, Reason
 from superelliptic.family import EquationTemplate, ParamCoeff, Term, separability_probe
-from superelliptic.groups import ReducedGroup, ReducedKind, parse_group_label
-from superelliptic.signature import Signature
-from superelliptic.verify import verify_row
+from superelliptic.groups import GroupLabel, ReducedGroup, ReducedKind, parse_group_label
+from superelliptic.signature import Signature, SignatureRepair
+from superelliptic.verify import VerifyReport, verify_dataset, verify_row
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = [superelliptic] + [
@@ -49,9 +50,13 @@ def _records() -> list:
     resolution = repair_signature(row)
     term = row.equation.factors[0][0]
     label = parse_group_label(row.label_text, row.group_order())
+    # one Classification per outcome: the row's own (no criterion) and one per reason
+    proving = [pytest.param(Classification(reason), id=f"Classification-{reason.value}")
+               for reason in Reason]
     return [row, row.signature, row.reduced_group(), label, row.equation, term,
             ParamCoeff(2, -1), resolution,
-            classify_record(row), result, result.findings[0],
+            classify_record(row), *proving, result, result.findings[0],
+            verify_dataset(ds, genera=[6]),
             separability_probe(row.level, row.equation), ds.named_curves[0]]
 
 
@@ -64,6 +69,16 @@ def test_records_are_immutable_hashable_values(record) -> None:
         record.extra = None
     copy = type(record)(*record)
     assert copy == record and hash(copy) == hash(record)
+
+
+def test_outcome_records_store_each_fact_once() -> None:
+    # the derived facts are properties, not fields a caller could set apart
+    assert Classification._fields == ("reason",)
+    assert SignatureRepair._fields == ("status", "effective", "candidates", "edit")
+    assert GroupLabel._fields == ("order", "recognized")
+    assert VerifyReport._fields == ("rows",)
+    assert not hasattr(ReducedGroup, "cyclic") and not hasattr(ReducedGroup, "dihedral")
+    assert classify_record(load_embedded().get(6, 11)) == (None,)
 
 
 def test_rows_survive_pickle_and_deepcopy() -> None:
@@ -80,7 +95,7 @@ def test_rows_survive_pickle_and_deepcopy() -> None:
     lambda: Signature(((1, 2),)),
     # _replace goes through _make, which must re-run the checks too
     lambda: Signature(((2, 1),))._replace(entries=((1, 1),)),
-    lambda: ReducedGroup.cyclic(3)._replace(m=0),
+    lambda: ReducedGroup(ReducedKind.CYCLIC, 3)._replace(m=0),
     lambda: Term(2, QuadNum(1))._replace(exponent=-1),
     lambda: ParamCoeff(1)._replace(index=0),
     lambda: EquationTemplate(((Term(1, QuadNum(1)),),))._replace(factors=()),

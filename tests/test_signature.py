@@ -173,8 +173,7 @@ def _reference_repair(genus: int, group_order: int, sig: Signature) -> Signature
             appended.append((cand, f"appended {c}"))
     if appended:
         chosen, edit = appended[0]
-        return SignatureRepair("completed", chosen, tuple(s for s, _ in appended), edit,
-                               ambiguous=len(appended) > 1)
+        return SignatureRepair("completed", chosen, tuple(s for s, _ in appended), edit)
 
     replaced: list[tuple[int, int, Signature]] = []
     seen: set[Signature] = set()
@@ -191,7 +190,7 @@ def _reference_repair(genus: int, group_order: int, sig: Signature) -> Signature
         replaced.sort(key=lambda t: (-t[0], t[1]))
         old, new, chosen = replaced[0]
         return SignatureRepair("corrected", chosen, tuple(c for _, _, c in replaced),
-                               f"replaced {old} with {new}", ambiguous=len(replaced) > 1)
+                               f"replaced {old} with {new}")
     return SignatureRepair("unrepairable", sig)
 
 

@@ -58,7 +58,7 @@ def main() -> None:
     #    cyclic, the family is not rigid - no criterion applies.
     verdict = classify(row.reduced_group(), sig, row.delta)
     print(f"\nmultiplicities all even: {not sig.has_odd_multiplicity}")
-    print(f"verdict: {verdict.verdict.value} ({verdict.theorem})")
+    print(f"verdict: {verdict.verdict} ({verdict.theorem})")
     assert not classify_record(row).is_definable
 
     # 5. ... yet the table does not highlight the row, although the same

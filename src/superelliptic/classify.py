@@ -16,7 +16,8 @@ Three sufficiency criteria are applied in priority order:
 When none applies the honest answer is "possibly not definable": the methods
 prove nothing either way, and the published tables highlight exactly these
 rows.  A :class:`Classification` stores only the proving :class:`Reason`, or
-None for "possibly not definable"; its verdict and theorem text derive from it.
+None for "possibly not definable"; its verdict (the string "definable" or
+"possibly_not_definable") and theorem text derive from it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from enum import Enum
 from .groups import ReducedGroup
 from .signature import Signature
 
-__all__ = ["Verdict", "Reason", "Classification", "classify", "THEOREM_TEXT"]
-
-
-class Verdict(Enum):
-    DEFINABLE = "definable"
-    POSSIBLY_NOT_DEFINABLE = "possibly_not_definable"
+__all__ = ["Reason", "Classification", "classify", "THEOREM_TEXT"]
 
 
 class Reason(Enum):
@@ -54,13 +50,12 @@ class Classification(namedtuple("Classification", "reason")):
 
     __slots__ = ()
     is_definable = property(lambda self: self.reason is not None)
-    verdict = property(lambda self: Verdict.DEFINABLE if self.is_definable
-                       else Verdict.POSSIBLY_NOT_DEFINABLE)
+    verdict = property(lambda self: "definable" if self.is_definable else "possibly_not_definable")
     theorem = property(lambda self: THEOREM_TEXT[self.reason])
 
     def to_json_dict(self) -> dict:
         return {
-            "verdict": self.verdict.value,
+            "verdict": self.verdict,
             "reason": self.reason.value if self.reason else None,
             "theorem": self.theorem,
         }

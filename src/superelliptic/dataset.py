@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from . import tables
+from ._quote import quote
 from .arith import QuadNum
 from .classify import Classification, classify
 from .family import EquationTemplate, ParamCoeff, Term
@@ -181,7 +182,7 @@ _BLOCK_NAMES = tuple(k.value for k in ReducedKind)
 def _block_from_json(value) -> ReducedKind:
     if value not in _BLOCK_NAMES:
         raise ValueError(f"field 'block' must be one of {', '.join(_BLOCK_NAMES)}, "
-                         f"got {value!r}")
+                         f"got {quote(value)}")
     return ReducedKind(value)
 
 
@@ -285,7 +286,7 @@ def from_json(text: str) -> Dataset:
         raise ValueError("JSON nested too deeply to read") from None
     version = payload.get("version")
     if version != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {version!r}")
+        raise ValueError(f"unsupported dataset version {quote(version)}")
     records = _rows_from_json("families", payload["families"], _record_from_json)
     named = _rows_from_json("named_curves", payload.get("named_curves", []), _named_from_json)
     return Dataset(records, named)
@@ -308,7 +309,7 @@ def _checked(value, name: str | None, expected: str, *types: type):
     """``value``, whose type must be one of ``types`` exactly; ``name`` None is the row."""
     if type(value) not in types:
         where = "" if name is None else f"field {name!r} "
-        raise ValueError(f"{where}must be {expected}, got {value!r}")
+        raise ValueError(f"{where}must be {expected}, got {quote(value)}")
     return value
 
 
@@ -357,7 +358,7 @@ def _equation_from_json(data) -> EquationTemplate:
         raise ValueError(f"equation degree must be at most {MAX_DEGREE}, got {template.degree}")
     derived = _radicand(template)
     if "radicand" in data and _checked(data["radicand"], "radicand", "an integer", int) != derived:
-        raise ValueError(f"field 'radicand' is {data['radicand']!r}, but the coefficients "
+        raise ValueError(f"field 'radicand' is {quote(data['radicand'])}, but the coefficients "
                          f"give {derived}")
     return template
 
@@ -376,7 +377,7 @@ def _term_from_json(e: int, c: dict) -> Term:
     if c["kind"] == "param":
         return _param_term(e, _checked(c["i"], "i", "an integer", int),
                            _rational_text("scale", c.get("scale", "1")))
-    raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {c['kind']!r}")
+    raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {quote(c['kind'])}")
 
 
 @cache
@@ -393,10 +394,10 @@ def _rational_text(key: str, text) -> str | int:
     """``text`` itself, once it is known to spell an exact rational."""
     if type(text) not in (str, int):  # a float is inexact, and true is no number
         raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
-                         f"got {text!r}")
+                         f"got {quote(text)}")
     if _rational(text) is None:
         raise ValueError(f"coefficient field {key!r} is not a rational number: "
-                         f"{text!r}")
+                         f"{quote(text)}")
     return text
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "EquationTemplate",
     "NonSuperellipticError",
     "branch_count",
-    "superelliptic_genus",
     "genus_of_family",
     "enumerate_levels",
     "normal_form_admissible",
@@ -176,9 +175,6 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
             product = out
         return Poly(product)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def _render_factor(factor: tuple[Term, ...]) -> str:
     parts = []
@@ -226,22 +222,16 @@ def branch_count(level: int, template: EquationTemplate | int) -> int:
         f"{level} nor 1, so y^{level} = f(x) is not in normal form")
 
 
-def superelliptic_genus(level: int, branch_points: int) -> int:
-    """Genus from 2g = (level - 1)(branch_points - 2)."""
-    if level < 2:
-        raise ValueError(f"level must be at least 2, got {level}")
+def genus_of_family(level: int, template: EquationTemplate | int) -> int:
+    """Genus of y^n = f(x) from 2g = (n - 1)(B - 2), B the branch count.
+
+    2g is always even: n - 1 is when n is odd, and when n is even B is too
+    (B = deg with n | deg, or B = deg + 1 with gcd(n, deg) = 1, so deg odd).
+    """
+    branch_points = branch_count(level, template)
     if branch_points < 3:
         raise ValueError(f"need at least 3 branch points, got {branch_points}")
-    twice = (level - 1) * (branch_points - 2)
-    if twice % 2:
-        raise NonSuperellipticError(
-            f"level {level} with {branch_points} branch points gives "
-            f"non-integral genus {twice}/2")
-    return twice // 2
-
-
-def genus_of_family(level: int, template: EquationTemplate | int) -> int:
-    return superelliptic_genus(level, branch_count(level, template))
+    return (level - 1) * (branch_points - 2) // 2
 
 
 def enumerate_levels(genus: int) -> tuple[tuple[int, int], ...]:

@@ -20,6 +20,8 @@ from collections import namedtuple
 from enum import Enum
 from functools import cache
 
+from ._quote import quote
+
 __all__ = [
     "ReducedKind",
     "ReducedGroup",
@@ -83,9 +85,6 @@ class ReducedGroup(namedtuple("ReducedGroup", "kind m")):
             return "V_4" if self.m == 2 else f"D_{2 * self.m}"
         return _POLYHEDRAL[self.kind][0]
 
-    def __str__(self) -> str:
-        return self.describe()
-
 
 class LabelError(ValueError):
     pass
@@ -122,13 +121,13 @@ def _atom_order(atom: str) -> int | None:
     elif sub:
         kind, base = sub.group(1), int(sub.group(2))
         if base < 1 or (kind == "D" and (base % 2 or base < 4)):
-            raise LabelError(f"impossible group label atom {atom!r}")
+            raise LabelError(f"impossible group label atom {quote(atom)}")
     elif _OPAQUE.match(atom):
         return None
     else:
-        raise LabelError(f"unrecognized group label atom {atom!r}")
+        raise LabelError(f"unrecognized group label atom {quote(atom)}")
     if base > 1 and exponent > 64:    # then base ** exponent > 2^64: not built
-        raise LabelError(f"group label atom {atom!r}^{exponent} has order above 2^64")
+        raise LabelError(f"group label atom {quote(atom)}^{exponent} has order above 2^64")
     return base ** exponent
 
 

@@ -25,6 +25,8 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
+from ._quote import quote
+
 __all__ = [
     "Signature",
     "InconsistentSignatureError",
@@ -70,7 +72,7 @@ class Signature(namedtuple("Signature", "entries")):
         for part in parts:
             m = _ENTRY_RE.match(part)
             if not m:
-                raise ValueError(f"bad signature entry {part!r} in {text!r}")
+                raise ValueError(f"bad signature entry {quote(part)} in {quote(text)}")
             order = int(m.group(1))
             mult = int(m.group(2)) if m.group(2) else 1
             entries.append((order, mult))

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import tables
+from ._quote import quote
 from .classify import classify
 from .dataset import Dataset, FamilyRecord, repair_signature
 from .family import genus_of_family, separability_probe
@@ -113,10 +114,10 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     degree, indices, separability = separability_probe(record.level, record.equation)
 
     try:
-        label = parse_group_label(record.label_text, context_order=order)
+        label = parse_group_label(record.label_text)
         if label.recognized and label.order != order:
             add("label",
-                f"printed group {record.label_text!r} has order {label.order}, "
+                f"printed group {quote(record.label_text)} has order {label.order}, "
                 f"but level {record.level} over {reduced.describe()} forces "
                 f"{order}", str(order))
     except LabelError as exc:
@@ -159,7 +160,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     shaped = False
     try:
         computed_genus = genus_of_family(record.level, degree)
-    except ValueError as exc:      # NonSuperellipticError, or a level below 2
+    except ValueError as exc:      # NonSuperellipticError, a level below 2, or B < 3
         add("genus", str(exc))
     else:
         shaped = True
@@ -189,7 +190,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         side = ("recomputation says the row is possibly-not-definable but it "
                 "is not highlighted" if computed_highlight else
                 "recomputation proves definability but the row is highlighted")
-        add("classification", side + detail, classification.verdict.value)
+        add("classification", side + detail, classification.verdict)
 
     for code, entry in errata.items():
         if code in CHECKS and code not in matched:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superelliptic.classify import THEOREM_TEXT, Classification, Reason, Verdict, classify
+from superelliptic.classify import THEOREM_TEXT, Classification, Reason, classify
 from superelliptic.dataset import classify_record, load_embedded
 from superelliptic.groups import ReducedGroup, ReducedKind
 from superelliptic.signature import Signature, moduli_dimension
@@ -18,19 +18,19 @@ def test_noncyclic_reduced_group_always_suffices() -> None:
                     ReducedGroup(ReducedKind.OCTAHEDRAL),
                     ReducedGroup(ReducedKind.ICOSAHEDRAL)):
         result = classify(reduced, sig, 3)
-        assert result.verdict is Verdict.DEFINABLE
+        assert result.verdict == "definable"
         assert result.reason is Reason.UNIQUE_SUBGROUP
 
 
 def test_odd_multiplicity_suffices_for_cyclic() -> None:
     result = classify(ReducedGroup(ReducedKind.CYCLIC, 2), Signature.parse("2^3,4^2"), 2)
-    assert result.verdict is Verdict.DEFINABLE
+    assert result.verdict == "definable"
     assert result.reason is Reason.ODD_SIGNATURE
 
 
 def test_rigid_family_suffices() -> None:
     result = classify(ReducedGroup(ReducedKind.CYCLIC, 11), Signature.parse("2^2,11^2"), 0)
-    assert result.verdict is Verdict.DEFINABLE
+    assert result.verdict == "definable"
     assert result.reason is Reason.QUASIPLATONIC
 
 
@@ -66,7 +66,7 @@ def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
 
 def test_no_criterion_applies() -> None:
     result = classify(ReducedGroup(ReducedKind.CYCLIC, 1), Signature.parse("2^8"), 5)
-    assert result.verdict is Verdict.POSSIBLY_NOT_DEFINABLE
+    assert result.verdict == "possibly_not_definable"
     assert result.reason is None
     assert not result.is_definable
 
@@ -87,7 +87,7 @@ def test_json_shapes() -> None:
     for result, verdict, reason, theorem in outcomes:
         assert result.to_json_dict() == {"verdict": verdict, "reason": reason,
                                          "theorem": theorem}
-        assert result.theorem == theorem and result.verdict.value == verdict
+        assert result.theorem == theorem and result.verdict == verdict
         assert result.is_definable is (reason is not None)
 
 
@@ -96,5 +96,4 @@ def test_a_classification_is_its_reason() -> None:
     for reason in (*Reason, None):
         result = Classification(reason)
         assert result.theorem == THEOREM_TEXT[reason]
-        assert result.verdict is (Verdict.DEFINABLE if reason else
-                                  Verdict.POSSIBLY_NOT_DEFINABLE)
+        assert result.verdict == ("definable" if reason else "possibly_not_definable")

@@ -465,6 +465,44 @@ def test_verify_of_a_huge_exponent_exits_3_at_once(tmp_path) -> None:
     assert "families[0]: equation degree must be at most 1000" in proc.stderr
 
 
+_HUGE = 5_000_000
+_DEEP = "[" * 985 + "]" * 985   # deep, but within what json.loads reads
+
+
+@pytest.mark.parametrize("argv,edit,code,message", [
+    pytest.param(["list"], lambda p: p["families"][0].update(level="7" * _HUGE), 3,
+                 "families[0]: field 'level' must be an integer, got '777", id="level"),
+    pytest.param(["list"], lambda p: p["families"][0].update(signature="2," + "x" * _HUGE),
+                 3, "families[0]: bad signature entry 'xxx", id="signature"),
+    pytest.param(["list"], lambda p: p.update(version="v" * _HUGE), 3,
+                 "unsupported dataset version 'vvv", id="version"),
+    pytest.param(["verify"], lambda p: p["families"][0].update(label="Q" * _HUGE), 1,
+                 "(label): unrecognized group label atom 'QQQ", id="label"),
+    pytest.param(["list"], lambda p: p["families"].__setitem__(0, "DEEP"), 3,
+                 "families[0]: must be an object, got [[[", id="nested-row"),
+])
+def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) -> None:
+    # each once wrote the whole value, megabytes of it, to stderr or stdout
+    path = Path(_edited_export(tmp_path, edit))
+    path.write_text(path.read_text(encoding="utf-8").replace('"DEEP"', _DEEP, 1),
+                    encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import sys\n"
+                           "from superelliptic.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))", *argv, "--data", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert message in proc.stdout + proc.stderr
+    assert len(proc.stdout) + len(proc.stderr) < 1000
+
+
+def test_a_short_value_is_quoted_whole() -> None:
+    from superelliptic._quote import quote
+    for value in ("x" * 98, {"b": 1, "a": [2.5, None, True]}, 10 ** 40, "2,'\\"):
+        assert quote(value) == repr(value)
+    assert quote("x" * 99) == "'" + "x" * 47 + "..." + "x" * 47 + "'"
+
+
 def _edit_row(genus: int, number: int, **fields):
     def edit(payload):
         next(r for r in payload["families"]

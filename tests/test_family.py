@@ -15,10 +15,8 @@ from superelliptic.arith import QuadNum, is_separable, is_separable_mod_p
 from superelliptic.dataset import load_embedded
 from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
                                   EquationTemplate, NonSuperellipticError, ParamCoeff, Term,
-                                  branch_count, enumerate_levels,
-                                  genus_of_family,
-                                  normal_form_admissible, separability_probe,
-                                  superelliptic_genus)
+                                  branch_count, enumerate_levels, genus_of_family,
+                                  normal_form_admissible, separability_probe)
 from superelliptic.tables import F1, X, f, spread, t
 
 P = CERTIFICATE_PRIME
@@ -111,18 +109,36 @@ def test_branch_count_rejects_bad_shape() -> None:
 
 
 @pytest.mark.parametrize("level,points,genus", [
-    (2, 12, 5), (11, 3, 5), (2, 6, 2), (3, 4, 2), (5, 3, 2),
+    (2, 12, 5), (11, 3, 5), (2, 6, 2), (5, 3, 2),
     (13, 3, 6), (3, 12, 10), (21, 3, 10),
 ])
 def test_superelliptic_genus(level: int, points: int, genus: int) -> None:
-    assert superelliptic_genus(level, points) == genus
+    degree = points if points % level == 0 else points - 1   # unbranched at infinity, or not
+    assert branch_count(level, degree) == points
+    assert genus_of_family(level, degree) == genus
 
 
 def test_superelliptic_genus_rejects_bad_arguments() -> None:
-    with pytest.raises(NonSuperellipticError, match="non-integral genus 3/2"):
-        superelliptic_genus(2, 5)
-    with pytest.raises(ValueError, match="level must be at least 2"):
-        superelliptic_genus(1, 4)
+    with pytest.raises(ValueError, match="level must be at least 2, got 1"):
+        genus_of_family(1, 4)
+    for level, degree in ((5, 1), (2, 2)):   # y^n = x, and a conic: two branch points
+        with pytest.raises(ValueError, match="need at least 3 branch points, got 2"):
+            genus_of_family(level, degree)
+
+
+def test_every_normal_form_has_an_integral_genus() -> None:
+    # pins the docstring's argument that 2g = (n - 1)(B - 2) is always even
+    for level in range(2, 41):
+        for degree in range(1, 201):
+            try:
+                points = branch_count(level, degree)
+            except NonSuperellipticError:
+                continue
+            if points < 3:
+                continue
+            genus = Fraction((level - 1) * (points - 2), 2)
+            assert genus.denominator == 1
+            assert genus_of_family(level, degree) == genus
 
 
 def _brute_force_levels(genus: int) -> set[tuple[int, int]]:

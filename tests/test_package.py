@@ -3,7 +3,9 @@ records are immutable values and a CLI call imports only what it needs."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import os
 import pickle
 import pkgutil
@@ -41,6 +43,16 @@ def test_demo_runs(demo: Path) -> None:
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_snippet_prints_its_comments() -> None:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    said = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == said
 
 
 def _records() -> list:

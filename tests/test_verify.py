@@ -9,7 +9,7 @@ from superelliptic import dataset, family, tables
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
-from superelliptic.groups import ReducedGroup
+from superelliptic.groups import ReducedGroup, parse_group_label
 from superelliptic.signature import Signature
 from superelliptic.tables import f, spread, t
 from superelliptic.verify import CHECKS, verify_dataset, verify_row
@@ -287,6 +287,13 @@ def test_every_embedded_row_is_certified_with_42_euclid_runs(monkeypatch) -> Non
     report = verify_dataset(load_embedded())
     assert len(report.rows) == 224 and report.ok
     assert family._euclid_mod_p.cache_info().misses == 42
+
+
+def test_the_label_check_parses_each_distinct_label_once(ds) -> None:
+    # the memo keys on the label alone: 76 distinct labels, 106 (label, order) pairs
+    parse_group_label.cache_clear()
+    assert len(verify_dataset(ds).rows) == 224
+    assert parse_group_label.cache_info().misses == len({r.label_text for r in ds}) == 76
 
 
 def test_more_parameters_than_probe_primes_is_still_an_error(ds) -> None:

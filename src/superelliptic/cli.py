@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 verification failures, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 
 from . import tables
@@ -302,5 +304,24 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run(argv=None) -> None:
+    """The process entry: :func:`main`, then an exit that skips the interpreter's teardown.
+
+    Exit hooks still run and stdout and stderr are flushed; a tracer, a profiler,
+    ``-i`` or a failed flush takes the interpreter's exit.  Library code calls ``main``.
+    """
+    code = main(argv)
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:   # None when started with the descriptor closed
+                stream.flush()
+    except (OSError, ValueError):    # a closed pipe or file: the interpreter reports it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import tables
-from ._quote import quote
+from ._quote import clip, quote
 from .classify import classify
 from .dataset import Dataset, FamilyRecord, repair_signature
 from .family import genus_of_family, separability_probe
@@ -132,7 +132,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         if resolution.status in ("completed", "corrected"):
             suffix = " (repair choice is ambiguous)" if resolution.ambiguous else ""
             add("signature",
-                f"printed signature {record.signature} does not balance the genus "
+                f"printed signature {clip(str(record.signature))} does not balance the genus "
                 f"relation; {resolution.edit}{suffix}", resolution.effective.render())
         elif resolution.status == "manually_corrected":
             add("signature",
@@ -141,7 +141,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
                 resolution.effective.render())
         elif resolution.status == "unrepairable":
             add("signature",
-                f"printed signature {record.signature} does not balance the genus "
+                f"printed signature {clip(str(record.signature))} does not balance the genus "
                 f"relation and no single edit fixes it")
 
     eff = resolution.effective
@@ -149,13 +149,13 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         dim = moduli_dimension(0, eff.point_count)
         if dim != record.delta:
             add("dimension",
-                f"signature {eff} gives a {dim}-dimensional locus, table "
+                f"signature {clip(str(eff))} gives a {dim}-dimensional locus, table "
                 f"says {record.delta}")
 
     bad_orders = sorted({o for o, _ in eff.entries if order % o})
     if bad_orders:
         add("cone_orders",
-            f"cone order(s) {bad_orders} do not divide the group order {order}")
+            f"cone order(s) {clip(str(bad_orders))} do not divide the group order {order}")
 
     shaped = False
     try:

@@ -480,9 +480,12 @@ _DEEP = "[" * 985 + "]" * 985   # deep, but within what json.loads reads
                  "(label): unrecognized group label atom 'QQQ", id="label"),
     pytest.param(["list"], lambda p: p["families"].__setitem__(0, "DEEP"), 3,
                  "families[0]: must be an object, got [[[", id="nested-row"),
+    pytest.param(["verify", "--genus", "3"],
+                 lambda p: p["families"][0].update(signature=",".join(map(str, range(2, 3202)))),
+                 1, "(signature): printed signature 2,3,4,", id="signature-orders"),
 ])
 def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) -> None:
-    # each once wrote the whole value, megabytes of it, to stderr or stdout
+    # each once wrote the whole value, up to megabytes of it, to stderr or stdout
     path = Path(_edited_export(tmp_path, edit))
     path.write_text(path.read_text(encoding="utf-8").replace('"DEEP"', _DEEP, 1),
                     encoding="utf-8")
@@ -497,10 +500,12 @@ def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) 
 
 
 def test_a_short_value_is_quoted_whole() -> None:
-    from superelliptic._quote import quote
+    from superelliptic._quote import clip, quote
     for value in ("x" * 98, {"b": 1, "a": [2.5, None, True]}, 10 ** 40, "2,'\\"):
         assert quote(value) == repr(value)
     assert quote("x" * 99) == "'" + "x" * 47 + "..." + "x" * 47 + "'"
+    assert clip("2," * 50) == "2," * 50
+    assert clip("2," * 50 + "3") == "2," * 24 + "...," + "2," * 23 + "3"
 
 
 def _edit_row(genus: int, number: int, **fields):

@@ -6,35 +6,62 @@ family (plus the rigid ones) by its reduced automorphism group, signature,
 locus dimension, and defining equation, and this package re-derives each
 column and decides whether the field of moduli is provably a field of
 definition for every member of the family.
+
+Each public name is imported from its module on first access (PEP 562), so
+``import superelliptic`` loads no submodule and a CLI call loads only the
+modules it runs.
 """
 
 from __future__ import annotations
 
-from .arith import Poly, QuadNum, is_separable
-from .classify import Classification, Reason, classify
-from .dataset import (Dataset, FamilyRecord, NamedCurve, classify_record,
-                      export_csv, from_json, load_embedded, repair_signature,
-                      to_json)
-from .family import (EquationTemplate, NonSuperellipticError, ParamCoeff, Term,
-                     branch_count, enumerate_levels, genus_of_family,
-                     normal_form_admissible, separability_probe)
-from .groups import (GroupLabel, LabelError, ReducedGroup, ReducedKind,
-                     parse_group_label)
-from .signature import (InconsistentSignatureError, Signature, SignatureRepair,
-                        complete_signature, moduli_dimension, quotient_genus)
-from .verify import Finding, RowResult, VerifyReport, verify_dataset, verify_row
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification", "Dataset", "EquationTemplate", "FamilyRecord", "Finding",
-    "GroupLabel", "InconsistentSignatureError", "LabelError", "NamedCurve",
-    "NonSuperellipticError", "ParamCoeff", "Poly", "QuadNum", "Reason",
-    "ReducedGroup", "ReducedKind", "RowResult", "Signature", "SignatureRepair",
-    "Term", "VerifyReport", "branch_count", "classify", "classify_record",
-    "complete_signature", "enumerate_levels", "export_csv", "from_json",
-    "genus_of_family", "is_separable", "load_embedded", "moduli_dimension",
-    "normal_form_admissible", "parse_group_label", "quotient_genus",
-    "repair_signature", "separability_probe", "to_json", "verify_dataset",
-    "verify_row",
-]
+_NAMES = {
+    "arith": ("Poly", "QuadNum", "is_separable"),
+    "classify": ("Classification", "Reason", "classify"),
+    "dataset": ("Dataset", "FamilyRecord", "NamedCurve", "classify_record", "export_csv",
+                "from_json", "load_embedded", "repair_signature", "to_json"),
+    "family": ("EquationTemplate", "NonSuperellipticError", "ParamCoeff", "Term",
+               "branch_count", "enumerate_levels", "genus_of_family",
+               "normal_form_admissible", "separability_probe"),
+    "groups": ("GroupLabel", "LabelError", "ReducedGroup", "ReducedKind",
+               "parse_group_label"),
+    "signature": ("InconsistentSignatureError", "Signature", "SignatureRepair",
+                  "complete_signature", "moduli_dimension", "quotient_genus"),
+    "verify": ("Finding", "RowResult", "VerifyReport", "verify_dataset", "verify_row"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    """Keeps ``superelliptic.classify`` the function when the module of that name loads.
+
+    The import system binds a submodule on its package when it first loads it,
+    which would hide the public name; ``classify`` is the one name both spell.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name in _MODULE_OF and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,79 +11,126 @@ Exit codes: 0 success, 1 verification failures, 2 usage error, 3 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import tables
 from .classify import classify
 from .dataset import (Dataset, classify_record, dump_json, export_csv, from_json,
                       load_embedded, repair_signature, to_json)
 from .family import branch_count, enumerate_levels, normal_form_admissible
-from .verify import verify_dataset
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# One option of a subcommand.  ``kind`` is "flag", "int", "choice" or "path";
+# ``default`` is the value when the option is absent, and ``help`` and
+# ``metavar`` are what argparse shows.
+_Option = namedtuple("_Option", "name kind help required default choices metavar",
+                     defaults=(None, False, None, None, None))
 
-def _build_parser() -> argparse.ArgumentParser:
+_DATA = _Option("--data", "path", "load the dataset from a JSON file instead of the "
+                "embedded tables", metavar="PATH")
+_FORMAT = _Option("--format", "choice", "output format (default: text)", default="text",
+                  choices=("text", "json"))
+_TIMESTAMPS = _Option("--timestamps", "flag", "include a generation timestamp in the output",
+                      default=False)
+_GENUS = _Option("--genus", "int", "restrict to one genus")
+_REQUIRED_GENUS = _Option("--genus", "int", required=True)
+_NR = _Option("--nr", "int", required=True)
+
+# The grammar, spelled once: each subcommand's help and options, in the order
+# argparse lists them.  _build_parser and _fast_parse both read it.
+_COMMANDS = {
+    "list": ("print classification tables", (
+        _DATA, _FORMAT, _TIMESTAMPS, _GENUS,
+        _Option("--blue-only", "flag", "only rows not provably definable", default=False))),
+    "verify": ("re-derive every column of the tables", (
+        _DATA, _FORMAT, _TIMESTAMPS, _GENUS,
+        _Option("--strict", "flag", "treat documented deviations as failures", default=False),
+        _Option("--verbose", "flag", "also print warnings in text output", default=False))),
+    "classify": ("verdict for a single row",
+                 (_DATA, _FORMAT, _TIMESTAMPS, _REQUIRED_GENUS, _NR)),
+    "levels": ("admissible level/branch-point splittings",
+               (_FORMAT, _TIMESTAMPS, _REQUIRED_GENUS)),   # levels reads no dataset
+    "row": ("full detail for a single row",
+            (_DATA, _FORMAT, _TIMESTAMPS, _REQUIRED_GENUS, _NR)),
+    "export": ("machine-readable exports", (
+        _DATA, _TIMESTAMPS,
+        _Option("--what", "choice", default="dataset",
+                choices=("dataset", "csv", "blue", "errata")),
+        _Option("--genus", "int", "genus for --what csv"),
+        _Option("--out", "path", "write to a file instead of stdout", metavar="PATH"))),
+}
+
+
+def _build_parser():
+    """The argparse parser for :data:`_COMMANDS`: help, usage errors and every argv
+    :func:`_fast_parse` declines."""
+    import argparse  # imported on use: a plain command line never needs it
+
     parser = argparse.ArgumentParser(
         prog="superelliptic",
         description="Classify superelliptic curve families by whether the "
                     "field of moduli is provably a field of definition.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, fmt: bool = True, data: bool = True) -> None:
-        if data:
-            p.add_argument("--data", metavar="PATH",
-                           help="load the dataset from a JSON file instead of the "
-                                "embedded tables")
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text",
-                           help="output format (default: text)")
-        p.add_argument("--timestamps", action="store_true",
-                       help="include a generation timestamp in the output")
-
-    p_list = sub.add_parser("list", help="print classification tables")
-    common(p_list)
-    p_list.add_argument("--genus", type=int, help="restrict to one genus")
-    p_list.add_argument("--blue-only", action="store_true",
-                        help="only rows not provably definable")
-
-    p_verify = sub.add_parser("verify", help="re-derive every column of the tables")
-    common(p_verify)
-    p_verify.add_argument("--genus", type=int, help="restrict to one genus")
-    p_verify.add_argument("--strict", action="store_true",
-                          help="treat documented deviations as failures")
-    p_verify.add_argument("--verbose", action="store_true",
-                          help="also print warnings in text output")
-
-    p_classify = sub.add_parser("classify", help="verdict for a single row")
-    common(p_classify)
-    p_classify.add_argument("--genus", type=int, required=True)
-    p_classify.add_argument("--nr", type=int, required=True)
-
-    p_levels = sub.add_parser("levels",
-                              help="admissible level/branch-point splittings")
-    common(p_levels, data=False)  # levels reads no dataset
-    p_levels.add_argument("--genus", type=int, required=True)
-
-    p_row = sub.add_parser("row", help="full detail for a single row")
-    common(p_row)
-    p_row.add_argument("--genus", type=int, required=True)
-    p_row.add_argument("--nr", type=int, required=True)
-
-    p_export = sub.add_parser("export", help="machine-readable exports")
-    common(p_export, fmt=False)
-    p_export.add_argument("--what", choices=("dataset", "csv", "blue", "errata"),
-                          default="dataset")
-    p_export.add_argument("--genus", type=int, help="genus for --what csv")
-    p_export.add_argument("--out", metavar="PATH",
-                          help="write to a file instead of stdout")
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in options:
+            if o.kind == "flag":
+                p.add_argument(o.name, action="store_true", help=o.help)
+            else:
+                p.add_argument(o.name, type=int if o.kind == "int" else None,
+                               choices=o.choices, required=o.required, default=o.default,
+                               help=o.help, metavar=o.metavar)
     return parser
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` returns, for a plain ``argv``; else None.
+
+    A one-sided shortcut: it answers only when ``argv[0]`` is a subcommand and
+    every later token is an exact option name of it, not repeated, each
+    followed (unless a flag) by a value that does not start with ``-`` and is
+    ASCII digits for an int and one of the choices for a choice, with every
+    required option present.  Anything else (help, a usage error, or a form
+    argparse also reads, such as ``--genus=3``, ``--gen 3`` or ``--genus -3``)
+    is None, and argparse decides.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {o.name: o for o in _COMMANDS[argv[0]][1]}
+    given = {}
+    tokens = iter(argv[1:])
+    for name in tokens:
+        option = options.get(name)
+        if option is None or name in given:
+            return None
+        if option.kind == "flag":
+            given[name] = True
+            continue
+        value = next(tokens, "-")     # a missing value reads as one argparse refuses
+        if value.startswith("-"):
+            return None
+        if option.kind == "int":
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:        # past the interpreter's limit on integer digits
+                return None
+        elif option.kind == "choice" and value not in option.choices:
+            return None
+        given[name] = value
+    if any(o.required and o.name not in given for o in options.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        o.name[2:].replace("-", "_"): given.get(o.name, o.default) for o in options.values()})
 
 
 def _load_dataset(args) -> Dataset:
@@ -187,6 +234,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_dataset  # imported on use: only verify checks rows
+
     ds = _load_dataset(args)
     genera = [args.genus] if args.genus is not None else None
     report = verify_dataset(ds, genera=genera, strict=args.strict)
@@ -250,11 +299,11 @@ def _cmd_row(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_export(args) -> int:
     ds = _load_dataset(args)
     if args.what == "csv":
         if args.genus is None:
-            parser.error("--what csv requires --genus")
+            _build_parser().error("--what csv requires --genus")
         _emit(export_csv(ds, args.genus), args.out)
         return EXIT_OK
     if args.what == "dataset":
@@ -286,11 +335,10 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_parse(argv) or _build_parser().parse_args(argv)
     command = {"list": _cmd_list, "verify": _cmd_verify, "classify": _cmd_classify,
-               "levels": _cmd_levels, "row": _cmd_row,
-               "export": lambda a: _cmd_export(a, parser)}[args.command]
+               "levels": _cmd_levels, "row": _cmd_row, "export": _cmd_export}[args.command]
     try:
         return command(args)
     except KeyError as exc:

@@ -102,27 +102,28 @@ class GroupLabel(namedtuple("GroupLabel", "order recognized")):
 
 
 _ATOM_ORDERS = {"V_4": 4, **dict(_POLYHEDRAL.values())}
-_SUBSCRIPTED = re.compile(r"^([CD])_(\d+)$")
-_OPAQUE = re.compile(r"^(G_\d+|K)$")
-_POWER = re.compile(r"^(.*?)\^(\d+)$")
+# Patterns, compiled by re's own cache on first use: only verify parses labels.
+_SUBSCRIPTED = r"^([CD])_(\d+)$"
+_OPAQUE = r"^(G_\d+|K)$"
+_POWER = r"^(.*?)\^(\d+)$"
 _MAX_ORDER = 2 ** 64   # far above any table group: the largest order is 180
 
 
 def _atom_order(atom: str) -> int | None:
     """Order of a single label atom, or None when opaque."""
-    power = _POWER.match(atom)
+    power = re.match(_POWER, atom)
     exponent = 1
     if power:
         atom, exponent = power.group(1), int(power.group(2))
         atom = atom.strip().strip("{}").strip()
-    sub = _SUBSCRIPTED.match(atom)
+    sub = re.match(_SUBSCRIPTED, atom)
     if atom in _ATOM_ORDERS:
         base = _ATOM_ORDERS[atom]
     elif sub:
         kind, base = sub.group(1), int(sub.group(2))
         if base < 1 or (kind == "D" and (base % 2 or base < 4)):
             raise LabelError(f"impossible group label atom {quote(atom)}")
-    elif _OPAQUE.match(atom):
+    elif re.match(_OPAQUE, atom):
         return None
     else:
         raise LabelError(f"unrecognized group label atom {quote(atom)}")

@@ -166,7 +166,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         shaped = True
         if computed_genus != record.genus:
             add("genus",
-                f"equation {record.equation.render()} at level {record.level} "
+                f"equation {clip(record.equation.render())} at level {record.level} "
                 f"has genus {computed_genus}, not {record.genus}")
 
     if len(indices) != record.delta:
@@ -174,7 +174,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             f"equation has {len(indices)} free "
             f"coefficient(s), table dimension is {record.delta}")
     elif indices != tuple(range(1, record.delta + 1)):
-        names = ", ".join(f"a_{i}" for i in indices)
+        names = clip(", ".join(f"a_{i}" for i in indices))
         add("parameters",
             f"equation's free coefficients are {names}, expected a_1 to "
             f"a_{record.delta}")

@@ -14,10 +14,10 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superelliptic.cli import main
+from superelliptic.cli import _COMMANDS, _build_parser, _fast_parse, main
 from superelliptic.groups import ReducedGroup
 
 
@@ -245,6 +245,78 @@ def test_levels_takes_no_data_option(capsys) -> None:
     assert "unrecognized arguments: --data x" in capsys.readouterr().err
 
 
+_OPTION_NAMES = sorted({o.name for _, options in _COMMANDS.values() for o in options})
+_GOOD = {"int": ("3", "6", "11", "007"), "path": ("f.json", "", "list")}
+_SLIPS = (*_COMMANDS, *_OPTION_NAMES, "lst", "--gen", "--blue", "--genus=3", "-h", "--help",
+          "-1", "-3", "+3", " 3", "3.0", "3_0", "\u0663", "9" * 5000, "x", "text", "csv",
+          "yaml", "", "-", "--")
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """An argv from the option table: most required options and some others, in
+    any order, a quarter of the values drawn from ``_SLIPS``, then up to two
+    more slips: a token of ``_SLIPS`` put in or swapped in, or a token taken out."""
+    command = draw(st.sampled_from(tuple(_COMMANDS)))
+    options = _COMMANDS[command][1]
+    chosen = [o for o in options if draw(st.integers(0, 3 if o.required else 1))]
+    argv = [command]
+    for o in draw(st.permutations(chosen)):
+        argv.append(o.name)
+        if o.kind != "flag":
+            good = st.sampled_from(o.choices or _GOOD[o.kind])
+            argv.append(draw(st.one_of(good, good, good, st.sampled_from(_SLIPS))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        how = draw(st.sampled_from(("put", "swap", "take")))
+        if how == "put":
+            argv.insert(at, draw(st.sampled_from(_SLIPS)))
+        elif at < len(argv):
+            argv[at:at + 1] = [draw(st.sampled_from(_SLIPS))] if how == "swap" else []
+    return argv
+
+
+@cache
+def _parser():
+    return _build_parser()
+
+
+def _parse_args(argv: list[str]):
+    """argparse's namespace for ``argv``, or None where it exits."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return _parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+@example(["lst"])
+@example(["list", "--data"])
+@example(["list", "--data", "-h"])
+@example(["list", "--format", "yaml"])
+@example(["classify", "--nr", "1"])
+@example(["row", "--genus", "3", "--nr", "9" * 5000])   # past int()'s digit limit
+def test_the_fast_path_agrees_with_argparse_where_it_answers(argv) -> None:
+    fast, slow = _fast_parse(argv), _parse_args(argv)
+    if slow is None:
+        assert fast is None
+    elif fast is not None:
+        assert vars(fast) == vars(slow)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_the_fast_path_reads_every_option(command) -> None:
+    argv = [command]
+    for o in _COMMANDS[command][1]:
+        argv.append(o.name)
+        if o.kind != "flag":
+            argv.append(o.choices[-1] if o.choices else _GOOD[o.kind][-1])
+    fast = _fast_parse(argv)
+    assert fast is not None and vars(fast) == vars(_parse_args(argv))
+
+
 @pytest.mark.parametrize("argv", [
     ["list", "--genus", "3"], ["verify", "--genus", "3"],
     ["classify", "--genus", "3", "--nr", "1"], ["levels", "--genus", "3"],
@@ -469,6 +541,19 @@ _HUGE = 5_000_000
 _DEEP = "[" * 985 + "]" * 985   # deep, but within what json.loads reads
 
 
+def _long_factor(first: int, **fields):
+    """Row 0 with the one factor a_first x + ... + a_(first+998) x^999 + x^1000.
+
+    999 parameters of index at most 1,000 and degree 1,000: inside both caps."""
+    def edit(payload):
+        terms = [{"e": e, "c": {"kind": "param", "i": first + e - 1, "scale": "1"}}
+                 for e in range(1, 1000)]
+        terms.append({"e": 1000, "c": {"kind": "fixed", "a": "1", "b": "0"}})
+        payload["families"][0]["equation"]["factors"] = [terms]
+        payload["families"][0].update(fields)
+    return edit
+
+
 @pytest.mark.parametrize("argv,edit,code,message", [
     pytest.param(["list"], lambda p: p["families"][0].update(level="7" * _HUGE), 3,
                  "families[0]: field 'level' must be an integer, got '777", id="level"),
@@ -483,6 +568,11 @@ _DEEP = "[" * 985 + "]" * 985   # deep, but within what json.loads reads
     pytest.param(["verify", "--genus", "3"],
                  lambda p: p["families"][0].update(signature=",".join(map(str, range(2, 3202)))),
                  1, "(signature): printed signature 2,3,4,", id="signature-orders"),
+    pytest.param(["verify", "--genus", "3"], _long_factor(1), 1,
+                 "(genus): equation a_1x+a_2x^2+", id="equation"),
+    pytest.param(["verify", "--genus", "3"], _long_factor(2, dim=999), 1,
+                 "(parameters): equation's free coefficients are a_2, a_3, ",
+                 id="parameter-names"),
 ])
 def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) -> None:
     # each once wrote the whole value, up to megabytes of it, to stderr or stdout
@@ -496,7 +586,7 @@ def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) 
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     assert message in proc.stdout + proc.stderr
-    assert len(proc.stdout) + len(proc.stderr) < 1000
+    assert len((proc.stdout + proc.stderr).encode("utf-8")) < 1000
 
 
 def test_a_short_value_is_quoted_whole() -> None:

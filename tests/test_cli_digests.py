@@ -2,7 +2,8 @@
 
 Each call below runs ``main`` in-process; the SHA-256 of ``[exit code,
 stdout, stderr]`` (as compact JSON) must equal the digest recorded in
-``DIGESTS``.  A change meant to keep the output identical (a speed-up, a
+``DIGESTS``.  ``USAGE_DIGESTS`` does the same for help and usage errors,
+whose bytes argparse writes, so they are recorded per Python minor version.  A change meant to keep the output identical (a speed-up, a
 refactor) must pass unchanged.  When an output change is intended, print the
 new table with ``PYTHONPATH=src python tests/test_cli_digests.py`` and say in
 the change log which calls moved and why.
@@ -14,6 +15,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -56,7 +59,10 @@ CALLS: tuple[tuple[str, ...], ...] = (
 def digest(argv: tuple[str, ...]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:     # help and usage errors leave through argparse
+            code = exc.code
     blob = json.dumps([code, out.getvalue(), err.getvalue()], ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -207,6 +213,52 @@ DIGESTS = {
 }
 
 
+# Help, usage errors and the calls next to them; argparse wraps help to the
+# terminal width, so these run with COLUMNS=80.
+USAGE_CALLS: tuple[tuple[str, ...], ...] = (
+    ("--help",),
+    *((command, "-h") for command in ("list", "verify", "classify", "levels", "row",
+                                      "export")),
+    (),
+    ("list", "--genus", "x"),
+    ("row", "--genus", "3"),
+    ("export", "--what", "csv"),
+    ("levels", "--genus", "3", "--data", "x"),
+    ("levels", "--genus", "-1"),
+)
+
+USAGE_DIGESTS = {
+    (3, 11): {
+        "--help":
+            "c829b4162cc1b958e3d06a9bf03bb9bf883d4460d835116e24531f20466029e9",
+        "list -h":
+            "849e2769a690c2d89d500abb8e20152fdf8f35dd5bdcf1a1d493d6c3b2b54884",
+        "verify -h":
+            "3a9d0aea02ae4798b062c423110f8652d85e27c77367bb2638c2dd054538f5b3",
+        "classify -h":
+            "954d3475df1b615367e8f9f06bfc0bce3e1351c7e22e127c6ef39b75760f5c63",
+        "levels -h":
+            "70cb0e9284d178d3c81ec80b26d8eb07fa22429066929cfe6e57d14795037f6b",
+        "row -h":
+            "e02ba4c443d868adc6294b7f69de85c890a8956ca40777a2decdc3e11537c90e",
+        "export -h":
+            "bf8240cf9a4dad519795f5be63ca2afae9d37fb51d3688ee1c5f2886dd125091",
+        "":
+            "9d86c7326e16ba0252e5673fc2f1e771e6da97ecc342e141ac051f948e4b7660",
+        "list --genus x":
+            "4c65bf60c575d063191fc2157efc809668138d3ab993c6958df63825c948e944",
+        "row --genus 3":
+            "46c52846564d1973af0efda0136eb698b6389357d9bf93f7d3ea2f1aba5c9c3d",
+        "export --what csv":
+            "ab45dad335a6c79743fed6ec5200f31f35a3699c18406a630e4dc524f2ae6e4b",
+        "levels --genus 3 --data x":
+            "42286ea1e211b9f8a14bed0b2bc860051cd7d1fb007dbd2f8649bbb657380856",
+        "levels --genus -1":
+            "58a0467be7d1fc900a1128d68c6682ead423fabc292590d44a6a8b7ec0700b61",
+    },
+}
+
+
 def test_every_call_has_a_digest() -> None:
     assert set(DIGESTS) == {" ".join(argv) for argv in CALLS}
     assert len(CALLS) >= 60
@@ -217,8 +269,21 @@ def test_cli_output_is_byte_identical(argv) -> None:
     assert digest(argv) == DIGESTS[" ".join(argv)]
 
 
+@pytest.mark.skipif(sys.version_info[:2] not in USAGE_DIGESTS,
+                    reason="no usage digests recorded for this Python version")
+@pytest.mark.parametrize("argv", USAGE_CALLS, ids=" ".join)
+def test_help_and_usage_output_is_byte_identical(monkeypatch, argv) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    assert digest(argv) == USAGE_DIGESTS[sys.version_info[:2]][" ".join(argv)]
+
+
 if __name__ == "__main__":
     print("DIGESTS = {")
     for argv in CALLS:
+        print(f'    "{" ".join(argv)}":\n        "{digest(argv)}",')
+    print("}")
+    os.environ["COLUMNS"] = "80"
+    print(f"USAGE_DIGESTS[{sys.version_info[:2]}] = {{")
+    for argv in USAGE_CALLS:
         print(f'    "{" ".join(argv)}":\n        "{digest(argv)}",')
     print("}")

@@ -153,3 +153,46 @@ def test_the_console_script_is_the_main_block_entry() -> None:
     block = next(node for node in tree.body if isinstance(node, ast.If)
                  and ast.unparse(node.test) == "__name__ == '__main__'")
     assert [ast.unparse(statement) for statement in block.body] == [f"{target}()"]
+
+
+def _modules_at_exit(*argv: str) -> tuple[int, set[str]]:
+    """Exit code and ``sys.modules`` as an exit hook sees it, for a CLI process
+    (no ``argv``: a process that runs no CLI)."""
+    cli = (f"sys.argv = ['superelliptic', *{list(argv)!r}]\n"
+           "runpy.run_module('superelliptic.cli', run_name='__main__')\n") if argv else ""
+    code, _, err = child("-c", "import atexit, runpy, sys\n"
+                         "atexit.register(lambda: print('modules:', *sys.modules,"
+                         " file=sys.stderr))\n" + cli)
+    return code, set(err.splitlines()[-1].split()[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["row", "--genus", "3", "--nr", "1"],
+    ["classify", "--genus", "6", "--nr", "11", "--format", "json"],
+    ["list", "--genus", "3", "--blue-only"],
+    ["export", "--what", "csv", "--genus", "4"],
+], ids=lambda argv: argv[0])
+def test_a_plain_command_line_imports_no_argparse_and_no_verify(argv) -> None:
+    bare = _modules_at_exit()[1]
+    code, loaded = _modules_at_exit(*argv)
+    assert code == 0
+    assert "superelliptic.tables" in loaded
+    assert {"argparse", "gettext", "locale", "superelliptic.verify"} & (loaded - bare) == set()
+
+
+def test_a_usage_error_still_goes_through_argparse() -> None:
+    code, loaded = _modules_at_exit("list", "--genus", "x")
+    assert code == 2
+    assert "argparse" in loaded
+
+
+def test_the_package_imports_each_module_on_first_use() -> None:
+    code, out, err = child("-c", "import sys, superelliptic\n"
+                           "print([m for m in sys.modules if m.startswith('superelliptic.')])\n"
+                           "import superelliptic.cli\n"   # loads the module classify
+                           "from superelliptic import *\n"
+                           "print(sorted(set(superelliptic.__all__) - set(globals())))\n"
+                           "print(classify.__module__, superelliptic.classify is classify)\n"
+                           "print(sorted(set(superelliptic.__all__) - set(dir(superelliptic))))\n")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["[]", "[]", "superelliptic.classify True", "[]"]

@@ -55,8 +55,8 @@ def main() -> None:
           f"{moduli_dimension(0, sig.point_count)}  [matches the table]")
 
     # 4. The consequence: every multiplicity is even, the reduced group is
-    #    cyclic, the family is not rigid - no criterion applies.
-    verdict = classify(row.reduced_group(), sig, row.delta)
+    #    cyclic - neither criterion applies.
+    verdict = classify(row.reduced_group(), sig)
     print(f"\nmultiplicities all even: {not sig.has_odd_multiplicity}")
     print(f"verdict: {verdict.verdict} ({verdict.theorem})")
     assert not classify_record(row).is_definable

@@ -1,17 +1,17 @@
 """Decide whether a family's field of moduli must be a field of definition.
 
-Three sufficiency criteria are applied in priority order:
+Two sufficiency criteria are applied in priority order, reading only the
+reduced automorphism group and the effective signature:
 
 1. If the reduced automorphism group is neither trivial nor cyclic, the
    central cyclic subgroup is unique of its kind and the curve descends to its
    field of moduli (unique-subgroup descent criterion).
 2. If some cone order appears an odd number of times in the signature, the
    curve is definable over its field of moduli (odd-signature criterion).
-3. If the locus is zero-dimensional the curve is rigid, hence definable
-   (quasiplatonic rigidity).  It never decides a row whose dimension matches
-   its signature: dimension 0 means r = 3 cone points, an odd count, so
-   criterion 2 applies first.  Only a dimension contradicting the signature
-   reaches it, and no embedded row does.
+
+Quasiplatonic curves (three cone points) are definable over their field of
+moduli (Wolfart); here that fact is covered by criterion 2, since three cone
+points give some order an odd multiplicity.
 
 When none applies the honest answer is "possibly not definable": the methods
 prove nothing either way, and the published tables highlight exactly these
@@ -34,13 +34,11 @@ __all__ = ["Reason", "Classification", "classify", "THEOREM_TEXT"]
 class Reason(Enum):
     UNIQUE_SUBGROUP = "unique_subgroup"
     ODD_SIGNATURE = "odd_signature"
-    QUASIPLATONIC = "quasiplatonic"
 
 
 THEOREM_TEXT = {
     Reason.UNIQUE_SUBGROUP: "unique-subgroup descent criterion",
     Reason.ODD_SIGNATURE: "odd-signature criterion",
-    Reason.QUASIPLATONIC: "quasiplatonic rigidity",
     None: "no applicable sufficiency criterion",
 }
 
@@ -61,17 +59,16 @@ class Classification(namedtuple("Classification", "reason")):
         }
 
 
-def classify(reduced: ReducedGroup, sig: Signature, delta: int) -> Classification:
-    """Apply the three criteria in priority order.
+def classify(reduced: ReducedGroup, sig: Signature, _printed_dim=None) -> Classification:
+    """Apply the two criteria in priority order.
 
-    ``sig`` must already be the effective (repaired) signature and ``delta``
-    the dimension of the locus; callers working from raw table rows should go
-    through the dataset layer, which performs the repairs.
+    ``sig`` must already be the effective (repaired) signature; callers working
+    from raw table rows should go through the dataset layer, which performs the
+    repairs.  The third parameter is read by nothing: it is kept only for the
+    benchmark's layer timing, which still passes the printed dimension.
     """
     if not reduced.is_cyclic_or_trivial:
         return Classification(Reason.UNIQUE_SUBGROUP)
     if sig.has_odd_multiplicity:
         return Classification(Reason.ODD_SIGNATURE)
-    if delta == 0:
-        return Classification(Reason.QUASIPLATONIC)
     return Classification(None)

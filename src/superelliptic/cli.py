@@ -134,7 +134,7 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _load_dataset(args) -> Dataset:
-    if args.data:
+    if args.data is not None:   # an empty path is an I/O error, not the embedded tables
         with open(args.data, "r", encoding="utf-8") as fh:
             return from_json(fh.read())
     return load_embedded()
@@ -147,7 +147,7 @@ def _timestamp() -> str:
 
 
 def _emit(text: str, out_path: str | None = None) -> None:
-    if out_path:
+    if out_path is not None:    # an empty path is an I/O error, not stdout
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
@@ -198,7 +198,7 @@ def _record_summary(record, detail: bool = False) -> dict:
         "equation": record.equation.render(),
         "highlighted": record.highlighted,
     }
-    out.update(classify(reduced, resolution.effective, record.delta).to_json_dict())
+    out.update(classify(reduced, resolution.effective).to_json_dict())
     if detail or resolution.changed:
         out["effective_signature"] = resolution.effective.render()
         out["signature_status"] = resolution.status

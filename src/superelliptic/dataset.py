@@ -100,7 +100,7 @@ def repair_signature(record: FamilyRecord, order: int | None = None) -> Signatur
 def classify_record(record: FamilyRecord) -> Classification:
     reduced = record.reduced_group()
     repair = repair_signature(record, record.level * reduced.order)
-    return classify(reduced, repair.effective, record.delta)
+    return classify(reduced, repair.effective)
 
 
 class Dataset:

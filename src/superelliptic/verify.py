@@ -182,7 +182,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     if shaped and separability:   # a badly shaped row has its one finding under genus
         add("separability", "; ".join(separability))
 
-    classification = classify(reduced, eff, record.delta)
+    classification = classify(reduced, eff)
     computed_highlight = not classification.is_definable
     if computed_highlight != record.highlighted:
         documented = errata.get("classification")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from superelliptic.classify import THEOREM_TEXT, Classification, Reason, classify
 from superelliptic.dataset import classify_record, load_embedded
 from superelliptic.groups import ReducedGroup, ReducedKind
-from superelliptic.signature import Signature, moduli_dimension
+from superelliptic.signature import Signature
 
 
 def test_noncyclic_reduced_group_always_suffices() -> None:
@@ -17,43 +17,35 @@ def test_noncyclic_reduced_group_always_suffices() -> None:
                     ReducedGroup(ReducedKind.TETRAHEDRAL),
                     ReducedGroup(ReducedKind.OCTAHEDRAL),
                     ReducedGroup(ReducedKind.ICOSAHEDRAL)):
-        result = classify(reduced, sig, 3)
+        result = classify(reduced, sig)
         assert result.verdict == "definable"
         assert result.reason is Reason.UNIQUE_SUBGROUP
 
 
 def test_odd_multiplicity_suffices_for_cyclic() -> None:
-    result = classify(ReducedGroup(ReducedKind.CYCLIC, 2), Signature.parse("2^3,4^2"), 2)
+    result = classify(ReducedGroup(ReducedKind.CYCLIC, 2), Signature.parse("2^3,4^2"))
     assert result.verdict == "definable"
     assert result.reason is Reason.ODD_SIGNATURE
 
 
-def test_rigid_family_suffices() -> None:
-    result = classify(ReducedGroup(ReducedKind.CYCLIC, 11), Signature.parse("2^2,11^2"), 0)
-    assert result.verdict == "definable"
-    assert result.reason is Reason.QUASIPLATONIC
-
-
 def test_priority_group_beats_signature_beats_rigidity() -> None:
-    odd = Signature.parse("2,3^2,6")
-    # a dihedral reduced group wins even when the signature is odd and rigid
+    # rigidity is no criterion of its own: a rigid (three-point) signature is
+    # decided by the reduced group first, then by its odd multiplicity
+    rigid = Signature.parse("2,3,6")
     dihedral = ReducedGroup(ReducedKind.DIHEDRAL, 3)
-    assert classify(dihedral, odd, 0).reason is Reason.UNIQUE_SUBGROUP
-    # cyclic + odd signature wins over rigidity
+    assert classify(dihedral, rigid).reason is Reason.UNIQUE_SUBGROUP
     cyclic = ReducedGroup(ReducedKind.CYCLIC, 2)
-    assert classify(cyclic, odd, 0).reason is Reason.ODD_SIGNATURE
+    assert classify(cyclic, rigid).reason is Reason.ODD_SIGNATURE
 
 
-@given(st.lists(st.integers(2, 60), min_size=3, max_size=9), st.integers(1, 12))
-def test_quasiplatonic_never_decides_a_dimension_that_matches_the_signature(orders,
-                                                                          m) -> None:
-    # dimension 0 over a genus-0 quotient means r = 3 cone points, and an odd
-    # number of them gives some order an odd multiplicity: criterion 2 decides first
+@given(st.lists(st.integers(2, 60), min_size=3, max_size=3), st.integers(1, 12))
+def test_three_cone_points_are_decided_by_the_odd_signature(orders, m) -> None:
+    # a quasiplatonic curve (three cone points) is definable over its field of
+    # moduli (Wolfart); three is an odd count, so some order has odd multiplicity
     sig = Signature.of(*orders)
-    dim = moduli_dimension(0, sig.point_count)
-    assert dim > 0 or sig.has_odd_multiplicity
-    reduced = ReducedGroup(ReducedKind.CYCLIC, m)
-    assert classify(reduced, sig, dim).reason is not Reason.QUASIPLATONIC
+    assert sig.point_count == 3
+    # m = 1 is the trivial reduced group
+    assert classify(ReducedGroup(ReducedKind.CYCLIC, m), sig).reason is Reason.ODD_SIGNATURE
 
 
 def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
@@ -61,27 +53,25 @@ def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
     assert reasons.count(Reason.UNIQUE_SUBGROUP) == 125
     assert reasons.count(Reason.ODD_SIGNATURE) == 66
     assert reasons.count(None) == 33
-    assert Reason.QUASIPLATONIC not in reasons
+    assert len(Reason) == 2 and len(THEOREM_TEXT) == 3
 
 
 def test_no_criterion_applies() -> None:
-    result = classify(ReducedGroup(ReducedKind.CYCLIC, 1), Signature.parse("2^8"), 5)
+    result = classify(ReducedGroup(ReducedKind.CYCLIC, 1), Signature.parse("2^8"))
     assert result.verdict == "possibly_not_definable"
     assert result.reason is None
     assert not result.is_definable
 
 
 def test_json_shapes() -> None:
-    # all four outcomes; no CLI call reaches quasiplatonic, so no digest pins its text
+    # all three outcomes
     cyclic = ReducedGroup(ReducedKind.CYCLIC, 2)
     outcomes = [
-        (classify(ReducedGroup(ReducedKind.DIHEDRAL, 2), Signature.parse("2^6"), 3),
+        (classify(ReducedGroup(ReducedKind.DIHEDRAL, 2), Signature.parse("2^6")),
          "definable", "unique_subgroup", "unique-subgroup descent criterion"),
-        (classify(cyclic, Signature.parse("2^3,4^2"), 2),
+        (classify(cyclic, Signature.parse("2^3,4^2")),
          "definable", "odd_signature", "odd-signature criterion"),
-        (classify(cyclic, Signature.parse("2^2,4^2"), 0),
-         "definable", "quasiplatonic", "quasiplatonic rigidity"),
-        (classify(cyclic, Signature.parse("2^6"), 3),
+        (classify(cyclic, Signature.parse("2^6")),
          "possibly_not_definable", None, "no applicable sufficiency criterion"),
     ]
     for result, verdict, reason, theorem in outcomes:

@@ -209,6 +209,25 @@ def test_missing_data_file_is_io_error(capsys) -> None:
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["list"], ["row", "--genus", "3", "--nr", "1"], ["classify", "--genus", "3", "--nr", "1"],
+    ["verify"], ["export", "--what", "blue"],
+])
+def test_an_empty_data_path_is_io_error(capsys, argv) -> None:
+    # an unset shell variable must not silently select the embedded tables
+    code, out, err = run(capsys, *argv, "--data", "")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("what", [["blue"], ["errata"], ["dataset"], ["csv", "--genus", "3"]])
+def test_an_empty_out_path_is_io_error(capsys, what) -> None:
+    # an unset shell variable must not silently select stdout
+    code, out, err = run(capsys, "export", "--what", *what, "--out", "")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
 def test_corrupt_data_file_is_io_error(capsys, tmp_path) -> None:
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -622,6 +641,20 @@ def test_an_erratum_excuses_only_the_value_it_documents(capsys, tmp_path, edit,
     if "signature" in failure:
         code, out, _ = run(capsys, "row", "--genus", "6", "--nr", "11", "--data", path)
         assert code == 0 and "signature_status: unrepairable" in out.splitlines()
+
+
+def test_a_printed_dimension_of_zero_does_not_decide_the_verdict(capsys, tmp_path) -> None:
+    # genus 3 row 1 is cyclic with signature 2^8: no criterion applies, whatever dim says
+    path = _edited_export(tmp_path, _edit_row(3, 1, dim=0))
+    code, out, _ = run(capsys, "classify", "--genus", "3", "--nr", "1", "--data", path,
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["reason"] is None
+    code, out, _ = run(capsys, "verify", "--genus", "3", "--data", path, "--format", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert [(x["number"], x["code"]) for x in report["failures"]] == [
+        (1, "dimension"), (1, "parameters")]
+    assert report["warnings"] == []
 
 
 @pytest.mark.parametrize("key", ["families", "note"])

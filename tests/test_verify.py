@@ -162,7 +162,7 @@ def test_unbalanced_manual_correction_is_not_applied(ds) -> None:
     result = verify_row(row)
     assert result.resolution.status == "unrepairable"
     assert result.resolution.effective == row.signature
-    assert result.classification == classify(row.reduced_group(), row.signature, row.delta)
+    assert result.classification == classify(row.reduced_group(), row.signature)
     signature = [x for x in result.findings if x.code == "signature"]
     assert [x.severity for x in signature] == ["failure"]
     assert "no single edit fixes it" in signature[0].message

@@ -133,11 +133,12 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
         o.name[2:].replace("-", "_"): given.get(o.name, o.default) for o in options.values()})
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args, genus: int | None = None) -> Dataset:
+    """The ``--data`` file whole, or the embedded tables: only ``genus``'s when given."""
     if args.data is not None:   # an empty path is an I/O error, not the embedded tables
         with open(args.data, "r", encoding="utf-8") as fh:
             return from_json(fh.read())
-    return load_embedded()
+    return load_embedded(genus)
 
 
 def _timestamp() -> str:
@@ -209,7 +210,7 @@ def _record_summary(record, detail: bool = False) -> dict:
 
 
 def _cmd_list(args) -> int:
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, args.genus)
     genera = [args.genus] if args.genus is not None else list(ds.genera)
     records = [r for g in genera for r in ds.genus_rows(g)
                if not args.blue_only or r.highlighted]
@@ -236,7 +237,7 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import verify_dataset  # imported on use: only verify checks rows
 
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, args.genus)
     genera = [args.genus] if args.genus is not None else None
     report = verify_dataset(ds, genera=genera, strict=args.strict)
     if args.format == "json":
@@ -252,7 +253,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, args.genus)
     verdict = classify_record(ds.get(args.genus, args.nr))
     if args.format == "json":
         _emit_json(args, verdict.to_json_dict())
@@ -286,7 +287,7 @@ def _cmd_levels(args) -> int:
 
 
 def _cmd_row(args) -> int:
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, args.genus)
     summary = _record_summary(ds.get(args.genus, args.nr), detail=True)
     if args.format == "json":
         _emit_json(args, summary)
@@ -300,7 +301,7 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, args.genus if args.what == "csv" else None)
     if args.what == "csv":
         if args.genus is None:
             _build_parser().error("--what csv requires --genus")

@@ -5,13 +5,14 @@ the signature-repair oracle (plus the one documented manual correction) on
 top of the printed signatures, classifies rows, and serializes the whole
 dataset losslessly to JSON and per-genus CSV.
 
-This module alone knows the JSON form, down to each equation term.  Every
-JSON document the package writes goes through :func:`dump_json`, which gives
-the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline at
-about twice its speed.  Reading checks each field and container where it
-reads it, in document order; a term's fields are checked exactly (``true`` is
-no integer, ``1.0`` no exact rational) before a memo keyed on them builds one
-``Term`` per distinct JSON term.
+This module alone knows the JSON form, down to each equation term.  The
+dataset document has its own fixed-depth writer, :func:`to_json`; every other
+JSON document the package writes goes through :func:`dump_json`.  Both give
+the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline,
+``dump_json`` at about twice its speed.  Reading checks each field and
+container where it reads it, in document order; a term's fields are checked
+exactly (``true`` is no integer, ``1.0`` no exact rational) before a memo
+keyed on them builds one ``Term`` per distinct JSON term.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from . import tables
 from ._quote import quote
@@ -142,21 +143,6 @@ class Dataset:
         return iter(self.records)
 
 
-def _record_to_json(record: FamilyRecord) -> dict:
-    return {
-        "genus": record.genus,
-        "nr": record.number,
-        "block": record.block.value,
-        "label": record.label_text,
-        "level": record.level,
-        "m": record.m,
-        "signature": record.signature.render(),
-        "dim": record.delta,
-        "equation": _equation_to_json(record.equation),
-        "highlighted": record.highlighted,
-    }
-
-
 def _record_from_json(obj: dict) -> FamilyRecord:
     record = FamilyRecord(
         genus=obj["genus"],
@@ -186,16 +172,6 @@ def _block_from_json(value) -> ReducedKind:
     return ReducedKind(value)
 
 
-def _named_to_json(curve: NamedCurve) -> dict:
-    return {
-        "genus": curve.genus,
-        "level": curve.level,
-        "label": curve.label_text,
-        "equation": _equation_to_json(curve.equation),
-        "note": curve.note,
-    }
-
-
 def _named_from_json(obj: dict) -> NamedCurve:
     curve = NamedCurve(
         genus=_checked(obj["genus"], "genus", "an integer", int),
@@ -211,12 +187,79 @@ def _named_from_json(obj: dict) -> NamedCurve:
 
 
 def to_json(dataset: Dataset) -> str:
-    payload = {
-        "version": DATASET_VERSION,
-        "families": [_record_to_json(r) for r in dataset.records],
-        "named_curves": [_named_to_json(c) for c in dataset.named_curves],
-    }
-    return dump_json(payload)
+    """The dataset document: the bytes :func:`dump_json` gives for its payload.
+
+    The document has one fixed shape, so this writer spells it out instead of
+    walking a payload: each row writes its keys in sorted order, at a fixed
+    depth.  An equation term sits at the same depth wherever it occurs
+    (``families[i].equation.factors[j][k]``, and the same under
+    ``named_curves``), so its text is written once per distinct term.  A
+    row's ``genus``, which :func:`from_json` does not type-check, is written
+    by :func:`dump_json`'s walk unless it is an integer.
+    """
+    escape = _escaper()
+    # id(term) -> its text, and whether its coefficient needs the radicand.
+    # Keyed on the object, not the Term: the embedded table holds one object
+    # per distinct term and from_json one per distinct JSON term, and a Term's
+    # hash runs Fraction's, in Python.  The dataset keeps each key's object
+    # alive until the return.
+    terms: dict[int, tuple[str, bool]] = {}
+
+    def equation(template: EquationTemplate) -> str:
+        factors = []
+        irrational = False
+        for factor in template.factors:
+            texts = []
+            for term in factor:
+                known = terms.get(id(term))
+                if known is None:
+                    obj = _term_to_json(term)
+                    out: list[str] = []
+                    _write_json(obj, "\n" + " " * 12, out, escape)
+                    known = terms[id(term)] = ("".join(out), "d" in obj["c"])
+                texts.append(known[0])
+                irrational = irrational or known[1]
+            factors.append("[\n            " + ",\n            ".join(texts) + "\n          ]")
+        return ('{\n        "factors": [\n          ' + ",\n          ".join(factors)
+                + '\n        ],\n        "radicand": ' + ("-3" if irrational else "1")
+                + "\n      }")
+
+    def genus(value) -> str:
+        if type(value) is int:
+            return str(value)
+        out: list[str] = []
+        _write_json(value, "\n      ", out, escape)
+        return "".join(out)
+
+    families = [
+        '{\n      "block": ' + escape(r.block.value)
+        + ',\n      "dim": ' + str(r.delta)
+        + ',\n      "equation": ' + equation(r.equation)
+        + ',\n      "genus": ' + genus(r.genus)
+        + ',\n      "highlighted": ' + ("true" if r.highlighted else "false")
+        + ',\n      "label": ' + escape(r.label_text)
+        + ',\n      "level": ' + str(r.level)
+        + ',\n      "m": ' + ("null" if r.m is None else str(r.m))
+        + ',\n      "nr": ' + str(r.number)
+        + ',\n      "signature": ' + escape(r.signature.render())
+        + "\n    }"
+        for r in dataset.records]
+    named = [
+        '{\n      "equation": ' + equation(c.equation)
+        + ',\n      "genus": ' + str(c.genus)
+        + ',\n      "label": ' + escape(c.label_text)
+        + ',\n      "level": ' + str(c.level)
+        + ',\n      "note": ' + escape(c.note)
+        + "\n    }"
+        for c in dataset.named_curves]
+    return ('{\n  "families": ' + _rows_text(families)
+            + ',\n  "named_curves": ' + _rows_text(named)
+            + ',\n  "version": ' + escape(DATASET_VERSION) + "\n}\n")
+
+
+def _rows_text(rows: list[str]) -> str:
+    """A list of row texts at the document's second level, as :func:`dump_json` writes it."""
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
 def dump_json(obj) -> str:
@@ -229,11 +272,24 @@ def dump_json(obj) -> str:
     keys are not strings, goes to ``json.dumps``; a dict mixing string and
     other keys raises TypeError, as it does there.
     """
-    from json.encoder import encode_basestring_ascii  # imported on use: text calls write no JSON
     out: list[str] = []
-    _write_json(obj, "\n", out, encode_basestring_ascii)
+    _write_json(obj, "\n", out, _escaper())
     out.append("\n")
     return "".join(out)
+
+
+def _escaper():
+    """The C string escaper ``json.dumps`` uses, imported on use: text calls write no JSON.
+
+    It is taken from json's C module, as importing :mod:`json` also imports
+    its decoder, which compiles regular expressions: about 3 ms of a call that
+    writes JSON and reads none.
+    """
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:     # an interpreter without json's C module
+        from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
 
 
 def _write_json(obj, newline: str, out: list[str], escape) -> None:
@@ -425,18 +481,24 @@ def export_csv(dataset: Dataset, genus: int) -> str:
     return buf.getvalue()
 
 
-def _build_records() -> tuple[FamilyRecord, ...]:
+def _build_records(genera) -> tuple[FamilyRecord, ...]:
     # A table row holds a record's fields after the genus, the signature as text.
     return tuple(FamilyRecord(genus, nr, block, label, level, m, Signature.parse(sig), *rest)
-                 for genus, rows in tables.ALL_TABLES.items()
-                 for nr, block, label, level, m, sig, *rest in rows)
+                 for genus in genera
+                 for nr, block, label, level, m, sig, *rest in tables.genus_table(genus))
 
 
-def _build_named() -> tuple[NamedCurve, ...]:
+def _build_named(genera) -> tuple[NamedCurve, ...]:
     return tuple(NamedCurve(genus=g, level=n, label_text=label, equation=eq, note=note)
-                 for g, n, label, eq, note in tables.NAMED_CURVES)
+                 for g, n, label, eq, note in tables.named_curves() if g in genera)
 
 
-@lru_cache(maxsize=1)
-def load_embedded() -> Dataset:
-    return Dataset(_build_records(), _build_named())
+@cache
+def load_embedded(genus: int | None = None) -> Dataset:
+    """The embedded tables; with ``genus``, only that genus's rows and named curves.
+
+    A genus without a table gives an empty dataset, whose lookups raise the
+    usual KeyError.  Only the genus tables read are built.
+    """
+    genera = tables.GENERA if genus is None else (genus,) if genus in tables.GENERA else ()
+    return Dataset(_build_records(genera), _build_named(genera))

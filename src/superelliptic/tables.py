@@ -15,6 +15,12 @@ misprints are the exception -- they stay verbatim because the repair oracle
 fixes them at run time, and their entries say what it must find).  Nothing
 here is parsed from typeset source at run time; the rows below *are* the
 dataset.
+
+Each genus table is a function whose body is its row literal, read through
+:func:`genus_table`, which builds the table on first read and keeps it; the
+named curves are read the same way through :func:`named_curves`.  Importing
+the module builds no equation template, so a call that reads one genus
+builds that genus alone.  :data:`GENERA` lists the genera with a table.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ C, D, A4, S4, A5 = (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL, ReducedKind.TETRAH
 # (nr, block, label, level n, printed m, printed signature, printed delta,
 #  equation template, highlighted as possibly-not-definable)
 
-GENUS3 = (
+
+def _genus3():
+    return (
     (1, C, "C_2", 2, 1, "2^8", 5, t(X, spread(6, 1, 5)), True),
     (2, C, "V_4", 2, 2, "2^6", 3, t(f(8, (2, "a1"), (4, "a2"), (6, "a3"), 0)), True),
     (3, C, "C_4", 2, 2, "2^3,4^2", 2, t(X, f(6, (2, "a1"), (4, "a2"), 0)), False),
@@ -81,7 +89,9 @@ GENUS3 = (
     (5, D, "V_4 × C_4", 4, 2, "2^3,4", 1, t(f(4, (2, "a1"), 0)), False),
 )
 
-GENUS4 = (
+
+def _genus4():
+    return (
     (1, C, "C_2", 2, 1, "2^10", 7, t(X, spread(8, 1, 7)), True),
     (2, C, "V_4", 2, 2, "2^7", 4, t(spread(10, 2, 4)), False),
     (3, C, "C_4", 2, 2, "2^4,4^2", 3, t(X, f(8, (6, "a3"), (4, "a2"), (2, "a1"), 0)), True),
@@ -93,7 +103,9 @@ GENUS4 = (
     (9, D, "V_4 × C_3", 3, 2, "2^2,3,6", 1, t(X, f(4, (2, "a1"), 0)), False),
 )
 
-GENUS5 = (
+
+def _genus5():
+    return (
     (1, C, "V_4", 2, 2, "2^8", 5, t(spread(12, 2, 5)), True),
     (2, C, "C_3 × C_2", 2, 3, "2^4,3^2", 3, t(spread(12, 3, 3)), True),
     (3, C, "C_2 × C_4", 2, 4, "2^3,4^2", 2, t(f(12, (8, "a2"), (4, "a1"), 0)), False),
@@ -119,7 +131,9 @@ GENUS5 = (
     (20, A5, "", 2, None, "2,3,10", 0, t(X, f(10, (5, 11), (0, -1))), False),
 )
 
-GENUS6 = (
+
+def _genus6():
+    return (
     (1, C, "V_4", 2, 2, "2^9", 6, t(spread(14, 2, 6)), False),
     (2, C, "C_26", 2, 13, "2,13,26", 0, t(f(13, 0)), False),
     (3, C, "C_21", 3, 7, "3,7,21", 0, t(f(7, 0)), False),
@@ -161,7 +175,9 @@ GENUS6 = (
     (36, S4, "G_19", 2, 0, "2,6,8", 0, t(X, f(4, (0, -1)), f(8, (4, 14), 0)), False),
 )
 
-GENUS7 = (
+
+def _genus7():
+    return (
     (1, C, "V_4", 2, 2, "2^10", 7, t(spread(16, 2, 7)), True),
     (2, C, "C_2 × C_4", 2, 4, "2^4,4^2", 3, t(spread(16, 4, 3)), True),
     (3, C, "C_3^2", 3, 3, "3^5", 2, t(f(9, (6, "a2"), (3, "a1"), 0)), False),
@@ -194,7 +210,9 @@ GENUS7 = (
     (27, A4, "K", 2, 0, "2^2,3,6", 1, t(f(4, (2, ("sqrt", 2)), 0), F1), False),
 )
 
-GENUS8 = (
+
+def _genus8():
+    return (
     (1, C, "V_4", 2, 2, "2^11", 8, t(spread(18, 2, 8)), False),
     (2, C, "C_2 × C_3", 2, 3, "2^6,3^2", 5, t(spread(18, 3, 5)), True),
     (3, C, "C_2 × C_6", 2, 6, "2^3,6^2", 2, t(f(18, (6, "a1"), (12, "a2"), 0)), False),
@@ -226,7 +244,9 @@ GENUS8 = (
      t(X, f(4, (0, -1)), f(12, (8, -33), (4, -33), 0)), False),
 )
 
-GENUS9 = (
+
+def _genus9():
+    return (
     (1, C, "V_4", 2, 2, "2^12", 9, t(spread(20, 2, 9)), True),
     (2, C, "C_2 × C_4", 2, 4, "2^5,4^2", 4, t(spread(20, 4, 4)), False),
     (3, C, "C_2 × C_5", 2, 5, "2^4,5^2", 3, t(spread(20, 5, 3)), True),
@@ -290,7 +310,9 @@ GENUS9 = (
      t(f(20, (15, -228), (10, 494), (5, 228), 0)), False),
 )
 
-GENUS10 = (
+
+def _genus10():
+    return (
     (1, C, "V_4", 2, 2, "2^13", 10, t(spread(22, 2, 10)), False),
     (2, C, "C_2 × C_3", 3, 2, "2^2,3^6", 5, t(spread(12, 2, 5)), True),
     (3, C, "C_3^2", 3, 3, "3^6", 3, t(spread(12, 3, 3)), True),
@@ -359,10 +381,18 @@ GENUS10 = (
     (55, A5, "A_5 × C_3", 3, 0, "2,3,15", 0, t(X, f(10, (5, 11), (0, -1))), False),
 )
 
-ALL_TABLES: dict[int, tuple] = {
-    3: GENUS3, 4: GENUS4, 5: GENUS5, 6: GENUS6,
-    7: GENUS7, 8: GENUS8, 9: GENUS9, 10: GENUS10,
-}
+
+_TABLES = {3: _genus3, 4: _genus4, 5: _genus5, 6: _genus6,
+           7: _genus7, 8: _genus8, 9: _genus9, 10: _genus10}
+
+GENERA = tuple(_TABLES)
+
+
+@cache
+def genus_table(genus: int) -> tuple:
+    """The rows of one genus table, built on first read."""
+    return _TABLES[genus]()
+
 
 # ---------------------------------------------------------------------------
 # Named zero-dimensional curves mentioned alongside the genus-3/4 tables
@@ -370,7 +400,10 @@ ALL_TABLES: dict[int, tuple] = {
 # ---------------------------------------------------------------------------
 
 # (genus, level, group label as given, template, note)
-NAMED_CURVES = (
+@cache
+def named_curves() -> tuple:
+    """The named curves, built on first read."""
+    return (
     (3, 4, "A_4", t(f(4, (2, 2), (0, Fraction(1, 3)))), "reduced group A_4"),
     (3, 2, "S_4", t(f(8, (4, 14), 0)), "reduced group S_4"),
     (3, 4, "G_5", t(f(4, (0, -1))), "full group named G_5"),

@@ -46,10 +46,10 @@ PUBLISHED_HIGHLIGHTED = {
 # branch points (f has a root at 0 and odd degree 13), so each carries cone
 # order 2*3 = 6.  The other 12 roots fall into 4 free orbits, cone order 2.
 # Hence 2^4,6^2: quotient genus 0, 6 orbits, dimension 3.  Every
-# multiplicity is even, the reduced group C_3 is cyclic and the family is
-# not rigid, so none of the three sufficiency criteria applies and the row is
-# possibly not definable, like the highlighted rows of the same shape
-# (genus 5 nr 2, genus 8 nr 2, genus 9 nr 16).
+# multiplicity is even and the reduced group C_3 is cyclic, so neither
+# sufficiency criterion (a non-cyclic reduced group, an odd multiplicity)
+# applies and the row is possibly not definable, like the highlighted rows
+# of the same shape (genus 5 nr 2, genus 8 nr 2, genus 9 nr 16).
 HIGHLIGHTING_ERRATA = {(6, 11): "2^4,6^2"}
 
 # The rest of the hand derivation for each erratum row: the quotient-genus
@@ -206,6 +206,8 @@ def test_criterion_7_classifier_properties(ds) -> None:
     for r in ds:
         verdict = classify_record(r)
         effective = repair_signature(r).effective
+        # Wolfart's theorem, stated on its own: a rigid (quasiplatonic) family
+        # is definable, whichever criterion decides it.
         if r.delta == 0 and not verdict.is_definable:
             problems.append((r.key, "rigid but not definable"))
         if not r.reduced_group().is_cyclic_or_trivial \
@@ -219,8 +221,10 @@ def test_criterion_7_classifier_properties(ds) -> None:
                 problems.append((r.key, "undecided despite an applicable "
                                         "criterion"))
     _report(7, not problems,
-            "verdicts respect the three sufficiency criteria and their "
-            "priority on all rows" + (f"; violations {problems}" if problems else ""))
+            "verdicts respect the two sufficiency criteria (a non-cyclic "
+            "reduced group, an odd multiplicity) and their priority on all "
+            "rows, and every rigid row is definable"
+            + (f"; violations {problems}" if problems else ""))
 
 
 def test_criterion_8_round_trips(ds) -> None:

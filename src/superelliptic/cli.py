@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failures, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import sys
 from collections import namedtuple
@@ -137,7 +138,17 @@ def _load_dataset(args, genus: int | None = None) -> Dataset:
     """The ``--data`` file whole, or the embedded tables: only ``genus``'s when given."""
     if args.data is not None:   # an empty path is an I/O error, not the embedded tables
         with open(args.data, "r", encoding="utf-8") as fh:
-            return from_json(fh.read())
+            text = fh.read()
+        # The parsed document is a tree of some 3,800 containers, all alive until
+        # the dataset is built: the cyclic collector would rescan them as they
+        # accumulate and free nothing.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return from_json(text)
+        finally:
+            if enabled:
+                gc.enable()
     return load_embedded(genus)
 
 

@@ -10,9 +10,12 @@ dataset document has its own fixed-depth writer, :func:`to_json`; every other
 JSON document the package writes goes through :func:`dump_json`.  Both give
 the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline,
 ``dump_json`` at about twice its speed.  Reading checks each field and
-container where it reads it, in document order; a term's fields are checked
-exactly (``true`` is no integer, ``1.0`` no exact rational) before a memo
-keyed on them builds one ``Term`` per distinct JSON term.
+container where it reads it, in document order.  A document's terms, factors
+and signatures repeat (the export holds 1,340 terms, 92 of them distinct, and
+454 factors, 94 distinct), so :func:`from_json` checks and builds each
+distinct one once and shares the object.  The term memo is keyed on a term's
+raw fields together with their exact types (``true`` and ``1.0`` equal ``1``,
+yet neither is a valid integer), and holds only terms that passed every check.
 """
 
 from __future__ import annotations
@@ -143,41 +146,60 @@ class Dataset:
         return iter(self.records)
 
 
-def _record_from_json(obj: dict) -> FamilyRecord:
-    record = FamilyRecord(
-        genus=obj["genus"],
-        number=_checked(obj["nr"], "nr", "an integer", int),
-        block=_block_from_json(obj["block"]),
-        label_text=_checked(obj["label"], "label", "a string", str),
-        level=_checked(obj["level"], "level", "an integer", int),
-        m=_checked(obj["m"], "m", "an integer or null", int, type(None)),
-        signature=Signature.parse(_checked(obj["signature"], "signature", "a string", str)),
-        delta=_checked(obj["dim"], "dim", "an integer", int),
-        equation=_equation_from_json(obj["equation"]),
-        highlighted=_checked(obj["highlighted"], "highlighted", "true or false", bool),
-    )
-    if record.level < 1:
-        raise ValueError(f"field 'level' must be at least 1, got {record.level}")
+def _record_from_json(obj: dict, memo: _Memo) -> FamilyRecord:
+    # Each field is read, then checked, in the record's field order; _checked
+    # runs only on a failed check, to raise its message.
+    genus, number = obj["genus"], obj["nr"]
+    if type(number) is not int:
+        _checked(number, "nr", "an integer", int)
+    block = _block_from_json(obj["block"])
+    label = obj["label"]
+    if type(label) is not str:
+        _checked(label, "label", "a string", str)
+    level = obj["level"]
+    if type(level) is not int:
+        _checked(level, "level", "an integer", int)
+    m = obj["m"]
+    if m is not None and type(m) is not int:
+        _checked(m, "m", "an integer or null", int, type(None))
+    text = obj["signature"]
+    if type(text) is not str:
+        _checked(text, "signature", "a string", str)
+    signature = memo.signatures.get(text)
+    if signature is None:
+        signature = memo.signatures[text] = Signature.parse(text)
+    delta = obj["dim"]
+    if type(delta) is not int:
+        _checked(delta, "dim", "an integer", int)
+    equation = _equation_from_json(obj["equation"], memo)
+    highlighted = obj["highlighted"]
+    if type(highlighted) is not bool:
+        _checked(highlighted, "highlighted", "true or false", bool)
+    if level < 1:
+        raise ValueError(f"field 'level' must be at least 1, got {level}")
+    record = FamilyRecord(genus, number, block, label, level, m, signature, delta, equation,
+                          highlighted)
     record.reduced_group()  # a bad block/m pair fails here, not at first use
     return record
 
 
-_BLOCK_NAMES = tuple(k.value for k in ReducedKind)
+_BLOCKS = {k.value: k for k in ReducedKind}
 
 
 def _block_from_json(value) -> ReducedKind:
-    if value not in _BLOCK_NAMES:
-        raise ValueError(f"field 'block' must be one of {', '.join(_BLOCK_NAMES)}, "
+    kind = _BLOCKS.get(value) if type(value) is str else None
+    if kind is None:
+        raise ValueError(f"field 'block' must be one of {', '.join(_BLOCKS)}, "
                          f"got {quote(value)}")
-    return ReducedKind(value)
+    return kind
 
 
-def _named_from_json(obj: dict) -> NamedCurve:
+def _named_from_json(obj: dict, memo: _Memo) -> NamedCurve:
     curve = NamedCurve(
         genus=_checked(obj["genus"], "genus", "an integer", int),
         level=_checked(obj["level"], "level", "an integer", int),
         label_text=_checked(obj["label"], "label", "a string", str),
-        equation=_equation_from_json(obj["equation"]),
+        equation=_equation_from_json(obj["equation"], memo),
         note=_checked(obj["note"], "note", "a string", str),
     )
     for key in ("genus", "level"):
@@ -318,6 +340,9 @@ def _write_json(obj, newline: str, out: list[str], escape) -> None:
             sep = "," + inner
         out.append(newline + "]")
         return
+    elif kind is dict or kind is list:   # empty
+        out.append("{}" if kind is dict else "[]")
+        return
     elif kind is str:
         out.append(escape(obj))
         return
@@ -343,17 +368,41 @@ def from_json(text: str) -> Dataset:
     version = payload.get("version")
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {quote(version)}")
-    records = _rows_from_json("families", payload["families"], _record_from_json)
-    named = _rows_from_json("named_curves", payload.get("named_curves", []), _named_from_json)
+    memo = _Memo()
+    records = _rows_from_json("families", payload["families"], _record_from_json, memo)
+    named = _rows_from_json("named_curves", payload.get("named_curves", []), _named_from_json,
+                            memo)
     return Dataset(records, named)
 
 
-def _rows_from_json(name: str, objs, parse) -> list:
+class _Memo:
+    """One document's objects, each built once per distinct JSON term, factor or signature.
+
+    ``terms`` is keyed on a term's raw ``e``, then the keys, the values and
+    the values' exact types of its ``c`` (``1``, ``true`` and ``1.0`` hash
+    and compare alike, so ``e``'s type is in the key too), and holds only
+    terms that passed every check.  ``factors`` is keyed on the ids of a
+    factor's terms, which the entries keep alive, and holds the factor's
+    tuple, its top exponent and whether a coefficient has a nonzero sqrt(-3)
+    part.
+    """
+
+    __slots__ = ("terms", "factors", "signatures")
+
+    def __init__(self):
+        self.terms: dict[tuple, Term] = {}
+        self.factors: dict[tuple[int, ...], tuple[tuple[Term, ...], int, bool]] = {}
+        self.signatures: dict[str, Signature] = {}
+
+
+def _rows_from_json(name: str, objs, parse, memo: _Memo) -> list:
     """Parse each row; a malformed one is a ValueError naming its place and field."""
     out = []
     for i, obj in enumerate(_checked(objs, name, "a list", list)):
         try:
-            out.append(parse(_checked(obj, None, "an object", dict)))
+            if type(obj) is not dict:
+                _checked(obj, None, "an object", dict)
+            out.append(parse(obj, memo))
         except KeyError as exc:
             raise ValueError(f"{name}[{i}]: missing key {exc.args[0]!r}") from None
         except ValueError as exc:
@@ -393,35 +442,65 @@ def _term_to_json(t: Term) -> dict:
     return {"e": t.exponent, "c": c}
 
 
-def _equation_from_json(data) -> EquationTemplate:
-    factors = _checked(_checked(data, "equation", "an object", dict)["factors"],
-                       "equation.factors", "a list", list)
-    terms: list[list[Term]] = []
+def _equation_from_json(data, memo: _Memo | None = None) -> EquationTemplate:
+    memo = _Memo() if memo is None else memo
+    known_terms, known_factors = memo.terms, memo.factors
+    if type(data) is not dict:
+        _checked(data, "equation", "an object", dict)
+    factors = data["factors"]
+    if type(factors) is not list:
+        _checked(factors, "equation.factors", "a list", list)
+    shared: list[tuple[Term, ...]] = []
+    degree, irrational = 0, False
     for i, factor in enumerate(factors):
         # Once per term: a container's path is built only when it is misshapen.
         if type(factor) is not list:
             _checked(factor, f"equation.factors[{i}]", "a list", list)
-        terms.append([])
+        terms: list[Term] = []
         for j, term in enumerate(factor):
             if type(term) is not dict:
                 _checked(term, f"equation.factors[{i}][{j}]", "an object", dict)
-            c, e = term["c"], _checked(term["e"], "e", "an integer", int)
-            if type(c) is not dict:
-                _checked(c, f"equation.factors[{i}][{j}].c", "an object", dict)
-            terms[-1].append(_term_from_json(e, c))
-    template = EquationTemplate(tuple(map(tuple, terms)))
-    if template.degree > MAX_DEGREE:
-        raise ValueError(f"equation degree must be at most {MAX_DEGREE}, got {template.degree}")
-    derived = _radicand(template)
-    if "radicand" in data and _checked(data["radicand"], "radicand", "an integer", int) != derived:
-        raise ValueError(f"field 'radicand' is {quote(data['radicand'])}, but the coefficients "
+            c, e = term["c"], term["e"]
+            key = None
+            if type(c) is dict:
+                try:
+                    key = (e, type(e), *c, *c.values(), *map(type, c.values()))
+                    terms.append(known_terms[key])
+                    continue
+                except KeyError:
+                    pass
+                except TypeError:   # an unhashable field: the checks below report it
+                    key = None
+            made = _term_from_json(
+                _checked(e, "e", "an integer", int),
+                c if type(c) is dict else _checked(c, f"equation.factors[{i}][{j}].c",
+                                                   "an object", dict))
+            if key is not None:
+                known_terms[key] = made
+            terms.append(made)
+        ids = tuple(map(id, terms))
+        entry = known_factors.get(ids)
+        if entry is None:   # an empty factor's top exponent is 0; EquationTemplate rejects it
+            entry = known_factors[ids] = (
+                tuple(terms), max((t.exponent for t in terms), default=0),
+                any(isinstance(t.coeff, QuadNum) and t.coeff.b for t in terms))
+        shared.append(entry[0])
+        degree += entry[1]
+        irrational = irrational or entry[2]
+    template = EquationTemplate(tuple(shared))
+    if degree > MAX_DEGREE:
+        raise ValueError(f"equation degree must be at most {MAX_DEGREE}, got {degree}")
+    derived = -3 if irrational else 1
+    radicand = data.get("radicand", derived)
+    if type(radicand) is not int:
+        _checked(radicand, "radicand", "an integer", int)
+    if radicand != derived:
+        raise ValueError(f"field 'radicand' is {quote(radicand)}, but the coefficients "
                          f"give {derived}")
     return template
 
 
 def _term_from_json(e: int, c: dict) -> Term:
-    # Each field is checked, in order, before the memo sees it: true == 1 and
-    # 1.0 == 1 hash alike, so an unchecked key could hit a valid term's entry.
     if c["kind"] == "fixed":
         a, b = _rational_text("a", c["a"]), _rational_text("b", c.get("b", "0"))
         irrational = _rational(b) != 0
@@ -429,21 +508,11 @@ def _term_from_json(e: int, c: dict) -> Term:
             d = _checked(c["d"], "d", "an integer", int)
             if irrational and d != -3:
                 raise ValueError(f"field 'd' must be -3 when 'b' is nonzero, got {d}")
-        return _fixed_term(e, a, b)
+        return Term(e, QuadNum(_rational(a), _rational(b)))
     if c["kind"] == "param":
-        return _param_term(e, _checked(c["i"], "i", "an integer", int),
-                           _rational_text("scale", c.get("scale", "1")))
+        return Term(e, ParamCoeff(_checked(c["i"], "i", "an integer", int),
+                                  _rational(_rational_text("scale", c.get("scale", "1")))))
     raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {quote(c['kind'])}")
-
-
-@cache
-def _fixed_term(e: int, a: str | int, b: str | int) -> Term:
-    return Term(e, QuadNum(_rational(a), _rational(b)))
-
-
-@cache
-def _param_term(e: int, i: int, scale: str | int) -> Term:
-    return Term(e, ParamCoeff(i, _rational(scale)))
 
 
 def _rational_text(key: str, text) -> str | int:

@@ -121,11 +121,10 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, factors: tuple[tuple[Term, ...], ...]) -> "EquationTemplate":
-        if not factors or any(not f for f in factors):
+        if not factors or not all(factors):
             raise ValueError("template needs at least one non-empty factor")
         for factor in factors:
-            exps = [t.exponent for t in factor]
-            if len(set(exps)) != len(exps):
+            if len({t.exponent for t in factor}) != len(factor):
                 raise ValueError("duplicate exponent inside one factor")
         return super().__new__(cls, factors)
 

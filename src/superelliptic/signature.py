@@ -21,7 +21,6 @@ one when several exist.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -35,8 +34,6 @@ __all__ = [
     "complete_signature",
     "SignatureRepair",
 ]
-
-_ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
 class Signature(namedtuple("Signature", "entries")):
@@ -70,12 +67,11 @@ class Signature(namedtuple("Signature", "entries")):
             raise ValueError("empty signature text")
         entries = []
         for part in parts:
-            m = _ENTRY_RE.match(part)
-            if not m:
+            # digits, then optionally ^ and digits; isdecimal() is Unicode's class Nd
+            order, caret, mult = part.partition("^")
+            if not order.isdecimal() or caret and not mult.isdecimal():
                 raise ValueError(f"bad signature entry {quote(part)} in {quote(text)}")
-            order = int(m.group(1))
-            mult = int(m.group(2)) if m.group(2) else 1
-            entries.append((order, mult))
+            entries.append((int(order), int(mult) if caret else 1))
         return cls(tuple(entries))
 
     # -- views ---------------------------------------------------------------

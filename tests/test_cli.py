@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -390,6 +391,15 @@ def _first_term(payload) -> dict:
     return payload["families"][0]["equation"]["factors"][0][0]
 
 
+def _fresh_process(*argv: str, timeout: float) -> subprocess.CompletedProcess:
+    """The CLI run in a new interpreter, as a user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-c", "import sys\n"
+                           "from superelliptic.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.mark.parametrize("edit,field", [
     (lambda p: _first_fixed_coeff(p).update(a="1/0"), "'a'"),
     (lambda p: p["families"][7].pop("nr"), "'nr'"),
@@ -547,11 +557,7 @@ def test_verify_of_a_huge_exponent_exits_3_at_once(tmp_path) -> None:
     # x^10000000 at a shaped level once sent verify into the exact path's
     # dense expansion: 1.5 GB after four minutes
     path = _edited_export(tmp_path, lambda p: _first_term(p).update(e=10**7))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", "import sys\n"
-                           "from superelliptic.cli import main\n"
-                           "sys.exit(main(sys.argv[1:]))", "verify", "--data", path],
-                          env=env, capture_output=True, text=True, timeout=20)
+    proc = _fresh_process("verify", "--data", path, timeout=20)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "families[0]: equation degree must be at most 1000" in proc.stderr
 
@@ -598,11 +604,7 @@ def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) 
     path = Path(_edited_export(tmp_path, edit))
     path.write_text(path.read_text(encoding="utf-8").replace('"DEEP"', _DEEP, 1),
                     encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", "import sys\n"
-                           "from superelliptic.cli import main\n"
-                           "sys.exit(main(sys.argv[1:]))", *argv, "--data", str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _fresh_process(*argv, "--data", str(path), timeout=60)
     assert proc.returncode == code
     assert message in proc.stdout + proc.stderr
     assert len((proc.stdout + proc.stderr).encode("utf-8")) < 1000
@@ -829,28 +831,55 @@ def test_row_with_26_parameters_is_a_finding_not_an_abort(capsys, tmp_path) -> N
     assert "total: 224 rows, " in out
 
 
+def _last_term_field(payload, name: str) -> dict:
+    """The dict holding ``name`` in the last family term that has it, valued 1 if one is.
+
+    Terms repeat through the document, so that term most likely follows an
+    equal, valid one: a memo blind to types would let ``true`` or ``1.0`` hit it."""
+    holders = [u if name == "e" else u["c"] for row in payload["families"]
+               for factor in row["equation"]["factors"] for u in factor
+               if name == "e" or name in u["c"]]
+    return next((h for h in reversed(holders) if h[name] == 1), holders[-1])
+
+
 def test_term_memo_keeps_each_type_check(capsys, tmp_path) -> None:
-    # A valid load fills the term memo first: true == 1 and 1.0 == 1 hash
-    # like the valid entries, so a check made after the lookup would pass them.
+    # The memo is keyed on each raw field beside its type: true == 1 and
+    # 1.0 == 1 hash alike, so a key without the type could hit a valid term's
+    # entry.  Each variant is read after a valid load in this process and must
+    # give the message a fresh process gives.
     from superelliptic.dataset import from_json, load_embedded, to_json
     embedded = load_embedded()
     clone = from_json(to_json(embedded))
     assert len(clone) == len(embedded)
     for mine, theirs in zip(clone, embedded):
         assert mine == theirs, theirs.key
-    for name, edit in [
-        ("e", lambda p: _first_term(p).update(e=True)),
-        ("i", lambda p: _first_param_coeff(p).update(i=True)),
-        ("a", lambda p: _first_fixed_coeff(p).update(a=True)),
-        ("a", lambda p: _first_fixed_coeff(p).update(a=1.0)),
-        ("d", lambda p: _first_fixed_coeff(p).update(d=True)),
-    ]:
-        path = _edited_export(tmp_path, edit)
-        for argv in (["list", "--data", path], ["verify", "--data", path]):
-            code, out, err = run(capsys, *argv)
-            assert code == 3 and out == "", (name, argv)
-            assert err.startswith("error: invalid dataset: families[0]: ")
-            assert f"field {name!r}" in err
+    for name in ("e", "a", "b", "d", "i", "scale"):
+        for value in (True, 1.0, "1e3", [1]):
+            path = _edited_export(
+                tmp_path, lambda p: _last_term_field(p, name).update({name: value}))
+            fresh = _fresh_process("list", "--data", path, timeout=60)
+            assert (fresh.returncode, fresh.stdout) == (3, ""), (name, value)
+            assert fresh.stderr.startswith("error: invalid dataset: families[")
+            assert f"field {name!r}" in fresh.stderr, (name, value)
+            for argv in (["list", "--data", path], ["verify", "--data", path]):
+                assert run(capsys, *argv) == (3, "", fresh.stderr), (name, value, argv)
+
+
+def test_reading_data_leaves_the_collector_as_it_found_it(capsys, tmp_path) -> None:
+    good = str(tmp_path / "good.json")
+    assert run(capsys, "export", "--what", "dataset", "--out", good)[0] == 0
+    bad = _edited_export(tmp_path, lambda p: p["families"][3].update(nr="4"))
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert run(capsys, "list", "--data", good)[0] == 0
+            assert run(capsys, "list", "--data", bad)[0] == 3
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_genus_below_two_is_a_finding_or_names_the_row(capsys, tmp_path) -> None:

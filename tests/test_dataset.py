@@ -161,6 +161,23 @@ def test_json_round_trip_is_lossless_and_stable(ds) -> None:
     assert text.endswith("\n")
 
 
+def test_reading_builds_each_distinct_term_factor_and_signature_once(ds) -> None:
+    text = to_json(ds)
+    payload = json.loads(text)
+    entries = payload["families"] + payload["named_curves"]
+    factors = [f for entry in entries for f in entry["equation"]["factors"]]
+    terms = [u for f in factors for u in f]
+    distinct = [{json.dumps(x, sort_keys=True) for x in xs} for xs in (terms, factors)]
+    assert (len(terms), len(factors)) == (1340, 454)
+    assert list(map(len, distinct)) == [92, 94]
+    clone = from_json(text)
+    read = [f for entry in (*clone.records, *clone.named_curves) for f in entry.equation.factors]
+    assert len({id(u) for f in read for u in f}) == len(distinct[0])
+    assert len({id(f) for f in read}) == len(distinct[1])
+    texts = {row["signature"] for row in payload["families"]}
+    assert len({id(r.signature) for r in clone}) == len(texts) == 179
+
+
 def test_radicand_is_derived_when_omitted(ds) -> None:
     text = to_json(ds)
     payload = json.loads(text)

@@ -130,7 +130,8 @@ def test_cli_call_imports_no_heavy_modules() -> None:
     heavy = {"dataclasses", "inspect", "csv", "datetime", "json", "typing"}
     bare = _modules_after("")
     for argv in (["list", "--genus", "3"], ["levels", "--genus", "5"],
-                 ["verify", "--genus", "3"], ["export", "--what", "dataset"],
+                 ["verify", "--genus", "3"], ["verify", "--format", "json"],
+                 ["export", "--what", "dataset"],
                  ["row", "--genus", "6", "--nr", "11", "--format", "json"]):
         loaded = _modules_after("import io, contextlib\n"
                                 "from superelliptic.cli import main\n"

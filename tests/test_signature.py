@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superelliptic._quote import quote
 from superelliptic.signature import (InconsistentSignatureError, Signature, SignatureRepair,
                                      _quotient_genus_exact, complete_signature,
                                      moduli_dimension, quotient_genus)
@@ -40,6 +42,53 @@ def test_parse_normalises_order_and_merging() -> None:
 def test_parse_rejects_garbage(bad: str) -> None:
     with pytest.raises(ValueError):
         Signature.parse(bad)
+
+
+_ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+
+def _parse_by_regex(text: str) -> Signature:
+    """The reference: ``Signature.parse`` as it was, one regex match per entry."""
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
+        raise ValueError("empty signature text")
+    entries = []
+    for part in parts:
+        m = _ENTRY_RE.match(part)
+        if not m:
+            raise ValueError(f"bad signature entry {quote(part)} in {quote(text)}")
+        entries.append((int(m.group(1)), int(m.group(2)) if m.group(2) else 1))
+    return Signature(tuple(entries))
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# ASCII digits; Nd digits of other scripts (Arabic-Indic, Devanagari,
+# fullwidth, mathematical bold); digits outside Nd (superscript two, vulgar
+# half, Roman numeral twelve); whitespace, ASCII and not; and separators.
+_SIGNATURE_CHARS = "0123456789" "٣۵४０𝟘" "²½Ⅻ" " \t\n\x0b\x1c\xa0 　" "^,^,x-+_."
+
+
+@given(st.one_of(
+    st.text(_SIGNATURE_CHARS, max_size=12),
+    st.lists(st.text(_SIGNATURE_CHARS, max_size=5), min_size=1, max_size=4).map(",".join),
+    st.lists(st.tuples(st.text("0123456789٣０", min_size=1, max_size=3),
+                       st.sampled_from(["", "^", " ^", "^ "]),
+                       st.text("0123456789٣０ ", max_size=3)),
+             min_size=1, max_size=4).map(lambda es: ",".join(map("".join, es)))))
+def test_parse_matches_the_regex_parse(text: str) -> None:
+    assert _outcome(Signature.parse, text) == _outcome(_parse_by_regex, text)
+
+
+@pytest.mark.parametrize("text", ["2^", "^3", "2^^3", "2^3^4", "2^ 3", " 2 ^3", "2\n", "٣,٣^٢",
+                                  "２^２", "𝟘2", "²", "3^²", "½", "Ⅻ"])
+def test_parse_matches_the_regex_parse_at_the_edges(text: str) -> None:
+    assert _outcome(Signature.parse, text) == _outcome(_parse_by_regex, text)
 
 
 def test_structure_queries() -> None:

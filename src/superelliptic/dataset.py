@@ -418,19 +418,6 @@ def _checked(value, name: str | None, expected: str, *types: type):
     return value
 
 
-def _radicand(template: EquationTemplate) -> int:
-    """-3 when a constant coefficient is irrational, else 1."""
-    return -3 if any(isinstance(t.coeff, QuadNum) and t.coeff.b
-                     for factor in template.factors for t in factor) else 1
-
-
-def _equation_to_json(template: EquationTemplate) -> dict:
-    return {
-        "factors": [[_term_to_json(t) for t in factor] for factor in template.factors],
-        "radicand": _radicand(template),
-    }
-
-
 def _term_to_json(t: Term) -> dict:
     v = t.coeff
     if isinstance(v, QuadNum):
@@ -442,8 +429,7 @@ def _term_to_json(t: Term) -> dict:
     return {"e": t.exponent, "c": c}
 
 
-def _equation_from_json(data, memo: _Memo | None = None) -> EquationTemplate:
-    memo = _Memo() if memo is None else memo
+def _equation_from_json(data, memo: _Memo) -> EquationTemplate:
     known_terms, known_factors = memo.terms, memo.factors
     if type(data) is not dict:
         _checked(data, "equation", "an object", dict)
@@ -502,28 +488,28 @@ def _equation_from_json(data, memo: _Memo | None = None) -> EquationTemplate:
 
 def _term_from_json(e: int, c: dict) -> Term:
     if c["kind"] == "fixed":
-        a, b = _rational_text("a", c["a"]), _rational_text("b", c.get("b", "0"))
-        irrational = _rational(b) != 0
-        if "d" in c or irrational:   # the radicand: type-checked when present, -3 when b != 0
+        a, b = _rational_field("a", c["a"]), _rational_field("b", c.get("b", "0"))
+        if "d" in c or b:   # the radicand: type-checked when present, -3 when b != 0
             d = _checked(c["d"], "d", "an integer", int)
-            if irrational and d != -3:
+            if b and d != -3:
                 raise ValueError(f"field 'd' must be -3 when 'b' is nonzero, got {d}")
-        return Term(e, QuadNum(_rational(a), _rational(b)))
+        return Term(e, QuadNum(a, b))
     if c["kind"] == "param":
         return Term(e, ParamCoeff(_checked(c["i"], "i", "an integer", int),
-                                  _rational(_rational_text("scale", c.get("scale", "1")))))
+                                  _rational_field("scale", c.get("scale", "1"))))
     raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {quote(c['kind'])}")
 
 
-def _rational_text(key: str, text) -> str | int:
-    """``text`` itself, once it is known to spell an exact rational."""
-    if type(text) not in (str, int):  # a float is inexact, and true is no number
+def _rational_field(key: str, value) -> Fraction:
+    """The exact rational ``value`` spells, as a string or an integer."""
+    if type(value) not in (str, int):  # a float is inexact, and true is no number
         raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
-                         f"got {quote(text)}")
-    if _rational(text) is None:
+                         f"got {quote(value)}")
+    number = _rational(value)
+    if number is None:
         raise ValueError(f"coefficient field {key!r} is not a rational number: "
-                         f"{quote(text)}")
-    return text
+                         f"{quote(value)}")
+    return number
 
 
 @cache

@@ -205,4 +205,12 @@ def verify_dataset(dataset: Dataset, genera=None, strict: bool = False) -> Verif
     """Verify every row, or the rows of ``genera``: a genus with none is a KeyError."""
     rows = dataset if genera is None else [
         r for g in sorted(set(genera)) for r in dataset.genus_rows(g)]
-    return VerifyReport(tuple(verify_row(record, strict=strict) for record in rows))
+    results = []
+    for record in rows:
+        try:
+            results.append(verify_row(record, strict=strict))
+        except Exception as exc:   # a row a check cannot read (a float genus) is one failure
+            results.append(RowResult(record, None, None, (Finding(
+                FAILURE, "malformed", record.genus, record.number,
+                clip(f"{type(exc).__name__}: {exc}")),)))
+    return VerifyReport(tuple(results))

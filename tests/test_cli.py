@@ -814,12 +814,17 @@ def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
 
 
 def test_row_with_26_parameters_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
-    # x(x^27 + a_1x + ... + a_26x^26 + 1): one parameter more than the 25 primes 5..103
-    from superelliptic.dataset import _equation_to_json
+    # x(x^27 + a_1x + ... + a_26x^26 + 1) on genus 3's level-2, dimension-5 row 1:
+    # genus 13 and 26 free coefficients are failures on that row alone, and a
+    # row of the wrong genus gets no separability finding.
+    from superelliptic.dataset import Dataset, load_embedded, to_json
     from superelliptic.tables import X, spread, t
 
+    row = load_embedded(3).get(3, 1)._replace(equation=t(X, spread(27, 1, 26)))
+    equation = json.loads(to_json(Dataset([row])))["families"][0]["equation"]
+
     def edit(p):
-        p["families"][0]["equation"] = _equation_to_json(t(X, spread(27, 1, 26)))
+        p["families"][0]["equation"] = equation
 
     path = _edited_export(tmp_path, edit)
     assert run(capsys, "list", "--data", path)[0] == 0
@@ -829,6 +834,18 @@ def test_row_with_26_parameters_is_a_finding_not_an_abort(capsys, tmp_path) -> N
     assert failures and all(" genus 3 nr 1 " in line for line in failures)
     assert "(separability)" not in out
     assert "total: 224 rows, " in out
+
+
+def test_a_float_genus_is_one_malformed_row_not_an_abort(capsys, tmp_path) -> None:
+    # from_json does not type-check a row's genus; the signature check raises
+    # TypeError on 3.5, and verify reports it on that row and checks the rest.
+    path = _edited_export(tmp_path, lambda p: p["families"][0].update(genus=3.5))
+    code, out, err = run(capsys, "verify", "--data", path)
+    assert (code, err) == (1, "")
+    failures = [line for line in out.splitlines() if line.startswith("[failure]")]
+    assert len(failures) == 1
+    assert failures[0].startswith("[failure] genus 3.5 nr 1 (malformed): TypeError: ")
+    assert "\ntotal: 224 rows, 1 failure(s), " in out
 
 
 def _last_term_field(payload, name: str) -> dict:

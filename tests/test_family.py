@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -66,9 +67,15 @@ def test_instantiate_default_probe() -> None:
     assert scaled.coeffs[2] == QuadNum(-2)
 
 
+def _export(tmpl: EquationTemplate) -> tuple[str, int]:
+    """The dataset document of genus 3's first row with equation ``tmpl``, and its radicand."""
+    text = dataset.to_json(dataset.Dataset([load_embedded(3).get(3, 1)._replace(equation=tmpl)]))
+    return text, json.loads(text)["families"][0]["equation"]["radicand"]
+
+
 def test_instantiate_radical_coefficient() -> None:
     quartic = t(f(4, (2, ("sqrt", 2)), 0))
-    assert dataset._radicand(quartic) == -3 and dataset._radicand(t(F1)) == 1
+    assert _export(quartic)[1] == -3 and _export(t(F1))[1] == 1
     poly = quartic.instantiate()
     assert poly.coeffs[2] == QuadNum(0, 2)
 
@@ -246,13 +253,16 @@ def test_separability_probe_flags_degree_drop() -> None:
 
 
 def test_template_json_round_trip() -> None:
-    for tmpl in (
-        t(f(1), f(6, (2, "a1"), (4, "a2"), 0)),
-        t(F1),
-        t(f(4, (2, ("sqrt", 2)), 0), F1),
-        t(f(4, (2, ("a1", -1)), (0, Fraction(1, 3)))),
+    # Through the dataset export, which writes "radicand" and reads it back checked.
+    for tmpl, radicand in (
+        (t(f(1), f(6, (2, "a1"), (4, "a2"), 0)), 1),
+        (t(F1), 1),
+        (t(f(4, (2, ("sqrt", 2)), 0), F1), -3),
+        (t(f(4, (2, ("a1", -1)), (0, Fraction(1, 3)))), 1),
     ):
-        assert dataset._equation_from_json(dataset._equation_to_json(tmpl)) == tmpl
+        text, written = _export(tmpl)
+        assert written == radicand
+        assert dataset.from_json(text).get(3, 1).equation == tmpl
 
 
 # -- the modular certificate and its exact fallback ------------------------------

@@ -3,6 +3,8 @@ and a documented deviation that no longer holds reported as a stale erratum."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from superelliptic import dataset, family, tables
@@ -118,12 +120,12 @@ def test_inseparable_row_is_a_separability_failure(ds) -> None:
 def test_parameter_indices_must_run_from_one(ds) -> None:
     # a_2 renamed to a_99: still five free coefficients, but not a_1..a_5
     row = ds.get(3, 1)
-    data = dataset._equation_to_json(row.equation)
-    for factor in data["factors"]:
+    payload = json.loads(dataset.to_json(dataset.Dataset([row])))
+    for factor in payload["families"][0]["equation"]["factors"]:
         for term in factor:
             if term["c"]["kind"] == "param" and term["c"]["i"] == 2:
                 term["c"]["i"] = 99
-    result = verify_row(row._replace(equation=dataset._equation_from_json(data)))
+    result = verify_row(dataset.from_json(json.dumps(payload)).get(3, 1))
     failures = [x for x in result.findings if x.severity == "failure"]
     assert [x.code for x in failures] == ["parameters"]
     assert "a_1, a_3, a_4, a_5, a_99, expected a_1 to a_5" in failures[0].message

@@ -20,7 +20,7 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _NAMES = {
-    "arith": ("Poly", "QuadNum", "is_separable"),
+    "arith": ("Poly", "QuadNum", "Rational", "is_separable"),
     "classify": ("Classification", "Reason", "classify"),
     "dataset": ("Dataset", "FamilyRecord", "NamedCurve", "classify_record", "export_csv",
                 "from_json", "load_embedded", "repair_signature", "to_json"),

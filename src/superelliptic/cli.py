@@ -312,6 +312,11 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.what == "errata":
+        if args.data is not None:   # the errata read no row, but a --data file is still checked
+            _load_dataset(args)
+        _emit_json(args, _errata(), args.out)
+        return EXIT_OK
     ds = _load_dataset(args, args.genus if args.what == "csv" else None)
     if args.what == "csv":
         if args.genus is None:
@@ -321,10 +326,13 @@ def _cmd_export(args) -> int:
     if args.what == "dataset":
         _emit(to_json(ds), args.out)
         return EXIT_OK
-    if args.what == "blue":
-        _emit_json(args, {str(g): list(ds.highlighted_numbers(g)) for g in ds.genera},
-                   args.out)
-        return EXIT_OK
+    # --what blue
+    _emit_json(args, {str(g): list(ds.highlighted_numbers(g)) for g in ds.genera}, args.out)
+    return EXIT_OK
+
+
+def _errata() -> dict:
+    """The documented errata, by section, and the prose's level tally."""
     errata: dict = {}
     for e in sorted(tables.ERRATA):
         row = {"genus": e.genus, "nr": e.number}
@@ -342,8 +350,7 @@ def _cmd_export(args) -> int:
         errata.setdefault(section, []).append(item)
     errata["prose_level_tally"] = {str(g): {str(k): v for k, v in t.items()}
                                    for g, t in tables.PROSE_LEVEL_TALLY.items()}
-    _emit_json(args, errata, args.out)
-    return EXIT_OK
+    return errata
 
 
 def main(argv=None) -> int:

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import io
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 
 from . import tables
 from ._quote import quote
-from .arith import QuadNum
+from .arith import QuadNum, Rational
 from .classify import Classification, classify
 from .family import EquationTemplate, ParamCoeff, Term
 from .groups import ReducedGroup, ReducedKind
@@ -223,7 +222,7 @@ def to_json(dataset: Dataset) -> str:
     # id(term) -> its text, and whether its coefficient needs the radicand.
     # Keyed on the object, not the Term: the embedded table holds one object
     # per distinct term and from_json one per distinct JSON term, and a Term's
-    # hash runs Fraction's, in Python.  The dataset keeps each key's object
+    # hash runs Rational's, in Python.  The dataset keeps each key's object
     # alive until the return.
     terms: dict[int, tuple[str, bool]] = {}
 
@@ -500,7 +499,7 @@ def _term_from_json(e: int, c: dict) -> Term:
     raise ValueError(f"field 'kind' must be 'fixed' or 'param', got {quote(c['kind'])}")
 
 
-def _rational_field(key: str, value) -> Fraction:
+def _rational_field(key: str, value) -> Rational:
     """The exact rational ``value`` spells, as a string or an integer."""
     if type(value) not in (str, int):  # a float is inexact, and true is no number
         raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
@@ -513,11 +512,11 @@ def _rational_field(key: str, value) -> Fraction:
 
 
 @cache
-def _rational(text: str | int) -> Fraction | None:
+def _rational(text: str | int) -> Rational | None:
     if type(text) is str and ("e" in text or "E" in text):
-        return None   # no exponent notation: Fraction("1e10000000") builds 10^10000000
+        return None   # no exponent notation: Rational("1e10000000") builds 10^10000000
     try:
-        return Fraction(text)
+        return Rational(text)
     except (ValueError, ZeroDivisionError):
         return None
 

@@ -44,11 +44,11 @@ A template's JSON form is read and written by :mod:`superelliptic.dataset`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
-from .arith import Poly, QuadNum, is_separable, is_separable_mod_p
+from ._quote import quote
+from .arith import Poly, QuadNum, Rational, is_separable, is_separable_mod_p
 
 __all__ = [
     "ParamCoeff",
@@ -58,6 +58,7 @@ __all__ = [
     "branch_count",
     "genus_of_family",
     "enumerate_levels",
+    "MAX_LEVELS_GENUS",
     "normal_form_admissible",
     "separability_probe",
     "ProbeResult",
@@ -71,6 +72,9 @@ __all__ = [
 CERTIFICATE_PRIME = 1_073_741_719
 SQRT_MINUS_3_MOD_P = pow(-3, (CERTIFICATE_PRIME + 1) // 4, CERTIFICATE_PRIME)
 
+# The largest genus enumerate_levels takes: 2g = 10^12.
+MAX_LEVELS_GENUS = 5 * 10**11
+
 
 class NonSuperellipticError(ValueError):
     """The (level, degree) combination admits no y^n = f(x) normal form."""
@@ -82,12 +86,12 @@ class ParamCoeff(namedtuple("ParamCoeff", "index scale")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
-    def __new__(cls, index: int, scale: Fraction = Fraction(1)) -> "ParamCoeff":
+    def __new__(cls, index: int, scale: int | Rational = 1) -> "ParamCoeff":
         if index < 1:
             raise ValueError(f"parameter index must be positive, got {index}")
         if index > 1000:   # the probe sets a_i to the i-th prime: this keeps that search short
             raise ValueError(f"parameter index must be at most 1000, got {index}")
-        scale = Fraction(scale)
+        scale = Rational(scale)
         if scale == 0:
             raise ValueError("parameter scale must be nonzero")
         return super().__new__(cls, index, scale)
@@ -237,16 +241,22 @@ def enumerate_levels(genus: int) -> tuple[tuple[int, int], ...]:
     """All (level, branch count) pairs with (level-1)(branch-2) = 2*genus.
 
     Sorted by level.  Includes pairs that admit no y^n = f(x) normal form;
-    filter with :func:`normal_form_admissible` when that matters.
+    filter with :func:`normal_form_admissible` when that matters.  The walk
+    tries the divisors of 2*genus up to its square root, at most 10^6 of them
+    as the genus is at most :data:`MAX_LEVELS_GENUS`.
     """
     if genus < 2:
         raise ValueError(f"genus must be at least 2, got {genus}")
-    out = []
+    if genus > MAX_LEVELS_GENUS:
+        raise ValueError(f"genus must be at most {MAX_LEVELS_GENUS}, got {quote(genus)}")
     target = 2 * genus
-    for d in range(1, target + 1):
+    low, high = [], []
+    for d in range(1, isqrt(target) + 1):
         if target % d == 0:
-            out.append((d + 1, target // d + 2))
-    return tuple(out)
+            low.append(d)
+            if d * d < target:
+                high.append(target // d)
+    return tuple((d + 1, target // d + 2) for d in low + high[::-1])
 
 
 def normal_form_admissible(level: int, branch_points: int) -> bool:
@@ -371,7 +381,7 @@ def _number_mod_p(value: QuadNum) -> int | None:
     return None if b is None else (a + b * SQRT_MINUS_3_MOD_P) % CERTIFICATE_PRIME
 
 
-def _rational_mod_p(q: int | Fraction) -> int | None:
+def _rational_mod_p(q: Rational) -> int | None:
     p = CERTIFICATE_PRIME
     n, d = q.as_integer_ratio()
     if d == 1:

@@ -9,22 +9,23 @@ The module solves the Riemann--Hurwitz relation
 
     2(g - 1) = 2|G|(g0 - 1) + |G| * sum(1 - 1/c_i)
 
-exactly (in integers over the lcm of the cone orders, one Fraction at the
-end), computes the dimension of the corresponding locus in moduli
-(3*g0 - 3 + r), tests the odd-multiplicity property, and repairs misprinted
-signatures: given a genus and group order, it appends one cone order or else
-replaces one, solving for the order that gives a genus-zero quotient.  All
-consistent single-edit repairs are reported; a deterministic preference picks
-one when several exist.
+exactly (in integers over the lcm of the cone orders, one
+:class:`~superelliptic.arith.Rational` at the end), computes the dimension of
+the corresponding locus in moduli (3*g0 - 3 + r), tests the odd-multiplicity
+property, and repairs misprinted signatures: given a genus and group order,
+it appends one cone order or else replaces one, solving for the order that
+gives a genus-zero quotient.  All consistent single-edit repairs are
+reported; a deterministic preference picks one when several exist.  The
+residue an :class:`InconsistentSignatureError` carries is a ``Rational``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from ._quote import quote
+from .arith import Rational
 
 __all__ = [
     "Signature",
@@ -108,12 +109,12 @@ class Signature(namedtuple("Signature", "entries")):
 class InconsistentSignatureError(ValueError):
     """Riemann--Hurwitz does not balance; carries the exact rational residue."""
 
-    def __init__(self, message: str, residue: Fraction):
+    def __init__(self, message: str, residue: Rational):
         super().__init__(f"{message} (quotient genus would be {residue})")
         self.residue = residue
 
 
-def _quotient_genus_exact(genus: int, group_order: int, sig: Signature) -> Fraction:
+def _quotient_genus_exact(genus: int, group_order: int, sig: Signature) -> Rational:
     if group_order < 1:
         raise ValueError(f"group order must be positive, got {group_order}")
     if genus < 2:
@@ -122,7 +123,7 @@ def _quotient_genus_exact(genus: int, group_order: int, sig: Signature) -> Fract
     # g0 = (2(g - 1)L - |G|S) / (2|G|L) + 1.
     lcm = math.lcm(*(order for order, _ in sig.entries))
     s = sum(mult * (lcm - lcm // order) for order, mult in sig.entries)
-    return Fraction(2 * (genus - 1 + group_order) * lcm - group_order * s,
+    return Rational(2 * (genus - 1 + group_order) * lcm - group_order * s,
                     2 * group_order * lcm)
 
 
@@ -193,7 +194,7 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
         return SignatureRepair("consistent", sig)
     d = 2 * g0
 
-    def cone_order(inverse: Fraction) -> int | None:
+    def cone_order(inverse: Rational) -> int | None:
         # The c with 1/c == inverse, if it is an allowed cone order.
         c = inverse.denominator
         return c if inverse.numerator == 1 and c >= 2 and group_order % c == 0 else None
@@ -205,7 +206,7 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
 
     replaced: list[tuple[str, Signature]] = []
     for old, _ in reversed(sig.entries):  # largest printed order first
-        new = cone_order(Fraction(1, old) - d)
+        new = cone_order(Rational(1, old) - d)
         if new is not None:
             rest = list(sig.orders)
             rest.remove(old)

@@ -26,17 +26,16 @@ builds that genus alone.  :data:`GENERA` lists the genera with a table.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 
-from .arith import QuadNum
+from .arith import QuadNum, Rational
 from .family import EquationTemplate, ParamCoeff, Term
 from .groups import ReducedKind
 
 
 @cache
 def _coeff(spec):
-    if isinstance(spec, (int, Fraction)):
+    if hasattr(spec, "denominator"):   # an int or a rational
         return QuadNum(spec)
     if isinstance(spec, str):
         return ParamCoeff(int(spec[1:]))
@@ -44,7 +43,7 @@ def _coeff(spec):
         return QuadNum(0, spec[1])
     if isinstance(spec, tuple):
         name, scale = spec
-        return ParamCoeff(int(name[1:]), Fraction(scale))
+        return ParamCoeff(int(name[1:]), scale)
     raise TypeError(f"bad coefficient spec {spec!r}")
 
 
@@ -404,7 +403,7 @@ def genus_table(genus: int) -> tuple:
 def named_curves() -> tuple:
     """The named curves, built on first read."""
     return (
-    (3, 4, "A_4", t(f(4, (2, 2), (0, Fraction(1, 3)))), "reduced group A_4"),
+    (3, 4, "A_4", t(f(4, (2, 2), (0, Rational(1, 3)))), "reduced group A_4"),
     (3, 2, "S_4", t(f(8, (4, 14), 0)), "reduced group S_4"),
     (3, 4, "G_5", t(f(4, (0, -1))), "full group named G_5"),
     (3, 3, "D_6 × C_3", t(X, f(3, (0, -1))), "full group D_6 x C_3"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superelliptic.arith import Poly, QuadNum, is_separable
+from superelliptic.arith import Poly, QuadNum, Rational, is_separable
 from superelliptic.family import EquationTemplate, ParamCoeff, Term
 
 
@@ -17,7 +19,7 @@ def test_quadnum_normalisation() -> None:
     assert QuadNum(2, 0) == QuadNum(2) == 2 == Fraction(2)
     assert QuadNum(2, 0).b == 0 and QuadNum(0, 1).b != 0
     assert QuadNum(1, 1) != QuadNum(1) and QuadNum(1, 1) != QuadNum(0, 1)
-    assert repr(QuadNum(1, Fraction(-1, 2))) == "QuadNum(Fraction(1, 1), Fraction(-1, 2))"
+    assert repr(QuadNum(1, Fraction(-1, 2))) == "QuadNum(Rational(1, 1), Rational(-1, 2))"
     with pytest.raises(AttributeError):
         QuadNum(1).a = Fraction(2)
     with pytest.raises(AttributeError):
@@ -140,3 +142,72 @@ def test_separability_against_sympy_over_q_sqrt_minus_3(g, h, square) -> None:
     x = sp.Symbol("x")
     big_f = sp.Poly(_to_sympy(f, x), x, extension=_R)
     assert is_separable(f) is (sp.gcd(big_f, big_f.diff(x)).degree() == 0)
+
+
+# -- Rational against fractions.Fraction ------------------------------------------
+
+_INT = st.integers(-10**30, 10**30)
+_FRACTION = st.fractions(max_denominator=10**12)
+_NUMBER = st.one_of(_INT, _FRACTION,
+                  st.sampled_from((0, 1, -1, Fraction(1, 2**61 - 1), Fraction(-3, 2**61 - 1))))
+_OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _same(ours, theirs) -> bool:
+    """``ours`` is a Rational of the value of the Fraction ``theirs``."""
+    return type(ours) is Rational and ours.as_integer_ratio() == theirs.as_integer_ratio()
+
+
+def _outcome(build, *args):
+    """(numerator, denominator) of what ``build`` makes, or its error's type and text."""
+    try:
+        value = build(*args)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return value.numerator, value.denominator
+
+
+@given(_NUMBER, _NUMBER)
+def test_rational_arithmetic_agrees_with_fraction(x, y) -> None:
+    want = {op: _outcome(op, Fraction(x), Fraction(y)) for op in _OPERATORS}
+    # Rational on either side or both; the other operand an int or a Fraction
+    for a, b in ((Rational(x), Rational(y)), (Rational(x), y), (x, Rational(y))):
+        for op in _OPERATORS:
+            if want[op][0] is ZeroDivisionError:
+                assert _outcome(op, a, b)[0] is ZeroDivisionError
+            else:
+                assert _same(op(a, b), Fraction(*want[op])), (op, a, b)
+        assert (a == b, a != b, a < b, a > b) == (x == y, x != y, x < y, x > y)
+
+
+@given(_NUMBER)
+def test_rational_agrees_with_fraction_on_one_value(x) -> None:
+    ours, theirs = Rational(x), Fraction(x)
+    assert _same(-ours, -theirs)
+    assert (ours.numerator, ours.denominator) == (theirs.numerator, theirs.denominator)
+    assert hash(ours) == hash(theirs)
+    assert str(ours) == str(theirs) and f"{ours}" == f"{theirs}"
+    assert int(ours) == int(theirs) and bool(ours) is bool(theirs)
+    assert ours == theirs and theirs == ours and {theirs: 1}[ours] == 1
+    assert Rational(ours) is ours and pickle.loads(pickle.dumps(ours)) == ours
+
+
+_ARGUMENT = st.one_of(
+    _INT, _FRACTION, st.booleans(), st.none(), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="0123456789-+/._eE ٣²", max_size=6))
+
+
+@given(_ARGUMENT, st.one_of(st.none(), _ARGUMENT))
+def test_rational_constructor_agrees_with_fraction(numerator, denominator) -> None:
+    args = (numerator,) if denominator is None else (numerator, denominator)
+    assert _outcome(Rational, *args) == _outcome(Fraction, *args)
+
+
+def test_rational_constructor_errors_are_fractions() -> None:
+    # verify prints the two-argument TypeError for a row whose genus is a float
+    for args in ((3.5, 2), (1, 0.5), ("1", 2), (None, 1), (1, 0), (-4, Fraction(0)),
+                 ("1/0",), ("-1/0",), ("x",), ("²",), ("1/²",), ("٣/٤",), (None,), ([1],),
+                 (float("nan"),)):
+        assert _outcome(Rational, *args) == _outcome(Fraction, *args), args
+    assert Rational(Rational(1, 3), Fraction(2, 3)) == Fraction(1, 2)
+    assert Rational(Fraction(-6, 4)) == Rational("-3/2") == Rational(-1.5) == Fraction(-3, 2)

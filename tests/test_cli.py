@@ -257,6 +257,20 @@ def test_levels_below_genus_2_is_a_usage_error(capsys, genus) -> None:
         2, "", f"error: genus must be at least 2, got {genus}\n")
 
 
+def test_levels_of_a_large_genus_returns_at_once() -> None:
+    # 2g = 2^12 5^11 has 156 divisors, found among its first 447,213 candidates
+    proc = _fresh_process("levels", "--genus", str(10**11), timeout=20)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, len(lines)) == (0, "", 156)
+    assert lines[0] == f"level 2: {2 * 10**11 + 2} branch points"
+    assert lines[-1] == f"level {2 * 10**11 + 1}: 3 branch points"
+
+
+def test_levels_above_the_genus_bound_is_a_usage_error(capsys) -> None:
+    assert run(capsys, "levels", "--genus", "500000000001") == (
+        2, "", "error: genus must be at most 500000000000, got 500000000001\n")
+
+
 def test_levels_takes_no_data_option(capsys) -> None:
     # levels reads no dataset, so --data is a usage error rather than ignored
     with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from superelliptic import tables
+from superelliptic import dataset, tables
+from superelliptic.arith import Rational
 from superelliptic.dataset import (export_csv, from_json, load_embedded,
                                    repair_signature, to_json)
 from superelliptic.family import genus_of_family
@@ -204,3 +207,36 @@ def test_csv_export(ds) -> None:
     assert export_csv(ds, 3) == text    # deterministic
     with pytest.raises(KeyError):
         export_csv(ds, 2)
+
+
+def _fraction_rational(text):
+    """What ``dataset._rational`` gave when it was built on ``fractions.Fraction``."""
+    if type(text) is str and ("e" in text or "E" in text):
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+_RATIONAL_CORPUS = [
+    "0", "-0", "7", "-7", "007", "+7", " 7", "7 ", "\t-7\n", "1_000", "1__0", "_1", "1/3",
+    "-1/3", "+1/3", "1/-3", "1/+3", "-1/-3", "6/4", "-6/4", "0/5", "1/0", "-1/0", "0/0",
+    "1 / 3", "1/ 3", "1./3", "1.5", "-.5", "5.", ".", "1.5/2", "1e3", "1E3", "1e-3", "-2e+2",
+    "1.5e1", "e", "", "-", "/", "1/", "/3", "--1", "1//3", "1/3/5", "٣", "-١/٣", "٣.٥", "²",
+    "１２", "1/²", "0x10", "inf", "nan", "NaN", "1" * 5000, "1/" + "3" * 5000,
+    "9" * 300 + "/" + "6" * 300, 0, -7, 10**40, True,
+]
+
+
+def test_rational_reads_every_spelling_as_fraction_did() -> None:
+    rng = random.Random(30)
+    alphabet = ["0", "1", "3", "9", "-", "+", "/", " ", "_", ".", "e", "٣", "²", "\t"]
+    corpus = _RATIONAL_CORPUS + ["".join(rng.choices(alphabet, k=rng.randint(1, 8)))
+                                 for _ in range(3000)]
+    for text in corpus:
+        want, got = _fraction_rational(text), dataset._rational(text)
+        if want is None:
+            assert got is None, text
+        else:
+            assert type(got) is Rational and got.as_integer_ratio() == want.as_integer_ratio(), text

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from superelliptic import dataset, family
 from superelliptic.arith import QuadNum, is_separable, is_separable_mod_p
 from superelliptic.dataset import load_embedded
-from superelliptic.family import (CERTIFICATE_PRIME, SQRT_MINUS_3_MOD_P,
+from superelliptic.family import (CERTIFICATE_PRIME, MAX_LEVELS_GENUS, SQRT_MINUS_3_MOD_P,
                                   EquationTemplate, NonSuperellipticError, ParamCoeff, Term,
                                   branch_count, enumerate_levels, genus_of_family,
                                   normal_form_admissible, separability_probe)
@@ -167,6 +167,24 @@ def test_enumerate_levels_frozen_examples() -> None:
     assert enumerate_levels(5) == ((2, 12), (3, 7), (6, 4), (11, 3))
     with pytest.raises(ValueError, match="genus must be at least 2"):
         enumerate_levels(1)
+
+
+@given(st.integers(2, 5000))
+def test_enumerate_levels_is_the_linear_walk(genus: int) -> None:
+    # the definition the divisor walk up to sqrt(2g) replaced: every d in 1..2g
+    target = 2 * genus
+    assert enumerate_levels(genus) == tuple(
+        (d + 1, target // d + 2) for d in range(1, target + 1) if target % d == 0)
+
+
+def test_enumerate_levels_bounds_the_genus() -> None:
+    top = enumerate_levels(MAX_LEVELS_GENUS)   # 2g = 10^12 = 2^12 5^12: 169 divisors
+    assert len(top) == 169 and top[0] == (2, 10**12 + 2) and top[-1] == (10**12 + 1, 3)
+    with pytest.raises(ValueError, match=f"genus must be at most {MAX_LEVELS_GENUS}, got "):
+        enumerate_levels(MAX_LEVELS_GENUS + 1)
+    with pytest.raises(ValueError) as exc:
+        enumerate_levels(10**4000)
+    assert len(str(exc.value)) < 200
 
 
 def test_normal_form_admissibility() -> None:

@@ -2,8 +2,8 @@
 
 ``tables.genus_table`` caches each table it builds, so its ``cache_info`` in a
 fresh interpreter tells which genera a call built.  A call that names one
-genus builds that genus alone, a ``--data`` call builds none, and importing
-the package builds none.
+genus builds that genus alone, a ``--data`` call and the errata export build
+none, and importing the package builds none.
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ def test_a_data_call_builds_no_genus(tmp_path) -> None:
     path = tmp_path / "families.json"
     path.write_text(to_json(load_embedded()), encoding="utf-8")
     assert built_by(["list", "--data", str(path)]) == (0, [])
+
+
+def test_the_errata_export_builds_no_genus() -> None:
+    # the errata are a registry of their own; no row is read
+    assert built_by(["export", "--what", "errata"]) == (0, [])
 
 
 def test_one_genus_is_the_slice_of_the_whole() -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import superelliptic
-from superelliptic.dataset import classify_record, load_embedded, repair_signature
+from superelliptic.dataset import classify_record, load_embedded, repair_signature, to_json
 from superelliptic.arith import QuadNum
 from superelliptic.classify import Classification, Reason
 from superelliptic.family import EquationTemplate, ParamCoeff, Term, separability_probe
@@ -126,16 +126,23 @@ def _modules_after(code: str) -> set[str]:
     return set(proc.stdout.split())
 
 
-def test_cli_call_imports_no_heavy_modules() -> None:
-    heavy = {"dataclasses", "inspect", "csv", "datetime", "json", "typing"}
+def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
+    # fractions loads decimal and numbers: the package's rationals are arith.Rational
+    heavy = {"dataclasses", "inspect", "csv", "datetime", "json", "typing",
+             "fractions", "decimal", "numbers"}
     bare = _modules_after("")
-    for argv in (["list", "--genus", "3"], ["levels", "--genus", "5"],
-                 ["verify", "--genus", "3"], ["verify", "--format", "json"],
-                 ["export", "--what", "dataset"],
-                 ["row", "--genus", "6", "--nr", "11", "--format", "json"]):
+    export = tmp_path / "families.json"
+    export.write_text(to_json(load_embedded()), encoding="utf-8")
+    # each call, and the heavy modules it may load: reading a document takes json.loads
+    for argv, needs in ((["list", "--genus", "3"], set()), (["levels", "--genus", "5"], set()),
+                        (["verify", "--genus", "3"], set()),
+                        (["verify", "--format", "json"], set()),
+                        (["export", "--what", "dataset"], set()),
+                        (["row", "--genus", "6", "--nr", "11", "--format", "json"], set()),
+                        (["list", "--data", str(export)], {"json"})):
         loaded = _modules_after("import io, contextlib\n"
                                 "from superelliptic.cli import main\n"
                                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                                 f"    assert main({argv!r}) == 0")
         assert "superelliptic.tables" in loaded
-        assert heavy & loaded <= heavy & bare, argv
+        assert heavy & loaded <= heavy & bare | needs, argv

@@ -138,17 +138,7 @@ def _load_dataset(args, genus: int | None = None) -> Dataset:
     """The ``--data`` file whole, or the embedded tables: only ``genus``'s when given."""
     if args.data is not None:   # an empty path is an I/O error, not the embedded tables
         with open(args.data, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        # The parsed document is a tree of some 3,800 containers, all alive until
-        # the dataset is built: the cyclic collector would rescan them as they
-        # accumulate and free nothing.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return from_json(text)
-        finally:
-            if enabled:
-                gc.enable()
+            return from_json(fh.read())
     return load_embedded(genus)
 
 
@@ -317,10 +307,10 @@ def _cmd_export(args) -> int:
             _load_dataset(args)
         _emit_json(args, _errata(), args.out)
         return EXIT_OK
+    if args.what == "csv" and args.genus is None:   # before any file is read or genus built
+        _build_parser().error("--what csv requires --genus")
     ds = _load_dataset(args, args.genus if args.what == "csv" else None)
     if args.what == "csv":
-        if args.genus is None:
-            _build_parser().error("--what csv requires --genus")
         _emit(export_csv(ds, args.genus), args.out)
         return EXIT_OK
     if args.what == "dataset":
@@ -375,8 +365,13 @@ def run(argv=None) -> None:
     """The process entry: :func:`main`, then an exit that skips the interpreter's teardown.
 
     Exit hooks still run and stdout and stderr are flushed; a tracer, a profiler,
-    ``-i`` or a failed flush takes the interpreter's exit.  Library code calls ``main``.
+    ``-i`` or a failed flush takes the interpreter's exit.  The cyclic collector is
+    off throughout, but under ``-i``, which goes on to a prompt: what a call builds
+    stays alive until the exit, so its passes would free nothing.  Library code
+    calls ``main``, which leaves it as it is.
     """
+    if not sys.flags.inspect:
+        gc.disable()
     code = main(argv)
     if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
         sys.exit(code)

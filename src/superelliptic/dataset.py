@@ -9,7 +9,9 @@ This module alone knows the JSON form, down to each equation term.  The
 dataset document has its own fixed-depth writer, :func:`to_json`; every other
 JSON document the package writes goes through :func:`dump_json`.  Both give
 the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline,
-``dump_json`` at about twice its speed.  Reading checks each field and
+``dump_json`` at about twice its speed.  Reading parses with json's C
+scanner and imports :mod:`json` only to report a malformed document in
+``json.loads``'s words (:func:`_read_json`).  It checks each field and
 container where it reads it, in document order.  A document's terms, factors
 and signatures repeat (the export holds 1,340 terms, 92 of them distinct, and
 454 factors, 94 distinct), so :func:`from_json` checks and builds each
@@ -358,10 +360,42 @@ def _write_json(obj, newline: str, out: list[str], escape) -> None:
     out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
-def from_json(text: str) -> Dataset:
-    import json  # imported on use: most calls read no JSON
+class _ScannerSettings:
+    """What ``json.loads`` gives its scanner: strict strings, no hooks, ``float`` and ``int``."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+def _read_json(text: str):
+    """``json.loads(text)``: the same value, or the same exception.
+
+    json's C scanner reads a well-formed document alone, importing no :mod:`json`.
+    Any other outcome takes ``json.loads``, for its exact error: a leading BOM,
+    trailing data, no ``_json``, or a scanner error but a ``RecursionError``
+    (``SystemError`` up to 3.11, where the scanner finds no ``json.decoder`` to
+    raise from, ``JSONDecodeError`` from 3.12, ``StopIteration``).
+    """
     try:
-        payload = json.loads(text)
+        from _json import make_scanner
+        start = len(text) - len(text.lstrip(" \t\n\r"))
+        value, end = make_scanner(_ScannerSettings)(text, start)
+        if not text[end:].lstrip(" \t\n\r"):
+            return value
+    except RecursionError:
+        raise
+    except Exception:
+        pass
+    import json
+    return json.loads(text)
+
+
+def from_json(text: str) -> Dataset:
+    try:
+        payload = _read_json(text)
     except RecursionError:      # arrays or objects nested past the interpreter's limit
         raise ValueError("JSON nested too deeply to read") from None
     version = payload.get("version")

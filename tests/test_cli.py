@@ -184,6 +184,23 @@ def test_export_csv_requires_genus(capsys) -> None:
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("data", [None, "missing.json", "truncated.json"])
+def test_export_csv_without_genus_fails_before_reading_data(capsys, monkeypatch, tmp_path,
+                                                             data) -> None:
+    # argparse's usage error comes first: no --data file is read and no genus is built
+    (tmp_path / "truncated.json").write_text('{"version": "v1", "families": [',
+                                             encoding="utf-8")
+    monkeypatch.setattr("superelliptic.cli.load_embedded",
+                        lambda genus=None: pytest.fail("built the embedded tables"))
+    argv = ["export", "--what", "csv"] + ([] if data is None else ["--data", str(tmp_path / data)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "usage: superelliptic [-h] {list,verify,classify,levels,"
+                                   "row,export} ...\nsuperelliptic: error: --what csv requires "
+                                   "--genus\n")
+
+
 def test_export_blue(capsys) -> None:
     code, out, _ = run(capsys, "export", "--what", "blue")
     assert code == 0

@@ -132,17 +132,26 @@ def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
              "fractions", "decimal", "numbers"}
     bare = _modules_after("")
     export = tmp_path / "families.json"
-    export.write_text(to_json(load_embedded()), encoding="utf-8")
-    # each call, and the heavy modules it may load: reading a document takes json.loads
-    for argv, needs in ((["list", "--genus", "3"], set()), (["levels", "--genus", "5"], set()),
-                        (["verify", "--genus", "3"], set()),
-                        (["verify", "--format", "json"], set()),
-                        (["export", "--what", "dataset"], set()),
-                        (["row", "--genus", "6", "--nr", "11", "--format", "json"], set()),
-                        (["list", "--data", str(export)], {"json"})):
+    text = to_json(load_embedded())
+    export.write_text(text, encoding="utf-8")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(text[:text.index('"signature": "') + 16], encoding="utf-8")
+    # each call, its exit code, and the heavy modules it may load: json's C scanner
+    # reads a well-formed document, and only a malformed one takes json.loads
+    for argv, code, needs in (
+            (["list", "--genus", "3"], 0, set()), (["levels", "--genus", "5"], 0, set()),
+            (["verify", "--genus", "3"], 0, set()),
+            (["verify", "--format", "json"], 0, set()),
+            (["export", "--what", "dataset"], 0, set()),
+            (["row", "--genus", "6", "--nr", "11", "--format", "json"], 0, set()),
+            (["list", "--data", str(export)], 0, set()),
+            (["row", "--data", str(export), "--genus", "6", "--nr", "11"], 0, set()),
+            (["export", "--data", str(export), "--what", "dataset"], 0, set()),
+            (["list", "--data", str(truncated)], 3, {"json"})):
         loaded = _modules_after("import io, contextlib\n"
                                 "from superelliptic.cli import main\n"
-                                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                                f"    assert main({argv!r}) == 0")
+                                "with contextlib.redirect_stdout(io.StringIO()),"
+                                " contextlib.redirect_stderr(io.StringIO()):\n"
+                                f"    assert main({argv!r}) == {code}")
         assert "superelliptic.tables" in loaded
         assert heavy & loaded <= heavy & bare | needs, argv

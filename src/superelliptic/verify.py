@@ -12,11 +12,13 @@ recomputed verdict must agree with the printed highlighting.
 The genus check needs no companions: once the level and degree give a branch
 count B, 2g = (n - 1)(B - 2) makes (n, B) one of the admissible splittings of
 g, the normal form y^n = f(x) exists by construction, and the branch data is
-valid cyclic-cover data.  The separability probe runs only on rows whose
-level and degree have that shape, so a badly shaped row is reported once,
-under ``genus``.  One walk over the equation's terms (``separability_probe``)
-gives the degree for the genus check, the parameter indices for the parameter
-check, and, on a shaped row, the probe's answer.
+valid cyclic-cover data.  :func:`derive` reads the level and the equation and
+no printed column: one walk over the equation's terms
+(``separability_probe``) gives the degree and the parameter indices, and one
+``genus_of_family`` call decides the shape.  Its :class:`Derived` holds the
+genus and the probe's messages on a shaped row, and on a badly shaped row no
+genus, the shape error and no messages, so that row is reported once, under
+``genus``.  :func:`verify_row` compares :class:`Derived` with the row.
 
 A finding is a warning when :data:`superelliptic.tables.ERRATA` has an entry
 with its row, its code and the value the check derived (the effective
@@ -35,7 +37,7 @@ from . import tables
 from ._quote import clip, quote
 from .classify import classify
 from .dataset import Dataset, FamilyRecord, repair_signature
-from .family import genus_of_family, separability_probe
+from .family import EquationTemplate, genus_of_family, separability_probe
 from .groups import LabelError, parse_group_label
 from .signature import SignatureRepair, moduli_dimension
 
@@ -96,6 +98,21 @@ class VerifyReport(namedtuple("VerifyReport", "rows")):
         return "\n".join(lines)
 
 
+class Derived(namedtuple("Derived", "degree indices genus shape_error separability")):
+    """What the level and the equation force: ``genus`` is None where ``shape_error`` says why."""
+
+    __slots__ = ()
+
+
+def derive(level: int, template: EquationTemplate) -> Derived:
+    degree, indices, separability = separability_probe(level, template)
+    try:
+        genus = genus_of_family(level, degree)
+    except ValueError as exc:      # NonSuperellipticError, a level below 2, or B < 3
+        return Derived(degree, indices, None, str(exc), ())
+    return Derived(degree, indices, genus, None, separability)
+
+
 def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
     findings: list[Finding] = []
     errata = tables.ERRATA_BY_ROW.get(record.key, {})
@@ -111,7 +128,7 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
 
     reduced = record.reduced_group()
     order = record.level * reduced.order
-    degree, indices, separability = separability_probe(record.level, record.equation)
+    facts = derive(record.level, record.equation)
 
     try:
         label = parse_group_label(record.label_text)
@@ -157,18 +174,14 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
         add("cone_orders",
             f"cone order(s) {clip(str(bad_orders))} do not divide the group order {order}")
 
-    shaped = False
-    try:
-        computed_genus = genus_of_family(record.level, degree)
-    except ValueError as exc:      # NonSuperellipticError, a level below 2, or B < 3
-        add("genus", str(exc))
-    else:
-        shaped = True
-        if computed_genus != record.genus:
-            add("genus",
-                f"equation {clip(record.equation.render())} at level {record.level} "
-                f"has genus {computed_genus}, not {record.genus}")
+    if facts.genus is None:
+        add("genus", facts.shape_error)
+    elif facts.genus != record.genus:
+        add("genus",
+            f"equation {clip(record.equation.render())} at level {record.level} "
+            f"has genus {facts.genus}, not {record.genus}")
 
+    indices = facts.indices
     if len(indices) != record.delta:
         add("parameters",
             f"equation has {len(indices)} free "
@@ -179,8 +192,8 @@ def verify_row(record: FamilyRecord, strict: bool = False) -> RowResult:
             f"equation's free coefficients are {names}, expected a_1 to "
             f"a_{record.delta}")
 
-    if shaped and separability:   # a badly shaped row has its one finding under genus
-        add("separability", "; ".join(separability))
+    if facts.separability:
+        add("separability", "; ".join(facts.separability))
 
     classification = classify(reduced, eff)
     computed_highlight = not classification.is_definable

@@ -13,8 +13,8 @@ from superelliptic import dataset, tables
 from superelliptic.arith import Rational
 from superelliptic.dataset import (export_csv, from_json, load_embedded,
                                    repair_signature, to_json)
-from superelliptic.family import genus_of_family
 from superelliptic.groups import ReducedKind, parse_group_label
+from superelliptic.verify import derive
 
 EXPECTED_ROW_COUNTS = {3: 5, 4: 9, 5: 20, 6: 36, 7: 27, 8: 22, 9: 50, 10: 55}
 
@@ -150,8 +150,9 @@ def test_named_curves(ds) -> None:
     by_genus = {3: 0, 4: 0}
     for curve in ds.named_curves:
         by_genus[curve.genus] += 1
-        assert genus_of_family(curve.level, curve.equation) == curve.genus
-        assert curve.equation.parameter_count == 0
+        derived = derive(curve.level, curve.equation)
+        assert derived.genus == curve.genus and derived.indices == ()
+        assert derived.shape_error is None and derived.separability == ()
     assert by_genus == {3: 7, 4: 6}
 
 

@@ -23,7 +23,7 @@ from superelliptic.classify import Classification, Reason
 from superelliptic.family import EquationTemplate, ParamCoeff, Term, separability_probe
 from superelliptic.groups import GroupLabel, ReducedGroup, ReducedKind, parse_group_label
 from superelliptic.signature import Signature, SignatureRepair
-from superelliptic.verify import VerifyReport, verify_dataset, verify_row
+from superelliptic.verify import VerifyReport, derive, verify_dataset, verify_row
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = [superelliptic] + [
@@ -69,7 +69,8 @@ def _records() -> list:
             ParamCoeff(2, -1), resolution,
             classify_record(row), *proving, result, result.findings[0],
             verify_dataset(ds, genera=[6]),
-            separability_probe(row.level, row.equation), ds.named_curves[0]]
+            separability_probe(row.level, row.equation), derive(row.level, row.equation),
+            ds.named_curves[0]]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

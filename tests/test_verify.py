@@ -7,14 +7,15 @@ import json
 
 import pytest
 
-from superelliptic import dataset, family, tables
+from superelliptic import dataset, family, tables, verify
+from superelliptic.arith import Rational
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
 from superelliptic.family import EquationTemplate
 from superelliptic.groups import ReducedGroup, parse_group_label
 from superelliptic.signature import Signature
 from superelliptic.tables import f, spread, t
-from superelliptic.verify import CHECKS, verify_dataset, verify_row
+from superelliptic.verify import CHECKS, derive, verify_dataset, verify_row
 
 # Every deviation the verifier is expected to flag, and nothing else.
 EXPECTED_WARNINGS = {
@@ -115,6 +116,23 @@ def test_inseparable_row_is_a_separability_failure(ds) -> None:
     result = verify_row(row._replace(equation=bad))
     assert [(x.severity, x.code, x.message) for x in result.findings] == [
         ("failure", "separability", "instantiated polynomial has a repeated root")]
+
+
+def test_too_few_branch_points_is_one_genus_failure(ds) -> None:
+    # (x+1)^2 at a_1 = 5: B = 2, and the probe would report its repeated root
+    square = t(f(2, (1, ("a1", Rational(2, 5))), 0))
+    assert not family.separability_probe(2, square).ok
+    assert derive(2, square)[2:] == (None, "need at least 3 branch points, got 2", ())
+    result = verify_row(ds.get(3, 1)._replace(equation=square))
+    codes = [x.code for x in result.findings if x.severity == "failure"]
+    assert codes.count("genus") == 1 and "parameters" in codes
+    assert "separability" not in {x.code for x in result.findings}
+
+
+def test_a_level_and_degree_with_no_normal_form_derive_no_genus() -> None:
+    derived = derive(4, t(spread(6, 1, 1)))
+    assert (derived.degree, derived.genus, derived.separability) == (6, None, ())
+    assert "gcd 2" in derived.shape_error
 
 
 def test_parameter_indices_must_run_from_one(ds) -> None:
@@ -260,7 +278,8 @@ def test_report_summary_rendering(ds) -> None:
 
 def test_each_row_derives_its_group_and_parameters_once(ds, monkeypatch) -> None:
     # The probe's one walk over the terms gives the degree and the parameter
-    # indices, so verify never reads the template's own properties.
+    # indices, so verify never reads the template's own properties, and derive
+    # sees the level and the equation and no printed column.
     counts = {"walk": 0, "parameter_indices": 0, "degree": 0, "ReducedGroup": 0}
     scan = family._scan
     new = ReducedGroup.__new__
@@ -276,8 +295,11 @@ def test_each_row_derives_its_group_and_parameters_once(ds, monkeypatch) -> None
         getter = getattr(EquationTemplate, name).fget
         monkeypatch.setattr(EquationTemplate, name, property(counted(name, getter)))
     monkeypatch.setattr(ReducedGroup, "__new__", staticmethod(counted("ReducedGroup", new)))
+    calls = []
+    monkeypatch.setattr(verify, "derive", lambda *args: calls.append(args) or derive(*args))
     assert len(verify_dataset(ds).rows) == 224
     assert counts == {"walk": 224, "parameter_indices": 0, "degree": 0, "ReducedGroup": 224}
+    assert calls == [(r.level, r.equation) for r in ds]
 
 
 def test_every_embedded_row_is_certified_with_42_euclid_runs(monkeypatch) -> None:

@@ -26,12 +26,17 @@ whose messages are the probe's.  Failures are reported, not raised, so a
 verification run can collect them.
 
 The certificate never expands f in x.  One walk over each factor's terms
-(``_scan``) gives the template's degree and parameter indices, which the probe
-returns for the genus and parameter checks of ``verify``, and the terms'
-residues mod p.  Each factor is x^lo times a polynomial in y = x^m, lo its
-lowest exponent with a nonzero residue, m the gcd of all exponents' distances
-from their factor's lo, and h, the product of those polynomials, gives
-f = x^eps h(x^m) with h(0) != 0.  For eps <= 1 and p not dividing m, f is
+(``_walk``) gives its top exponent, parameter indices and nonzero residues
+mod p, and is memoised on the factor object: the embedded table holds 92
+factor objects in its 436 factor slots, so a process walks 92 factors, not
+436.  ``_scan`` combines a row's factor walks into the template's degree and
+parameter indices, which the probe returns for the genus and parameter
+checks of ``verify``, and h.  Each factor is x^lo times a polynomial in
+y = x^m, lo its lowest exponent with a nonzero residue, m the gcd of all
+exponents' distances from their factor's lo, and h, the product of those
+polynomials, gives f = x^eps h(x^m) with h(0) != 0.  A monomial factor
+c x^lo adds lo to eps and scales h by c; a row with one other factor takes
+h from it with no product.  For eps <= 1 and p not dividing m, f is
 separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0
 of h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2
 in gcd(f, f').)  The walk withholds the certificate when deg f >= p, as m
@@ -324,7 +329,7 @@ def _euclid_mod_p(h: tuple[int, ...]) -> bool:
 
 
 def _scan(template: EquationTemplate):
-    """(degree, parameter indices, h) from one walk over the terms.
+    """(degree, parameter indices, h) from one walk over each factor's terms.
 
     h is in F_p[y], lowest degree first, with f = x^eps h(x^m) at the probe
     point, eps <= 1 and h(0) != 0, so f is separable mod p iff h is.  h is
@@ -333,36 +338,31 @@ def _scan(template: EquationTemplate):
     (then gcd(f, f') is not 1 either), or deg f >= p (module doc).
     """
     p = CERTIFICATE_PRIME
-    degree, eps, m, seen, factors, certify = 0, 0, 0, set(), [], True
+    degree, eps, m, seen, factors, scale, certify = 0, 0, 0, set(), [], 1, True
     for factor in template.factors:
-        top, residues = -1, []
-        for e, c in factor:
-            if type(c) is ParamCoeff:
-                seen.add(c.index)
-                scale = _rational_mod_p(c.scale)
-                c = None if scale is None else _probe_prime(c.index) * scale % p
-            else:
-                c = _number_mod_p(c)
-            if e > top:
-                top, lead = e, c
-            if c:
-                residues.append((e, c))
-            elif c is None:
-                certify = False
+        top, residues, indices, lo, gap, ok = _walk(factor)
         degree += top
-        if lead:
-            lo = min(residues)[0]   # exponents are distinct within a factor
-            for e, _ in residues:
-                m = gcd(m, e - lo)
-            eps += lo
-            factors.append((lo, top, residues))
-        else:
+        seen.update(indices)
+        if not ok:
             certify = False
+            continue
+        eps += lo
+        if gap:
+            m = gcd(m, gap)
+            factors.append((lo, top, residues))
+        else:                       # a monomial c x^lo: x^lo goes to eps, c scales h
+            scale = scale * residues[0][1] % p
     indices = tuple(sorted(seen))
     if not certify or eps > 1 or degree >= p:
         return degree, indices, None
     m = m or 1
-    h = [1]
+    if len(factors) == 1:           # h is the factor's own polynomial in y = x^m
+        lo, top, residues = factors[0]
+        h = [0] * ((top - lo) // m + 1)
+        for e, c in residues:
+            h[(e - lo) // m] = c * scale % p
+        return degree, indices, tuple(h)
+    h = [scale]
     for lo, top, residues in factors:
         out = [0] * (len(h) + (top - lo) // m)
         for e, c in residues:
@@ -370,6 +370,49 @@ def _scan(template: EquationTemplate):
                 out[k] += c * a
         h = [c % p for c in out]
     return degree, indices, tuple(h)
+
+
+# id(factor) -> (factor, its walk).  Keyed on the object, not the tuple of
+# terms: the embedded table holds one object per distinct factor, and so does
+# from_json, while hashing a factor would run QuadNum's and Rational's hashes,
+# in Python.  The entry keeps the factor alive, so its id is never reused.
+_WALKS: dict[int, tuple] = {}
+
+
+def _walk(factor: tuple[Term, ...]) -> tuple:
+    """One factor's (top, nonzero residues, indices, lo, gap, ok), computed once.
+
+    ``residues`` lists (exponent, residue) in term order; ``lo`` is the least
+    of their exponents and ``gap`` the gcd of their distances from it, 0 for a
+    monomial.  ``ok`` is False when a coefficient has no image in F_p or the
+    top term's residue is 0; then ``lo`` and ``gap`` are 0.
+    """
+    known = _WALKS.get(id(factor))
+    if known is not None:
+        return known[1]
+    p = CERTIFICATE_PRIME
+    top, residues, indices, ok = -1, [], set(), True
+    for e, c in factor:
+        if type(c) is ParamCoeff:
+            indices.add(c.index)
+            scale = _rational_mod_p(c.scale)
+            c = None if scale is None else _probe_prime(c.index) * scale % p
+        else:
+            c = _number_mod_p(c)
+        if e > top:
+            top, lead = e, c
+        if c:
+            residues.append((e, c))
+        elif c is None:
+            ok = False
+    lo = gap = 0
+    if ok and lead:
+        lo = min(residues)[0]       # exponents are distinct within a factor
+        for e, _ in residues:
+            gap = gcd(gap, e - lo)
+    walk = (top, residues, indices, lo, gap, bool(ok and lead))
+    _WALKS[id(factor)] = (factor, walk)
+    return walk
 
 
 def _number_mod_p(value: QuadNum) -> int | None:

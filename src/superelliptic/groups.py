@@ -15,7 +15,6 @@ handles both.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from enum import Enum
 from functools import cache
@@ -102,34 +101,57 @@ class GroupLabel(namedtuple("GroupLabel", "order recognized")):
 
 
 _ATOM_ORDERS = {"V_4": 4, **dict(_POLYHEDRAL.values())}
-# Patterns, compiled by re's own cache on first use: only verify parses labels.
-_SUBSCRIPTED = r"^([CD])_(\d+)$"
-_OPAQUE = r"^(G_\d+|K)$"
-_POWER = r"^(.*?)\^(\d+)$"
 _MAX_ORDER = 2 ** 64   # far above any table group: the largest order is 180
 
 
+# The parser reads labels with str methods, not patterns: no CLI call imports
+# re.  Where a pattern would say \d or \s, it tests isdecimal or isspace, the
+# classes re's \d and \s match on str.  tests/test_groups.py keeps the patterns
+# as the reference parser.
 def _atom_order(atom: str) -> int | None:
-    """Order of a single label atom, or None when opaque."""
-    power = re.match(_POWER, atom)
+    """Order of a single label atom, stripped of whitespace, or None when opaque."""
     exponent = 1
-    if power:
-        atom, exponent = power.group(1), int(power.group(2))
-        atom = atom.strip().strip("{}").strip()
-    sub = re.match(_SUBSCRIPTED, atom)
+    stem, caret, digits = atom.rpartition("^")
+    if caret and digits.isdecimal() and "\n" not in stem:   # a power; . in a pattern skips \n
+        atom, exponent = stem.strip().strip("{}").strip(), int(digits)
     if atom in _ATOM_ORDERS:
         base = _ATOM_ORDERS[atom]
-    elif sub:
-        kind, base = sub.group(1), int(sub.group(2))
+    elif atom[:1] in ("C", "D") and atom[1:2] == "_" and atom[2:].isdecimal():
+        kind, base = atom[0], int(atom[2:])
         if base < 1 or (kind == "D" and (base % 2 or base < 4)):
             raise LabelError(f"impossible group label atom {quote(atom)}")
-    elif re.match(_OPAQUE, atom):
+    elif atom == "K" or (atom[:2] == "G_" and atom[2:].isdecimal()):
         return None
     else:
         raise LabelError(f"unrecognized group label atom {quote(atom)}")
     if base > 1 and exponent > 64:    # then base ** exponent > 2^64: not built
         raise LabelError(f"group label atom {quote(atom)}^{exponent} has order above 2^64")
     return base ** exponent
+
+
+def _split_product(text: str) -> list[str]:
+    """The factors of a product label with no leading whitespace.
+
+    A separator is the times sign with the whitespace around it, or a
+    lowercase x with whitespace on both sides; the leftmost separator wins,
+    and each takes all the whitespace after it.
+    """
+    atoms, start, i, n = [], 0, 0, len(text)
+    while i < n:
+        j = i
+        while j < n and text[j].isspace():
+            j += 1
+        if j < n and (text[j] == "×" or (text[j] == "x" and i < j < n - 1
+                                         and text[j + 1].isspace())):
+            atoms.append(text[start:i])
+            i = j + 1
+            while i < n and text[i].isspace():
+                i += 1
+            start = i
+        else:
+            i = j + 1
+    atoms.append(text[start:])
+    return atoms
 
 
 @cache
@@ -145,11 +167,11 @@ def parse_group_label(text: str, context_order: int | None = None) -> GroupLabel
     cleaned = text.strip()
     if not cleaned:
         return GroupLabel(context_order, False)
-    if re.search(r"\d{21}", cleaned):     # above 2^64; int() would be slow, or fail
+    if len(cleaned) > 20 and any(   # a number above 2^64; int() would be slow
+            len(run) > 20 for run in "".join(c if c.isdecimal() else " " for c in cleaned).split()):
         raise LabelError("group label holds a number above 2^64")
-    atoms = re.split(r"\s*×\s*|\s+x\s+", cleaned)
     order = 1
-    for atom in atoms:
+    for atom in _split_product(cleaned):
         atom_order = _atom_order(atom.strip())
         if atom_order is None:
             return GroupLabel(context_order, False)

@@ -52,8 +52,12 @@ def _term(e: int, spec) -> Term:
     return Term(e, _coeff(spec))
 
 
+@cache
 def f(*terms) -> tuple[Term, ...]:
-    """A factor: bare int e means x^e, (e, spec) gives the coefficient."""
+    """A factor: bare int e means x^e, (e, spec) gives the coefficient.
+
+    Cached like the terms, so rows that spell a factor alike share one object,
+    and the probe walks each such factor once (``family._walk``)."""
     return tuple(_term(term, 1) if isinstance(term, int) else _term(*term) for term in terms)
 
 

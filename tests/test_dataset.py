@@ -182,6 +182,15 @@ def test_reading_builds_each_distinct_term_factor_and_signature_once(ds) -> None
     assert len({id(r.signature) for r in clone}) == len(texts) == 179
 
 
+def test_the_embedded_table_holds_one_object_per_distinct_factor(ds) -> None:
+    # tables.f is cached as the terms are: 436 factor slots, 92 objects
+    factors = [f for r in ds for f in r.equation.factors]
+    assert len(factors) == 436
+    assert len({id(f) for f in factors}) == len(set(factors)) == 92
+    named = [f for c in ds.named_curves for f in c.equation.factors]
+    assert len({id(f) for f in factors + named}) == len(set(factors + named)) == 94
+
+
 def test_radicand_is_derived_when_omitted(ds) -> None:
     text = to_json(ds)
     payload = json.loads(text)

@@ -511,3 +511,19 @@ def test_reduced_certificate_equals_the_dense_one(tmpl) -> None:
         assert h[0] and any(f[:2]) and _in_y(h) == _in_y(f)
     elif f is not None:                           # no h only when x^2 divides f
         assert not any(f[:2])
+
+
+@given(_sparse_case())
+def test_the_factor_walk_memo_keys_on_the_object(tmpl) -> None:
+    # a template rebuilt from fresh, equal terms and coefficients is walked
+    # afresh and gives the same triple; the memo's entries keep their factors
+    def fresh(c):
+        return QuadNum(c.a, c.b) if isinstance(c, QuadNum) else ParamCoeff(c.index, c.scale)
+
+    scan = family._scan(tmpl)
+    rebuilt = EquationTemplate(tuple(tuple(Term(u.exponent, fresh(u.coeff)) for u in factor)
+                                     for factor in tmpl.factors))
+    assert all(id(a) != id(b) for a, b in zip(rebuilt.factors, tmpl.factors))
+    assert family._scan(rebuilt) == scan == family._scan(tmpl)
+    for factor in (*tmpl.factors, *rebuilt.factors):
+        assert family._WALKS[id(factor)][0] is factor

@@ -5,8 +5,11 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from superelliptic.groups import (LabelError, ReducedGroup, ReducedKind,
+from superelliptic._quote import quote
+from superelliptic.groups import (GroupLabel, LabelError, ReducedGroup, ReducedKind,
                                   parse_group_label)
 
 
@@ -151,3 +154,98 @@ def test_label_order_bound_is_2_to_the_64() -> None:
                  " × ".join(["C_" + "9" * 3000] * 2), "C_3^10000000"):
         with pytest.raises(LabelError, match="above 2\\^64"):
             parse_group_label(text, 6)
+
+
+# -- the label parser against its regex form ---------------------------------------
+
+_ATOMS = {"V_4": 4, "A_4": 12, "S_4": 24, "A_5": 60}
+
+
+def _atom_by_regex(atom: str) -> int | None:
+    power = re.match(r"^(.*?)\^(\d+)$", atom)
+    exponent = 1
+    if power:
+        atom, exponent = power.group(1), int(power.group(2))
+        atom = atom.strip().strip("{}").strip()
+    sub = re.match(r"^([CD])_(\d+)$", atom)
+    if atom in _ATOMS:
+        base = _ATOMS[atom]
+    elif sub:
+        kind, base = sub.group(1), int(sub.group(2))
+        if base < 1 or (kind == "D" and (base % 2 or base < 4)):
+            raise LabelError(f"impossible group label atom {quote(atom)}")
+    elif re.match(r"^(G_\d+|K)$", atom):
+        return None
+    else:
+        raise LabelError(f"unrecognized group label atom {quote(atom)}")
+    if base > 1 and exponent > 64:
+        raise LabelError(f"group label atom {quote(atom)}^{exponent} has order above 2^64")
+    return base ** exponent
+
+
+def _parse_by_regex(text: str, context_order: int | None = None) -> GroupLabel:
+    """The reference: ``parse_group_label`` as it was, with re patterns."""
+    cleaned = text.strip()
+    if not cleaned:
+        return GroupLabel(context_order, False)
+    if re.search(r"\d{21}", cleaned):
+        raise LabelError("group label holds a number above 2^64")
+    order = 1
+    for atom in re.split(r"\s*×\s*|\s+x\s+", cleaned):
+        atom_order = _atom_by_regex(atom.strip())
+        if atom_order is None:
+            return GroupLabel(context_order, False)
+        order *= atom_order
+        if order > 2 ** 64:
+            raise LabelError("group label has order above 2^64")
+    return GroupLabel(order, True)
+
+
+def _label_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except LabelError as exc:
+        return f"LabelError: {exc}"
+
+
+# Atoms as printed and misprinted: Nd digits of other scripts (٣, ０), digits
+# outside Nd (²), braced and repeated powers, 21-digit numbers.
+_PRINTED_ATOMS = st.sampled_from((
+    "C_3", "C_22", "D_6", "D_24", "V_4", "A_4", "S_4", "A_5", "G_5", "K", "C_1", "C_٣",
+    "C_０٣", "C_²", "C_3^²", "C_3^2", "{C_3}^2", "{ V_4 }^٣", "C_3^2^2", "D_2^²", "G_٣"))
+_LABEL_ATOMS = st.one_of(_PRINTED_ATOMS, st.sampled_from((
+    "C_2^65", "C_" + "1" * 21, "C_1^" + "9" * 20, "D_7", "D_2", "C_0", "X_9", "G_", "x",
+    "×", "", "C_3\n^2", "{K}^3")))
+# Separators: the times sign and a lowercase x with tabs, NBSP and doubled
+# spaces around them; then, among the noisy ones, newlines and no space.
+_PRINTED_SEPARATORS = st.sampled_from((
+    " × ", "×", "\t×\xa0", "  ×  ", " x ", "  x  ", "\tx\xa0", "\u3000×\u3000"))
+_LABEL_SEPARATORS = st.one_of(_PRINTED_SEPARATORS, st.sampled_from((
+    "\nx ", " x", "x ", "x", " ", "  ", " × x ", " x × ", " x x ")))
+_LABEL_ENDS = st.sampled_from(("", "\n", " ", "\t\n"))
+_LABEL_CHARS = "CDGKVAS_0123456789٣²^{}x× \t\n\xa0"
+
+
+def _joined(atoms, separators) -> st.SearchStrategy[str]:
+    return st.tuples(st.lists(st.tuples(atoms, separators), max_size=3), atoms, _LABEL_ENDS) \
+        .map(lambda parts: "".join(a + s for a, s in parts[0]) + parts[1] + parts[2])
+
+
+@given(st.one_of(
+    _joined(_PRINTED_ATOMS, _PRINTED_SEPARATORS),
+    _joined(_LABEL_ATOMS, _LABEL_SEPARATORS),
+    st.text(_LABEL_CHARS, max_size=16),
+    st.tuples(st.sampled_from(("C_", "G_", "C_2^", "Q")),
+              st.text("0123456789٣", min_size=19, max_size=23)).map("".join),
+), st.sampled_from((None, 48)))
+def test_label_parse_matches_the_regex_parse(text: str, context_order) -> None:
+    args = (text,) if context_order is None else (text, context_order)
+    assert _label_outcome(parse_group_label, *args) == _label_outcome(_parse_by_regex, *args)
+
+
+@pytest.mark.parametrize("text", ["C_2 x × C_3", "C_2 × x C_3", "C_2 x x C_3", "x C_3",
+                                  "C_3^2^2", "C_3\n^2", "C_٣ × C_2\n", "C_²", "{C_2}^٣",
+                                  "C_2\t×\xa0C_3", "D_6\xa0x\tC_3", "D_6  x  C_3"])
+def test_label_parse_matches_the_regex_parse_at_the_edges(text: str) -> None:
+    for args in ((text,), (text, 48)):
+        assert _label_outcome(parse_group_label, *args) == _label_outcome(_parse_by_regex, *args)

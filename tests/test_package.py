@@ -119,8 +119,10 @@ def test_validated_records_still_reject_bad_fields(build) -> None:
 
 
 def _modules_after(code: str) -> set[str]:
+    # -S: no site hook, so a module that a .pth file preloads (re, enum,
+    # typing) counts against the call instead of hiding in the bare set
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", code + "\nimport sys\n"
                            "print(' '.join(sorted(sys.modules)))"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
                           check=True)
@@ -130,7 +132,7 @@ def _modules_after(code: str) -> set[str]:
 def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
     # fractions loads decimal and numbers: the package's rationals are arith.Rational
     heavy = {"dataclasses", "inspect", "csv", "datetime", "json", "typing",
-             "fractions", "decimal", "numbers"}
+             "fractions", "decimal", "numbers", "re"}
     bare = _modules_after("")
     export = tmp_path / "families.json"
     text = to_json(load_embedded())
@@ -138,7 +140,8 @@ def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
     truncated = tmp_path / "truncated.json"
     truncated.write_text(text[:text.index('"signature": "') + 16], encoding="utf-8")
     # each call, its exit code, and the heavy modules it may load: json's C scanner
-    # reads a well-formed document, and only a malformed one takes json.loads
+    # reads a well-formed document, and only a malformed one takes json.loads,
+    # which imports re
     for argv, code, needs in (
             (["list", "--genus", "3"], 0, set()), (["levels", "--genus", "5"], 0, set()),
             (["verify", "--genus", "3"], 0, set()),
@@ -148,7 +151,7 @@ def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
             (["list", "--data", str(export)], 0, set()),
             (["row", "--data", str(export), "--genus", "6", "--nr", "11"], 0, set()),
             (["export", "--data", str(export), "--what", "dataset"], 0, set()),
-            (["list", "--data", str(truncated)], 3, {"json"})):
+            (["list", "--data", str(truncated)], 3, {"json", "re"})):
         loaded = _modules_after("import io, contextlib\n"
                                 "from superelliptic.cli import main\n"
                                 "with contextlib.redirect_stdout(io.StringIO()),"

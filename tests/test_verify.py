@@ -302,6 +302,26 @@ def test_each_row_derives_its_group_and_parameters_once(ds, monkeypatch) -> None
     assert calls == [(r.level, r.equation) for r in ds]
 
 
+def test_a_cold_verify_walks_each_distinct_factor_once(monkeypatch) -> None:
+    # The 224 row walks read 92 factor walks: the terms of the 436 factor slots
+    # are reduced mod p 434 times (193 of them fixed numbers), not 1,307.
+    reduced = {"fixed": 0}
+    number_mod_p = family._number_mod_p
+
+    def counted(value):
+        reduced["fixed"] += 1
+        return number_mod_p(value)
+
+    monkeypatch.setattr(family, "_WALKS", {})
+    monkeypatch.setattr(family, "_number_mod_p", counted)
+    ds = load_embedded()
+    assert len(verify_dataset(ds).rows) == 224
+    factors = {id(f): f for r in ds for f in r.equation.factors}
+    assert family._WALKS.keys() == factors.keys() and len(factors) == 92
+    assert sum(map(len, factors.values())) == 434
+    assert reduced == {"fixed": 193}
+
+
 def test_every_embedded_row_is_certified_with_42_euclid_runs(monkeypatch) -> None:
     def exact(*_):
         raise AssertionError("a row took the exact path")

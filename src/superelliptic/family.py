@@ -35,13 +35,13 @@ checks of ``verify``, and h.  Each factor is x^lo times a polynomial in
 y = x^m, lo its lowest exponent with a nonzero residue, m the gcd of all
 exponents' distances from their factor's lo, and h, the product of those
 polynomials, gives f = x^eps h(x^m) with h(0) != 0.  A monomial factor
-c x^lo adds lo to eps and scales h by c; a row with one other factor takes
-h from it with no product.  For eps <= 1 and p not dividing m, f is
-separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0
-of h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2
-in gcd(f, f').)  The walk withholds the certificate when deg f >= p, as m
-may then be a multiple of p.  Euclid runs on h, memoised on its residues: the
-224 embedded rows give 42 distinct h, so a process runs it 42 times, not 224.
+c x^lo adds lo to eps and scales h by c.  For eps <= 1 and p not dividing
+m, f is separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double
+root x0 != 0 of h(x^m) makes x0^m a double root of h, and conversely.
+(eps >= 2 puts x^2 in gcd(f, f').)  The walk withholds the certificate
+when deg f >= p, as m may then be a multiple of p.  Euclid runs on h,
+memoised on its residues: the 224 embedded rows give 42 distinct h, so a
+process runs it 42 times, not 224.
 
 A template's JSON form is read and written by :mod:`superelliptic.dataset`.
 """
@@ -356,12 +356,6 @@ def _scan(template: EquationTemplate):
     if not certify or eps > 1 or degree >= p:
         return degree, indices, None
     m = m or 1
-    if len(factors) == 1:           # h is the factor's own polynomial in y = x^m
-        lo, top, residues = factors[0]
-        h = [0] * ((top - lo) // m + 1)
-        for e, c in residues:
-            h[(e - lo) // m] = c * scale % p
-        return degree, indices, tuple(h)
     h = [scale]
     for lo, top, residues in factors:
         out = [0] * (len(h) + (top - lo) // m)

@@ -166,6 +166,9 @@ def test_export_dataset_and_reload(capsys, tmp_path) -> None:
     code, out, _ = run(capsys, "verify", "--data", str(path))
     assert code == 0
     assert "224 rows" in out
+    assert run(capsys, "export", "--what", "dataset", "--data", str(path)) == (0, text, "")
+    assert run(capsys, "list", "--format", "json", "--data", str(path)) == \
+        run(capsys, "list", "--format", "json")
 
 
 def test_export_csv(capsys, tmp_path) -> None:
@@ -247,11 +250,16 @@ def test_an_empty_out_path_is_io_error(capsys, what) -> None:
 
 
 def test_corrupt_data_file_is_io_error(capsys, tmp_path) -> None:
+    # not JSON, an export cut inside a string, and a document with no fields
+    export = run(capsys, "export", "--what", "dataset")[1]
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = run(capsys, "list", "--data", str(path))
-    assert code == 3
-    assert "invalid dataset" in err
+    for text, message in (("{not json", "Expecting property name"),
+                          (export[:export.index("signature") + 13], "Unterminated string"),
+                          ("{}", "unsupported dataset version None")):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "list", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: invalid dataset: {message}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -366,6 +374,11 @@ def test_the_fast_path_reads_every_option(command) -> None:
             argv.append(o.choices[-1] if o.choices else _GOOD[o.kind][-1])
     fast = _fast_parse(argv)
     assert fast is not None and vars(fast) == vars(_parse_args(argv))
+    # help is argparse's alone
+    assert _fast_parse([command, "-h"]) is None
+    with redirect_stdout(StringIO()) as out, pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0 and out.getvalue().startswith(f"usage: superelliptic {command}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,7 +607,9 @@ def test_verify_of_a_huge_exponent_exits_3_at_once(tmp_path) -> None:
 
 
 _HUGE = 5_000_000
-_DEEP = "[" * 985 + "]" * 985   # deep, but within what json.loads reads
+# JSON text put in place of the string "DEEP" or "TOO DEEP"
+_RAW = {'"DEEP"': "[" * 985 + "]" * 985,                  # within what json.loads reads
+        '"TOO DEEP"': "[" * 100_000 + "]" * 100_000}      # past it
 
 
 def _long_factor(first: int, **fields):
@@ -629,13 +644,24 @@ def _long_factor(first: int, **fields):
     pytest.param(["verify", "--genus", "3"], _long_factor(2, dim=999), 1,
                  "(parameters): equation's free coefficients are a_2, a_3, ",
                  id="parameter-names"),
+    pytest.param(["list"], lambda p: p["families"].insert(0, "TOO DEEP"), 3,
+                 "error: invalid dataset: JSON nested too deeply to read\n", id="too-deep"),
+    pytest.param(["verify"], lambda p: p["families"][0].update(label="C_3^100000000"), 1,
+                 "(label): group label atom 'C_3'^100000000 has order above 2^64",
+                 id="slow-power"),
+    pytest.param(["list"], lambda p: _first_fixed_coeff(p).update(a="1e10000000"), 3,
+                 "families[0]: coefficient field 'a' is not a rational number: '1e10000000'",
+                 id="exponent"),
 ])
 def test_a_hostile_value_is_quoted_in_part(tmp_path, argv, edit, code, message) -> None:
-    # each once wrote the whole value, up to megabytes of it, to stderr or stdout
+    # each once wrote the whole value, up to megabytes of it, to stderr or
+    # stdout; the last three once took minutes or ended in a traceback
     path = Path(_edited_export(tmp_path, edit))
-    path.write_text(path.read_text(encoding="utf-8").replace('"DEEP"', _DEEP, 1),
-                    encoding="utf-8")
-    proc = _fresh_process(*argv, "--data", str(path), timeout=60)
+    text = path.read_text(encoding="utf-8")
+    for sentinel, raw in _RAW.items():
+        text = text.replace(sentinel, raw, 1)
+    path.write_text(text, encoding="utf-8")
+    proc = _fresh_process(*argv, "--data", str(path), timeout=20)
     assert proc.returncode == code
     assert message in proc.stdout + proc.stderr
     assert len((proc.stdout + proc.stderr).encode("utf-8")) < 1000
@@ -840,6 +866,7 @@ def test_level_one_row_is_a_finding_not_an_abort(capsys, tmp_path) -> None:
     failures = [line for line in out.splitlines() if line.startswith("[failure]")]
     assert failures and all(" genus 3 nr 1 " in line for line in failures)
     assert sum("level must be at least 2, got 1" in line for line in failures) == 1
+    assert "[failure] genus 3 nr 1 (genus): level must be at least 2, got 1" in failures
     assert "(separability)" not in out
     assert "total: 224 rows, " in out
 

@@ -8,28 +8,29 @@ floating point is never involved.
 Conventions:
 
 * ``Rational`` is the package's one rational type, n/d in lowest terms with
-  d > 0.  It equals, orders and hashes like the :class:`fractions.Fraction`
-  of the same value, and its ``str``, ``int()`` and constructor errors are
-  Fraction's too.  Its arithmetic (``+``, ``-``, ``*``, ``/``, negation) mixes
-  with an ``int``, or anything with ``numerator`` and ``denominator``, on
-  either side.  It exists so that no call imports :mod:`fractions`, which
-  loads :mod:`decimal` and :mod:`numbers` and compiles a regex: a few
-  milliseconds of every process.  The constructor reads the canonical spelling
-  ``-?digits(/digits)?`` itself, and any other string or a float through
-  ``Fraction``, imported on that path only.
-* A ``QuadNum`` with b == 0 is a rational: it equals and hashes like its
-  ``Rational``.  It has only the arithmetic the exact separability path runs:
-  ``+`` and ``-`` of two ``QuadNum``s, ``*`` by a ``QuadNum`` or an ``int``,
-  and ``inverse()``.  An ``int`` or rational enters as ``QuadNum(x)``; there
-  is no division operator and no mixed ``+``/``-``.
+  d > 0.  It is a value, read and written at the boundary: it equals and
+  hashes like the :class:`fractions.Fraction` of the same value, and its
+  ``str`` and constructor errors are Fraction's too, but it has no
+  arithmetic, does not order and does not convert with ``int()``; callers
+  compute on its ``numerator`` and ``denominator``.  It exists so that no
+  call imports :mod:`fractions`, which loads :mod:`decimal` and
+  :mod:`numbers` and compiles a regex: a few milliseconds of every process.
+  The constructor reads the canonical spelling ``-?digits(/digits)?`` itself,
+  and any other string or a float through ``Fraction``, imported on that
+  path only.
+* A ``QuadNum`` is a value too, with no arithmetic.  With b == 0 it is a
+  rational: it equals and hashes like its ``Rational``.
 * ``Poly`` is an immutable dense tuple of ``QuadNum`` coefficients, lowest
   degree first, with no trailing zero: ``Poly([-1, 0, 1])`` is x^2 - 1, its
   ``int`` and rational coefficients wrapped.  The zero polynomial is the
   empty tuple and has no degree (``degree`` raises).
-* ``is_separable`` and ``is_separable_mod_p`` run Euclid's algorithm on
-  gcd(f, f') over dense coefficients: the first over Q(sqrt(-3)), the second
-  on integer residues over a prime field F_p, updating f in place.  The
-  second backs the fast certificate in :mod:`family`.
+* Computation runs on ints.  Numbers of Q(sqrt(-3)) become integer pairs
+  (a, b) = a + b*sqrt(-3) over one common denominator: ``expand_product``
+  multiplies sparse factors out on them, and ``is_separable`` runs the
+  subresultant sequence of f and f' on them, over Z[sqrt(-3)].
+  ``is_separable_mod_p`` runs Euclid's algorithm on integer residues over a
+  prime field F_p, updating f in place, and backs the fast certificate in
+  :mod:`family`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Rational",
@@ -50,51 +51,6 @@ __all__ = [
 _HASH_MODULUS = sys.hash_info.modulus
 
 
-def _add(na: int, da: int, nb: int, db: int) -> Rational:
-    # Fraction's form: split the gcd of the denominators so the sum needs no full reduction
-    g = gcd(da, db)
-    if g == 1:
-        return _reduced(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _reduced(t, s * db)
-    return _reduced(t // g2, s * (db // g2))
-
-
-def _sub(na: int, da: int, nb: int, db: int) -> Rational:
-    return _add(na, da, -nb, db)
-
-
-def _mul(na: int, da: int, nb: int, db: int) -> Rational:
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _reduced(na * nb, db * da)
-
-
-def _div(na: int, da: int, nb: int, db: int) -> Rational:
-    # _mul by db/nb, the sign moved to the numerator
-    g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
-    if d == 0:
-        raise ZeroDivisionError(f"Fraction({n}, 0)")
-    return _reduced(-n, -d) if d < 0 else _reduced(n, d)
-
-
 def _ratio(x) -> tuple[int, int] | None:
     """(numerator, denominator) of an int or a rational operand; None for anything else."""
     if type(x) is int:
@@ -105,27 +61,13 @@ def _ratio(x) -> tuple[int, int] | None:
         return None
 
 
-def _operators(op):
-    """The forward and reflected methods of ``op(na, da, nb, db)``."""
-
-    def forward(a: Rational, b) -> Rational:
-        if type(b) is Rational:
-            return op(a._n, a._d, b._n, b._d)
-        other = _ratio(b)
-        return NotImplemented if other is None else op(a._n, a._d, *other)
-
-    def reflected(b: Rational, a) -> Rational:
-        other = _ratio(a)
-        return NotImplemented if other is None else op(*other, b._n, b._d)
-
-    return forward, reflected
-
-
 class Rational:
     """An exact rational number n/d, in lowest terms with d > 0.
 
     ``Rational(3)``, ``Rational(-1, 3)`` and ``Rational("-1/3")`` build one,
-    as ``Fraction`` would; a ``Rational`` argument comes back as it is.
+    as ``Fraction`` would; a ``Rational`` argument comes back as it is.  It
+    has ``==`` and a hash but no arithmetic, no ``<`` or ``>`` and no
+    ``int()``: read ``numerator`` and ``denominator`` instead.
     """
 
     __slots__ = ("_n", "_d")
@@ -168,20 +110,6 @@ class Rational:
     def __reduce__(self):
         return (Rational, (self._n, self._d))
 
-    # -- arithmetic ------------------------------------------------------
-
-    __add__, __radd__ = _operators(_add)
-    __sub__, __rsub__ = _operators(_sub)
-    __mul__, __rmul__ = _operators(_mul)
-    __truediv__, __rtruediv__ = _operators(_div)
-
-    def __neg__(self) -> Rational:
-        return _reduced(-self._n, self._d)
-
-    def __int__(self) -> int:
-        # truncation toward zero, as int() of a Fraction
-        return self._n // self._d if self._n >= 0 else -(-self._n // self._d)
-
     # -- comparisons / hashing -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -189,14 +117,6 @@ class Rational:
             return self._n == other._n and self._d == other._d
         other = _ratio(other)
         return NotImplemented if other is None else (self._n, self._d) == other
-
-    def __lt__(self, other) -> bool:
-        other = _ratio(other)
-        return NotImplemented if other is None else self._n * other[1] < other[0] * self._d
-
-    def __gt__(self, other) -> bool:
-        other = _ratio(other)
-        return NotImplemented if other is None else self._n * other[1] > other[0] * self._d
 
     def __hash__(self) -> int:
         # Fraction's hash: n * d^-1 modulo the numeric hash modulus, so an integral
@@ -247,7 +167,7 @@ def _parse(text: str) -> Rational | None:
 
 
 class QuadNum:
-    """An exact number a + b*sqrt(-3), a and b rational."""
+    """An exact number a + b*sqrt(-3), a and b rational; a value with no arithmetic."""
 
     __slots__ = ("a", "b")
 
@@ -261,27 +181,6 @@ class QuadNum:
     def __reduce__(self):
         # pickle and deepcopy would restore the slots through __setattr__
         return (QuadNum, (self.a, self.b))
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: QuadNum) -> QuadNum:
-        return QuadNum(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: QuadNum) -> QuadNum:
-        return QuadNum(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: QuadNum | int) -> QuadNum:
-        if isinstance(other, int):  # is_separable scales by an exponent
-            return QuadNum(self.a * other, self.b * other)
-        return QuadNum(self.a * other.a - 3 * self.b * other.b,
-                       self.a * other.b + self.b * other.a)
-
-    def inverse(self) -> QuadNum:
-        if not self:
-            raise ZeroDivisionError("division by zero")
-        # (a + b sqrt(-3))(a - b sqrt(-3)) = a^2 + 3b^2, positive for a nonzero number
-        norm = self.a * self.a + 3 * self.b * self.b
-        return QuadNum(self.a / norm, -self.b / norm)
 
     # -- comparisons / hashing -------------------------------------------
 
@@ -312,7 +211,7 @@ class QuadNum:
             radical = f"{self.b}*{root}"
         if self.a == 0:
             return radical
-        sign = "+" if self.b > 0 else ""
+        sign = "+" if self.b.numerator > 0 else ""
         return f"{self.a}{sign}{radical}"
 
     def __repr__(self) -> str:
@@ -342,25 +241,101 @@ class Poly(namedtuple("Poly", "coeffs")):
         return len(self.coeffs) - 1
 
 
+def expand_product(factors: Iterable[Iterable[tuple[int, QuadNum]]]) -> Poly:
+    """The product of sparse factors, each (exponent, coefficient) pairs, as a Poly.
+
+    It runs on integer pairs (a, b) = a + b*sqrt(-3) over one denominator,
+    the product of the factors' common denominators.
+    """
+    product, denominator = [(1, 0)], 1
+    for factor in factors:
+        exponents, numbers = zip(*factor)
+        pairs, d = _integer_pairs(numbers)
+        nonzero = [(k, a, b) for k, (a, b) in enumerate(product) if a or b]
+        out = [(0, 0)] * (len(product) + max(exponents))
+        for e, (c, s) in zip(exponents, pairs):
+            for k, a, b in nonzero:
+                x, y = out[k + e]
+                out[k + e] = (x + a * c - 3 * b * s, y + a * s + b * c)
+        product, denominator = out, denominator * d
+    return Poly([QuadNum(Rational(a, denominator), Rational(b, denominator))
+                 for a, b in product])
+
+
+def _integer_pairs(numbers: Sequence[QuadNum]) -> tuple[list[tuple[int, int]], int]:
+    """Integer pairs (a, b) and one d > 0 with numbers[i] = (a + b*sqrt(-3)) / d."""
+    d = lcm(*(c.a.denominator for c in numbers), *(c.b.denominator for c in numbers))
+    return [(c.a.numerator * (d // c.a.denominator), c.b.numerator * (d // c.b.denominator))
+            for c in numbers], d
+
+
 def is_separable(p: Poly) -> bool:
     """True when p has no repeated roots, i.e. gcd(p, p') is constant.
 
-    Euclid's algorithm of :func:`is_separable_mod_p`, run on dense ``QuadNum``
-    coefficients over Q(sqrt(-3)) instead of residues.
+    p's denominators are cleared once; then the subresultant pseudo-remainder
+    sequence of p and p' (Collins 1967; Brown and Traub 1971) runs on integer
+    pairs over Z[sqrt(-3)].  Its divisions are exact in any integral domain,
+    and each remainder is a nonzero multiple of Euclid's over Q(sqrt(-3)), so
+    p is separable iff the last nonzero remainder is a constant.
     """
     if p.is_zero:
         raise ValueError("separability is undefined for the zero polynomial")
-    f = list(p.coeffs)
-    g = _trim([c * e for e, c in enumerate(f)][1:])
-    while g:
-        lead_inv = g[-1].inverse()
-        while len(f) >= len(g):
-            q = f[-1] * lead_inv
-            shift = len(f) - len(g)
-            f[shift:] = [a - q * b for a, b in zip(f[shift:-1], g)]
-            _trim(f)
-        f, g = g, f
-    return len(f) == 1
+    f = _integer_pairs(p.coeffs)[0]
+    g = [(e * a, e * b) for e, (a, b) in enumerate(f)][1:]   # p', whose top is deg(p) * lc(p)
+    lead = h = (1, 0)
+    while len(g) > 1:
+        # deg f - deg g >= 1 throughout: f' is one below f, a remainder below its divisor
+        delta = len(f) - len(g)
+        r = _pseudo_remainder(f, g)
+        if not r:
+            return False
+        divisor = _times(lead, _power(h, delta))
+        f, g = g, [_exact_quotient(c, divisor) for c in r]
+        lead = f[-1]
+        h = _exact_quotient(_power(lead, delta), _power(h, delta - 1))
+    return True
+
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (a, b), (c, d) = x, y
+    return a * c - 3 * b * d, a * d + b * c
+
+
+def _power(x: tuple[int, int], k: int) -> tuple[int, int]:
+    out = (1, 0)
+    for _ in range(k):
+        out = _times(out, x)
+    return out
+
+
+def _exact_quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x / y in Z[sqrt(-3)], for y dividing x: x times y's conjugate, over the norm."""
+    (a, b), (c, d) = x, y
+    norm = c * c + 3 * d * d
+    return (a * c + 3 * b * d) // norm, (b * c - a * d) // norm
+
+
+def _pseudo_remainder(f: list, g: list) -> list:
+    """R with lc(g)^(deg f - deg g + 1) f = Q g + R and deg R < deg g, trimmed."""
+    c, d = g[-1]
+    n = len(g) - 1
+    steps = len(f) - n
+    r = f[:]
+    while len(r) > n:
+        # lc(g) r - lc(r) x^shift g: its top coefficient is 0 and is popped
+        s, t = r.pop()
+        shift = len(r) - n
+        r = [(c * x - 3 * d * y, c * y + d * x) for x, y in r]
+        for j, (x, y) in enumerate(g[:-1], shift):
+            u, v = r[j]
+            r[j] = (u - s * x + 3 * t * y, v - s * y - t * x)
+        steps -= 1
+        while r and r[-1] == (0, 0):
+            r.pop()
+    if steps and r:
+        scale = _power((c, d), steps)
+        r = [_times(scale, x) for x in r]
+    return r
 
 
 def is_separable_mod_p(coeffs: Sequence[int], p: int) -> bool:

@@ -22,8 +22,9 @@ survives and gcd(f, f') = 1 mod p, the discriminant of f is a unit at a prime
 above p, hence nonzero, and f is separable over Q(sqrt(-3)); that answer is
 final.  Every other outcome (degree drop or common factor mod p, a
 denominator divisible by p) runs the exact computation over Q(sqrt(-3)),
-whose messages are the probe's.  Failures are reported, not raised, so a
-verification run can collect them.
+the subresultant sequence of :func:`~superelliptic.arith.is_separable` on
+integer pairs, whose messages are the probe's.  Failures are reported, not
+raised, so a verification run can collect them.
 
 The certificate never expands f in x.  One walk over each factor's terms
 (``_walk``) gives its top exponent, parameter indices and nonzero residues
@@ -53,7 +54,8 @@ from functools import cache
 from math import gcd, isqrt
 
 from ._quote import quote
-from .arith import Poly, QuadNum, Rational, is_separable, is_separable_mod_p
+from .arith import (Poly, QuadNum, Rational, expand_product, is_separable,
+                    is_separable_mod_p)
 
 __all__ = [
     "ParamCoeff",
@@ -171,17 +173,14 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
 
     def instantiate(self) -> Poly:
         """Expand the product at the probe point, a_i the i-th prime from 5."""
-        product = [QuadNum(1)]
-        for factor in self.factors:
-            nonzero = [(k, a) for k, a in enumerate(product) if a]
-            out = [QuadNum(0)] * (len(product) + max(t.exponent for t in factor))
-            for e, c in factor:
-                if isinstance(c, ParamCoeff):
-                    c = QuadNum(_probe_prime(c.index) * c.scale)
-                for k, a in nonzero:
-                    out[k + e] += c * a
-            product = out
-        return Poly(product)
+        return expand_product(tuple((e, _probe_value(c)) for e, c in factor)
+                              for factor in self.factors)
+
+
+def _probe_value(c: QuadNum | ParamCoeff) -> QuadNum:
+    if type(c) is ParamCoeff:
+        return QuadNum(Rational(_probe_prime(c.index) * c.scale.numerator, c.scale.denominator))
+    return c
 
 
 def _render_factor(factor: tuple[Term, ...]) -> str:

@@ -134,11 +134,11 @@ def quotient_genus(genus: int, group_order: int, sig: Signature) -> int:
     non-negative integer; the exception carries the rational residue.
     """
     g0 = _quotient_genus_exact(genus, group_order, sig)
-    if g0.denominator != 1 or g0 < 0:
+    if g0.denominator != 1 or g0.numerator < 0:
         raise InconsistentSignatureError(
             f"signature {sig} with group order {group_order} "
             f"does not fit a genus-{genus} curve", g0)
-    return int(g0)
+    return g0.numerator
 
 
 def moduli_dimension(g0: int, r: int) -> int:
@@ -192,21 +192,23 @@ def complete_signature(genus: int, group_order: int, sig: Signature) -> Signatur
     g0 = _quotient_genus_exact(genus, group_order, sig)
     if g0 == 0:
         return SignatureRepair("consistent", sig)
-    d = 2 * g0
+    num, den = g0.numerator, g0.denominator   # d = 2*g0 = 2*num/den
 
-    def cone_order(inverse: Rational) -> int | None:
-        # The c with 1/c == inverse, if it is an allowed cone order.
-        c = inverse.denominator
-        return c if inverse.numerator == 1 and c >= 2 and group_order % c == 0 else None
+    def cone_order(top: int, bottom: int) -> int | None:
+        # The c with 1/c == top/bottom (bottom > 0), if it is an allowed cone order.
+        if top <= 0 or bottom % top:
+            return None
+        c = bottom // top
+        return c if c >= 2 and group_order % c == 0 else None
 
-    c = cone_order(1 - d)
+    c = cone_order(den - 2 * num, den)   # 1/c = 1 - d
     if c is not None:
         chosen = Signature(sig.entries + ((c, 1),))
         return SignatureRepair("completed", chosen, (chosen,), f"appended {c}")
 
     replaced: list[tuple[str, Signature]] = []
     for old, _ in reversed(sig.entries):  # largest printed order first
-        new = cone_order(Rational(1, old) - d)
+        new = cone_order(den - 2 * num * old, old * den)   # 1/c = 1/old - d
         if new is not None:
             rest = list(sig.orders)
             rest.remove(old)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 import pickle
 from fractions import Fraction
 
@@ -26,45 +25,12 @@ def test_quadnum_normalisation() -> None:
         QuadNum(1).d = -3
 
 
-def test_quadnum_basic_arithmetic() -> None:
-    x = QuadNum(1, 2)
-    y = QuadNum(Fraction(1, 2), -1)
-    assert x + y == QuadNum(Fraction(3, 2), 1)
-    assert x - y == QuadNum(Fraction(1, 2), 3)
-    # (1 + 2r)(1/2 - r) with r^2 = -3: 1/2 - r + r - 2r^2 = 1/2 + 6
-    assert x * y == QuadNum(Fraction(13, 2), 0)
-    assert (x * y).b == 0
-    assert x * x.inverse() == QuadNum(1)
-    assert QuadNum(2) + x == QuadNum(3, 2)
-    assert QuadNum(2) - x == QuadNum(1, -2)
-    assert x * 3 == QuadNum(3, 6) and x * 0 == 0     # an int scale, as is_separable uses
-    with pytest.raises(ZeroDivisionError):
-        QuadNum(0).inverse()
-
-
 _R = sp.sqrt(-3)
-_RATIONAL = st.one_of(st.just(Fraction(0)),
-                      st.fractions(min_value=-50, max_value=50, max_denominator=12))
 
 
 def _sympy(q: QuadNum) -> sp.Expr:
     return sp.Rational(q.a.numerator, q.a.denominator) \
         + sp.Rational(q.b.numerator, q.b.denominator) * _R
-
-
-@given(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL)
-def test_quadnum_against_sympy(a, b, c, d) -> None:
-    x, y = QuadNum(a, b), QuadNum(c, d)
-    sx, sy = _sympy(x), _sympy(y)
-    pairs = [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)]
-    if y:
-        pairs += [(x * y.inverse(), sx / sy), (y.inverse(), 1 / sy)]
-    else:
-        with pytest.raises(ZeroDivisionError):
-            y.inverse()
-    for ours, theirs in pairs:
-        assert sp.expand(sp.radsimp(_sympy(ours) - theirs)) == 0
-    assert hash(QuadNum(a)) == hash(a) and QuadNum(a) == a
 
 
 def test_quadnum_str() -> None:
@@ -129,7 +95,10 @@ def test_separability_with_radical_coefficients() -> None:
     assert not is_separable(Poly([-3, 0, QuadNum(0, 2), 0, 1]))
 
 
-_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# small fractions, and denominators 7 and the certificate prime, whose cleared
+# products the exact path multiplies out
+_SMALL = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                   st.builds(Fraction, st.integers(-3, 3), st.sampled_from((7, 1_073_741_719))))
 _SMALL_FACTOR = (st.lists(st.builds(QuadNum, _SMALL, st.one_of(st.just(Fraction(0)), _SMALL)),
                           min_size=1, max_size=4)
                  .filter(any).map(lambda cs: tuple(Term(e, c) for e, c in enumerate(cs))))
@@ -150,12 +119,6 @@ _INT = st.integers(-10**30, 10**30)
 _FRACTION = st.fractions(max_denominator=10**12)
 _NUMBER = st.one_of(_INT, _FRACTION,
                   st.sampled_from((0, 1, -1, Fraction(1, 2**61 - 1), Fraction(-3, 2**61 - 1))))
-_OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
-
-
-def _same(ours, theirs) -> bool:
-    """``ours`` is a Rational of the value of the Fraction ``theirs``."""
-    return type(ours) is Rational and ours.as_integer_ratio() == theirs.as_integer_ratio()
 
 
 def _outcome(build, *args):
@@ -168,28 +131,33 @@ def _outcome(build, *args):
 
 
 @given(_NUMBER, _NUMBER)
-def test_rational_arithmetic_agrees_with_fraction(x, y) -> None:
-    want = {op: _outcome(op, Fraction(x), Fraction(y)) for op in _OPERATORS}
+def test_rational_equality_agrees_with_fraction(x, y) -> None:
     # Rational on either side or both; the other operand an int or a Fraction
     for a, b in ((Rational(x), Rational(y)), (Rational(x), y), (x, Rational(y))):
-        for op in _OPERATORS:
-            if want[op][0] is ZeroDivisionError:
-                assert _outcome(op, a, b)[0] is ZeroDivisionError
-            else:
-                assert _same(op(a, b), Fraction(*want[op])), (op, a, b)
-        assert (a == b, a != b, a < b, a > b) == (x == y, x != y, x < y, x > y)
+        assert (a == b, a != b) == (x == y, x != y)
+    assert hash(QuadNum(x)) == hash(x) and QuadNum(x) == x
 
 
 @given(_NUMBER)
 def test_rational_agrees_with_fraction_on_one_value(x) -> None:
     ours, theirs = Rational(x), Fraction(x)
-    assert _same(-ours, -theirs)
     assert (ours.numerator, ours.denominator) == (theirs.numerator, theirs.denominator)
     assert hash(ours) == hash(theirs)
     assert str(ours) == str(theirs) and f"{ours}" == f"{theirs}"
-    assert int(ours) == int(theirs) and bool(ours) is bool(theirs)
+    assert bool(ours) is bool(theirs)
     assert ours == theirs and theirs == ours and {theirs: 1}[ours] == 1
     assert Rational(ours) is ours and pickle.loads(pickle.dumps(ours)) == ours
+
+
+def test_rational_and_quadnum_are_values() -> None:
+    # the package computes on integers: neither type has arithmetic or an order
+    x, q = Rational(1, 2), QuadNum(1, 2)
+    for build in (lambda: x + 1, lambda: 1 - x, lambda: x * x, lambda: x / 2, lambda: -x,
+                  lambda: int(x), lambda: x < 1, lambda: x > 1,
+                  lambda: q + q, lambda: q - q, lambda: q * q, lambda: q * 3):
+        with pytest.raises(TypeError):
+            build()
+    assert not hasattr(q, "inverse")
 
 
 _ARGUMENT = st.one_of(

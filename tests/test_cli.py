@@ -606,6 +606,52 @@ def test_verify_of_a_huge_exponent_exits_3_at_once(tmp_path) -> None:
     assert "families[0]: equation degree must be at most 1000" in proc.stderr
 
 
+def test_verify_decides_a_dense_degree_60_product_exactly_at_once(tmp_path) -> None:
+    # f = g*h on row 0.  g's constant has the certificate prime as its
+    # denominator, so f has no image mod that prime and the exact path decides.
+    # Euclid over Q(sqrt(-3)) with rational coefficients once took over 240 s here.
+    from fractions import Fraction
+
+    from superelliptic.arith import is_separable_mod_p
+    from superelliptic.family import CERTIFICATE_PRIME
+
+    g = {0: (Fraction(1, CERTIFICATE_PRIME), 0), **{e: (e % 7 + 1, 0) for e in range(1, 31)}}
+    h = {e: (Fraction(e * e % 11 - 5, 3), e % 3 - 1) for e in range(30)}
+    h[30] = (1, 1)
+
+    def factor(terms):
+        return [{"e": e, "c": {"kind": "fixed", "a": str(a), "b": str(b),
+                               **({"d": -3} if b else {})}}
+                for e, (a, b) in terms.items() if a or b]
+
+    equation = {"factors": [factor(g), factor(h)], "radicand": -3}
+    path = _edited_export(tmp_path, lambda p: p["families"][0].update(equation=equation))
+    proc = _fresh_process("verify", "--data", path, "--genus", "3", timeout=20)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    failures = [line for line in proc.stdout.splitlines() if line.startswith("[failure]")]
+    assert [line.split(":")[0] for line in failures] == [
+        "[failure] genus 3 nr 1 (genus)", "[failure] genus 3 nr 1 (parameters)"]
+    assert "(separability)" not in proc.stdout
+
+    # f is separable: mod the prime q = 7 (mod 12) it keeps degree 60 and gcd(f, f') = 1
+    q = 1_000_000_087
+    root = pow(-3, (q + 1) // 4, q)
+    assert q % 12 == 7 and root * root % q == q - 3
+
+    def residues(terms):
+        out = [0] * (max(terms) + 1)
+        for e, (a, b) in terms.items():
+            a = Fraction(a)
+            out[e] = (a.numerator * pow(a.denominator, -1, q) + b * root) % q
+        return out
+
+    f = [0] * 61
+    for i, a in enumerate(residues(g)):
+        for j, b in enumerate(residues(h)):
+            f[i + j] = (f[i + j] + a * b) % q
+    assert f[60] and is_separable_mod_p(f, q)
+
+
 _HUGE = 5_000_000
 # JSON text put in place of the string "DEEP" or "TOO DEEP"
 _RAW = {'"DEEP"': "[" * 985 + "]" * 985,                  # within what json.loads reads

@@ -432,7 +432,7 @@ def dense_reduce_mod_p(tmpl: EquationTemplate) -> list[int] | None:
         for u in factor:
             c = u.coeff
             if isinstance(c, ParamCoeff):              # a_i is the i-th prime from 5
-                c = QuadNum(sympy.prime(c.index + 2) * c.scale)
+                c = QuadNum(int(sympy.prime(c.index + 2)) * Fraction(*c.scale.as_integer_ratio()))
             c = _residue(c)
             if c is None:
                 return None
@@ -467,8 +467,9 @@ def _valued(c: QuadNum | ParamCoeff, values: dict) -> QuadNum | ParamCoeff:
     fixed number itself when it is 0 or irrational, which no scale can give."""
     if isinstance(c, QuadNum) or c.index not in values:
         return c
-    v = values[c.index] * QuadNum(c.scale)
-    return v if v.b or not v else ParamCoeff(c.index, v.a / sympy.prime(c.index + 2))
+    value, scale = values[c.index], Fraction(*c.scale.as_integer_ratio())
+    a, b = (Fraction(*x.as_integer_ratio()) * scale for x in (value.a, value.b))
+    return QuadNum(a, b) if b or not a else ParamCoeff(c.index, a / int(sympy.prime(c.index + 2)))
 
 
 @st.composite

@@ -15,34 +15,34 @@ y^n = f(x) normal form (``normal_form_admissible`` decides that).
 ``separability_probe`` sets each parameter a_i to the i-th prime from 5
 (a_1 = 5, a_2 = 7, a_3 = 11, ...), one fixed rational point, and checks that
 the resulting polynomial has the expected degree and no repeated roots: a
-modular certificate plus exact fallback.  The certificate reduces the template
-straight to F_p for the prime p = 1,073,741,719, sending sqrt(-3) to a fixed
-square root of -3 mod p, and runs Euclid on f and f' there.  When the degree
-survives and gcd(f, f') = 1 mod p, the discriminant of f is a unit at a prime
-above p, hence nonzero, and f is separable over Q(sqrt(-3)); that answer is
-final.  Every other outcome (degree drop or common factor mod p, a
-denominator divisible by p) runs the exact computation over Q(sqrt(-3)),
-the subresultant sequence of :func:`~superelliptic.arith.is_separable` on
-integer pairs, whose messages are the probe's.  Failures are reported, not
-raised, so a verification run can collect them.
+modular certificate plus exact fallback.  The certificate reduces the template straight
+to F_p, sending sqrt(-3) to (-3)^((p+1)/4), a square root of -3 mod p, and
+runs Euclid on f and f' there.  When the degree survives and gcd(f, f') = 1 mod
+p, the discriminant of f is a unit at a prime above p, hence nonzero, and f is
+separable over Q(sqrt(-3)); that answer is final.  p is 1,073,741,719, or
+1,073,741,671 when the first gives no certificate (degree drop or common
+factor mod p, a denominator divisible by p).  When neither gives one, the exact
+computation over Q(sqrt(-3)) runs, the subresultant sequence of
+:func:`~superelliptic.arith.is_separable` on integer pairs, whose messages are
+the probe's.  Failures are reported, not raised, so a verification run can
+collect them.
 
 The certificate never expands f in x.  One walk over each factor's terms
-(``_walk``) gives its top exponent, parameter indices and nonzero residues
-mod p, and is memoised on the factor object: the embedded table holds 92
-factor objects in its 436 factor slots, so a process walks 92 factors, not
-436.  ``_scan`` combines a row's factor walks into the template's degree and
-parameter indices, which the probe returns for the genus and parameter
-checks of ``verify``, and h.  Each factor is x^lo times a polynomial in
-y = x^m, lo its lowest exponent with a nonzero residue, m the gcd of all
-exponents' distances from their factor's lo, and h, the product of those
-polynomials, gives f = x^eps h(x^m) with h(0) != 0.  A monomial factor
-c x^lo adds lo to eps and scales h by c.  For eps <= 1 and p not dividing
-m, f is separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double
-root x0 != 0 of h(x^m) makes x0^m a double root of h, and conversely.
-(eps >= 2 puts x^2 in gcd(f, f').)  The walk withholds the certificate
-when deg f >= p, as m may then be a multiple of p.  Euclid runs on h,
-memoised on its residues: the 224 embedded rows give 42 distinct h, so a
-process runs it 42 times, not 224.
+(``_walk``) gives its top exponent, parameter indices and nonzero residues mod
+p, and is memoised on the factor object and p: the embedded table holds 92
+factor objects in its 436 factor slots, all certified at the first prime, so a
+process walks 92 factors, not 436.  ``_scan`` combines a row's factor walks
+into the template's degree and parameter indices, which the probe returns for
+the genus and parameter checks of ``verify``, and h.  Each factor is x^lo times
+a polynomial in y = x^m, lo its lowest exponent with a nonzero residue, m the
+gcd of all exponents' distances from their factor's lo, and h, the product of
+those polynomials, gives f = x^eps h(x^m) with h(0) != 0.  A monomial factor
+c x^lo adds lo to eps and scales h by c.  For eps <= 1 and p not dividing m, f is
+separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0 of
+h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2 in
+gcd(f, f').)  The walk withholds the certificate when deg f >= p, as m may
+then be a multiple of p.  Euclid runs on h, memoised on its residues and p: the
+224 embedded rows give 42 distinct h, so a process runs it 42 times, not 224.
 
 A template's JSON form is read and written by :mod:`superelliptic.dataset`.
 """
@@ -71,13 +71,12 @@ __all__ = [
     "ProbeResult",
 ]
 
-# The certificate's prime: the largest prime below 2^30 that is 7 mod 12.  As
-# p = 1 mod 3, -3 is a square mod p, and as p = 3 mod 4, (-3)^((p+1)/4) is a
-# square root of it.  A residue is one 30-bit CPython digit, so residues and
-# their products stay on the interpreter's small-int paths.  The y = x^m lemma
-# needs p > deg f, which ``_scan`` checks.
-CERTIFICATE_PRIME = 1_073_741_719
-SQRT_MINUS_3_MOD_P = pow(-3, (CERTIFICATE_PRIME + 1) // 4, CERTIFICATE_PRIME)
+# The certificate's primes: the two largest primes below 2^30 that are 7 mod
+# 12.  As p = 1 mod 3, -3 is a square mod p, and as p = 3 mod 4,
+# (-3)^((p+1)/4) is a square root of it.  A residue is one 30-bit CPython
+# digit, so residues and their products stay on the interpreter's small-int
+# paths.  The y = x^m lemma needs p > deg f, which ``_scan`` checks.
+CERTIFICATE_PRIMES = (1_073_741_719, 1_073_741_671)
 
 # The largest genus enumerate_levels takes: 2g = 10^12.
 MAX_LEVELS_GENUS = 5 * 10**11
@@ -296,19 +295,23 @@ class ProbeResult(namedtuple("ProbeResult", "degree indices messages")):
 
 
 def separability_probe(level: int, template: EquationTemplate) -> ProbeResult:
-    """Degree, parameter indices and probe failures of f, from one walk over its terms.
+    """Degree, parameter indices and probe failures of f, from walks over its terms.
 
     A level and degree with no normal form are the one failure, and
     separability is not decided; otherwise no failures means that f keeps its
     degree and has no repeated root at the probe point (see module doc).
     """
-    degree, indices, h = _scan(template)
+    first = CERTIFICATE_PRIMES[0]
+    degree, indices, h = _scan(template, first)
     try:
         branch_count(level, degree)
     except ValueError as exc:
         return ProbeResult(degree, indices, (str(exc),))
-    if h is not None and _euclid_mod_p(h):
-        return ProbeResult(degree, indices, ())
+    for p in CERTIFICATE_PRIMES:    # the next prime only when this one gives no certificate
+        if p != first:
+            h = _scan(template, p)[2]
+        if h is not None and _euclid_mod_p(h, p):
+            return ProbeResult(degree, indices, ())
     return ProbeResult(degree, indices, _exact_probe(template, degree))
 
 
@@ -323,11 +326,11 @@ def _exact_probe(template: EquationTemplate, degree: int) -> tuple[str, ...]:
 
 
 @cache
-def _euclid_mod_p(h: tuple[int, ...]) -> bool:
-    return is_separable_mod_p(h, CERTIFICATE_PRIME)
+def _euclid_mod_p(h: tuple[int, ...], p: int) -> bool:
+    return is_separable_mod_p(h, p)
 
 
-def _scan(template: EquationTemplate):
+def _scan(template: EquationTemplate, p: int):
     """(degree, parameter indices, h) from one walk over each factor's terms.
 
     h is in F_p[y], lowest degree first, with f = x^eps h(x^m) at the probe
@@ -336,10 +339,9 @@ def _scan(template: EquationTemplate):
     coefficient vanishes mod p (the degree would drop), x^2 divides f mod p
     (then gcd(f, f') is not 1 either), or deg f >= p (module doc).
     """
-    p = CERTIFICATE_PRIME
     degree, eps, m, seen, factors, scale, certify = 0, 0, 0, set(), [], 1, True
     for factor in template.factors:
-        top, residues, indices, lo, gap, ok = _walk(factor)
+        top, residues, indices, lo, gap, ok = _walk(factor, p)
         degree += top
         seen.update(indices)
         if not ok:
@@ -365,33 +367,33 @@ def _scan(template: EquationTemplate):
     return degree, indices, tuple(h)
 
 
-# id(factor) -> (factor, its walk).  Keyed on the object, not the tuple of
-# terms: the embedded table holds one object per distinct factor, and so does
-# from_json, while hashing a factor would run QuadNum's and Rational's hashes,
-# in Python.  The entry keeps the factor alive, so its id is never reused.
-_WALKS: dict[int, tuple] = {}
+# (id(factor), p) -> (factor, its walk mod p).  Keyed on the object, not the
+# tuple of terms: the embedded table holds one object per distinct factor, and
+# so does from_json, while hashing a factor would run QuadNum's and Rational's
+# hashes, in Python.  The entry keeps the factor alive, so its id is never
+# reused.
+_WALKS: dict[tuple[int, int], tuple] = {}
 
 
-def _walk(factor: tuple[Term, ...]) -> tuple:
-    """One factor's (top, nonzero residues, indices, lo, gap, ok), computed once.
+def _walk(factor: tuple[Term, ...], p: int) -> tuple:
+    """One factor's (top, nonzero residues mod p, indices, lo, gap, ok), computed once.
 
     ``residues`` lists (exponent, residue) in term order; ``lo`` is the least
     of their exponents and ``gap`` the gcd of their distances from it, 0 for a
     monomial.  ``ok`` is False when a coefficient has no image in F_p or the
     top term's residue is 0; then ``lo`` and ``gap`` are 0.
     """
-    known = _WALKS.get(id(factor))
+    known = _WALKS.get((id(factor), p))
     if known is not None:
         return known[1]
-    p = CERTIFICATE_PRIME
     top, residues, indices, ok = -1, [], set(), True
     for e, c in factor:
         if type(c) is ParamCoeff:
             indices.add(c.index)
-            scale = _rational_mod_p(c.scale)
+            scale = _residue(c.scale, p)
             c = None if scale is None else _probe_prime(c.index) * scale % p
         else:
-            c = _number_mod_p(c)
+            c = _residue(c, p)
         if e > top:
             top, lead = e, c
         if c:
@@ -404,24 +406,20 @@ def _walk(factor: tuple[Term, ...]) -> tuple:
         for e, _ in residues:
             gap = gcd(gap, e - lo)
     walk = (top, residues, indices, lo, gap, bool(ok and lead))
-    _WALKS[id(factor)] = (factor, walk)
+    _WALKS[id(factor), p] = (factor, walk)
     return walk
 
 
-def _number_mod_p(value: QuadNum) -> int | None:
-    """Image of a + b*sqrt(-3) under sqrt(-3) -> SQRT_MINUS_3_MOD_P, if it has one."""
-    a = _rational_mod_p(value.a)
-    if not value.b.numerator or a is None:
-        return a
-    b = _rational_mod_p(value.b)
-    return None if b is None else (a + b * SQRT_MINUS_3_MOD_P) % CERTIFICATE_PRIME
-
-
-def _rational_mod_p(q: Rational) -> int | None:
-    p = CERTIFICATE_PRIME
-    n, d = q.as_integer_ratio()
-    if d == 1:
-        return n % p
+def _residue(value: QuadNum | Rational, p: int) -> int | None:
+    """Image in F_p of a rational or of a + b*sqrt(-3), if it has one (module doc)."""
+    a, b = (value.a, value.b) if type(value) is QuadNum else (value, None)
+    n, d = a.as_integer_ratio()
     if d % p == 0:
         return None
-    return n * pow(d, -1, p) % p
+    image = n if d == 1 else n * pow(d, -1, p)
+    if b:
+        n, d = b.as_integer_ratio()
+        if d % p == 0:
+            return None
+        image += n * pow(d, -1, p) * pow(-3, (p + 1) // 4, p)
+    return image % p

@@ -567,7 +567,7 @@ def test_unshaped_row_of_high_degree_is_one_genus_failure(capsys, tmp_path,
             assert size(*args) < 100, "separability decided on the unshaped row"
             return fn(*args)
         return checked
-    monkeypatch.setattr(family, "_euclid_mod_p", short(euclid, len))
+    monkeypatch.setattr(family, "_euclid_mod_p", short(euclid, lambda h, p: len(h)))
     monkeypatch.setattr(family, "_exact_probe", short(exact, lambda *a: a[-1]))
     one = {"kind": "fixed", "a": "1", "b": "0"}
     path = _edited_export(tmp_path, lambda p: p["families"][3].update(
@@ -606,25 +606,29 @@ def test_verify_of_a_huge_exponent_exits_3_at_once(tmp_path) -> None:
     assert "families[0]: equation degree must be at most 1000" in proc.stderr
 
 
-def test_verify_decides_a_dense_degree_60_product_exactly_at_once(tmp_path) -> None:
-    # f = g*h on row 0.  g's constant has the certificate prime as its
-    # denominator, so f has no image mod that prime and the exact path decides.
-    # Euclid over Q(sqrt(-3)) with rational coefficients once took over 240 s here.
+def _dense_product(half: int, denominator: int) -> tuple[dict, dict]:
+    """g and h of degree ``half``, as {e: (a, b)} for a + b*sqrt(-3); g's constant is 1/denominator."""
     from fractions import Fraction
 
-    from superelliptic.arith import is_separable_mod_p
-    from superelliptic.family import CERTIFICATE_PRIME
+    g = {0: (Fraction(1, denominator), 0), **{e: (e % 7 + 1, 0) for e in range(1, half + 1)}}
+    h = {e: (Fraction(e * e % 11 - 5, 3), e % 3 - 1) for e in range(half)}
+    h[half] = (1, 1)
+    return g, h
 
-    g = {0: (Fraction(1, CERTIFICATE_PRIME), 0), **{e: (e % 7 + 1, 0) for e in range(1, 31)}}
-    h = {e: (Fraction(e * e % 11 - 5, 3), e % 3 - 1) for e in range(30)}
-    h[30] = (1, 1)
 
+def _product_equation(*factors: dict) -> dict:
+    """The JSON form of the product of ``factors``, each as {e: (a, b)}."""
     def factor(terms):
         return [{"e": e, "c": {"kind": "fixed", "a": str(a), "b": str(b),
                                **({"d": -3} if b else {})}}
                 for e, (a, b) in terms.items() if a or b]
 
-    equation = {"factors": [factor(g), factor(h)], "radicand": -3}
+    return {"factors": [factor(terms) for terms in factors], "radicand": -3}
+
+
+def _verify_product_on_row_0(tmp_path, *factors: dict) -> None:
+    """verify --data with f = the product on row 0: only the genus and parameters findings."""
+    equation = _product_equation(*factors)
     path = _edited_export(tmp_path, lambda p: p["families"][0].update(equation=equation))
     proc = _fresh_process("verify", "--data", path, "--genus", "3", timeout=20)
     assert (proc.returncode, proc.stderr) == (1, "")
@@ -632,6 +636,22 @@ def test_verify_decides_a_dense_degree_60_product_exactly_at_once(tmp_path) -> N
     assert [line.split(":")[0] for line in failures] == [
         "[failure] genus 3 nr 1 (genus)", "[failure] genus 3 nr 1 (parameters)"]
     assert "(separability)" not in proc.stdout
+
+
+@pytest.mark.parametrize("primes", [1, 2], ids=["p1", "p1*p2"])
+def test_verify_decides_a_dense_degree_60_product_exactly_at_once(tmp_path, primes) -> None:
+    # f = g*h on row 0.  g's constant has the first certificate prime p1 as its
+    # denominator, so f has no image mod p1: the second prime p2 certifies it.
+    # With p1*p2 as the denominator neither prime can, and the exact path decides.
+    # Euclid over Q(sqrt(-3)) with rational coefficients once took over 240 s here.
+    from fractions import Fraction
+    from math import prod
+
+    from superelliptic.arith import is_separable_mod_p
+    from superelliptic.family import CERTIFICATE_PRIMES
+
+    g, h = _dense_product(30, prod(CERTIFICATE_PRIMES[:primes]))
+    _verify_product_on_row_0(tmp_path, g, h)
 
     # f is separable: mod the prime q = 7 (mod 12) it keeps degree 60 and gcd(f, f') = 1
     q = 1_000_000_087
@@ -650,6 +670,33 @@ def test_verify_decides_a_dense_degree_60_product_exactly_at_once(tmp_path) -> N
         for j, b in enumerate(residues(h)):
             f[i + j] = (f[i + j] + a * b) % q
     assert f[60] and is_separable_mod_p(f, q)
+
+
+def test_the_second_certificate_prime_decides_what_the_first_cannot(monkeypatch) -> None:
+    # The degree-60 g*h with g's constant 1/p1 has no image mod p1; the probe
+    # certifies it at p2 and never reaches the exact path.
+    from superelliptic import family
+    from superelliptic.arith import QuadNum
+    from superelliptic.family import (CERTIFICATE_PRIMES, EquationTemplate, Term,
+                                      separability_probe)
+
+    def exact(*_):
+        raise AssertionError("the exact path ran")
+
+    monkeypatch.setattr(family, "_exact_probe", exact)
+    g, h = _dense_product(30, CERTIFICATE_PRIMES[0])
+    template = EquationTemplate(tuple(tuple(Term(e, QuadNum(a, b))
+                                            for e, (a, b) in terms.items() if a or b)
+                                      for terms in (g, h)))
+    assert separability_probe(3, template) == (60, (), ())
+
+
+def test_verify_of_a_separable_degree_240_product_is_quick(tmp_path) -> None:
+    # The exact path, which grows as about d^4.5, ran past the timeout on this f;
+    # the second certificate prime takes it at once.
+    from superelliptic.family import CERTIFICATE_PRIMES
+
+    _verify_product_on_row_0(tmp_path, *_dense_product(120, CERTIFICATE_PRIMES[0]))
 
 
 _HUGE = 5_000_000

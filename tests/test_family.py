@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from superelliptic import dataset, family
 from superelliptic.arith import QuadNum, is_separable, is_separable_mod_p
 from superelliptic.dataset import load_embedded
-from superelliptic.family import (CERTIFICATE_PRIME, MAX_LEVELS_GENUS, SQRT_MINUS_3_MOD_P,
-                                  EquationTemplate, NonSuperellipticError, ParamCoeff, Term,
-                                  branch_count, enumerate_levels, genus_of_family,
-                                  normal_form_admissible, separability_probe)
+from superelliptic.family import (CERTIFICATE_PRIMES, MAX_LEVELS_GENUS, EquationTemplate,
+                                  NonSuperellipticError, ParamCoeff, Term, branch_count,
+                                  enumerate_levels, genus_of_family, normal_form_admissible,
+                                  separability_probe)
 from superelliptic.tables import F1, X, f, spread, t
 
-P = CERTIFICATE_PRIME
+P = CERTIFICATE_PRIMES[0]
+_PRIME = st.sampled_from(CERTIFICATE_PRIMES)
 
 
 def test_template_shape() -> None:
@@ -285,41 +286,46 @@ def test_template_json_round_trip() -> None:
 
 # -- the modular certificate and its exact fallback ------------------------------
 
-def reduced(tmpl: EquationTemplate) -> tuple[int, ...] | None:
-    """h with f = x^eps h(x^m) mod P, from the probe's walk (None: no certificate)."""
-    return family._scan(tmpl)[2]
+def reduced(tmpl: EquationTemplate, p: int) -> tuple[int, ...] | None:
+    """h with f = x^eps h(x^m) mod p, from the probe's walk (None: no certificate)."""
+    return family._scan(tmpl, p)[2]
 
 
-def certified(tmpl: EquationTemplate) -> bool:
-    h = reduced(tmpl)
-    return h is not None and family._euclid_mod_p(h)
+def certified(tmpl: EquationTemplate, p: int) -> bool:
+    h = reduced(tmpl, p)
+    return h is not None and family._euclid_mod_p(h, p)
 
 
 def exact_probe(monkeypatch, level: int, tmpl: EquationTemplate):
     """The probe with the certificate switched off: the exact path alone."""
     with monkeypatch.context() as m:
-        m.setattr(family, "_euclid_mod_p", lambda h: False)
+        m.setattr(family, "_euclid_mod_p", lambda h, p: False)
         return separability_probe(level, tmpl)
 
 
 def test_certificate_prime_has_a_square_root_of_minus_3() -> None:
-    assert sympy.isprime(P)
-    assert P < 2**30 and P % 12 == 7      # one CPython digit; 1 mod 3 and 3 mod 4
-    assert P % 3 == 1 and P % 4 == 3
-    assert SQRT_MINUS_3_MOD_P ** 2 % P == P - 3
+    assert len(set(CERTIFICATE_PRIMES)) == len(CERTIFICATE_PRIMES) == 2
+    for p in CERTIFICATE_PRIMES:
+        assert sympy.isprime(p)
+        assert p < 2**30 and p % 12 == 7      # one CPython digit; 1 mod 3 and 3 mod 4
+        assert p % 3 == 1 and p % 4 == 3
+        assert pow(-3, (p + 1) // 4, p) ** 2 % p == p - 3
+    # the two largest such primes, tried in decreasing order
+    assert [q for q in range(2**30 - 1, CERTIFICATE_PRIMES[-1] - 1, -1)
+            if q % 12 == 7 and sympy.isprime(q)] == list(CERTIFICATE_PRIMES)
 
 
 def test_fast_and_exact_probes_agree_on_every_row(monkeypatch) -> None:
     rows = load_embedded().records
     assert len(rows) == 224
     for r in rows:
-        assert certified(r.equation), r.key
+        assert certified(r.equation, P), r.key
         assert separability_probe(r.level, r.equation) == \
             exact_probe(monkeypatch, r.level, r.equation), r.key
 
 
 def test_embedded_rows_reduce_to_42_short_polynomials_in_y() -> None:
-    hs = [reduced(r.equation) for r in load_embedded()]
+    hs = [reduced(r.equation, P) for r in load_embedded()]
     assert len(set(hs)) == 42                     # Euclid runs 42 times, not 224
     assert sum(len(h) ** 2 for h in hs) == 7876   # against 40,085 for f in x
 
@@ -341,7 +347,7 @@ def test_dropped_constant_fails_both_paths_alike(monkeypatch) -> None:
               if (bad := _drop_constant(r.equation)) is not None]
     assert len(shaped) == 102
     for r, bad in shaped:
-        assert not certified(bad), r.key
+        assert not any(certified(bad, p) for p in CERTIFICATE_PRIMES), r.key
         fast = separability_probe(r.level, bad)
         assert not fast.ok
         assert fast == exact_probe(monkeypatch, r.level, bad), r.key
@@ -357,7 +363,7 @@ def test_dropped_constant_fails_both_paths_alike(monkeypatch) -> None:
 ])
 def test_forced_fallbacks_return_the_exact_result(monkeypatch, tmpl, values) -> None:
     assert all(family._probe_prime(i) == v for i, v in (values or {}).items())
-    assert not certified(tmpl)
+    assert not certified(tmpl, P)
     result = separability_probe(2, tmpl)
     assert result == exact_probe(monkeypatch, 2, tmpl)
     assert result.ok
@@ -368,7 +374,7 @@ def test_a_i_takes_the_ith_prime_when_indices_skip(monkeypatch) -> None:
     # x^2 + 7x + 25/4 is separable; at a_2 = 5 it would be (x + 5/2)^2.
     tmpl = t(f(2, (1, "a2"), (0, Fraction(25, 4))))
     result = separability_probe(2, tmpl)
-    assert result.ok and certified(tmpl)
+    assert result.ok and certified(tmpl, P)
     assert result == exact_probe(monkeypatch, 2, tmpl)
     assert separability_probe(2, t(f(3, (2, "a5"), (1, "a2"), 0))) == (3, (2, 5), ())
 
@@ -377,7 +383,7 @@ def test_certificate_is_withheld_when_the_degree_reaches_p() -> None:
     # f = x^P - P*x + P - 1 has a double root at 1, as f(1) = f'(1) = 0.  Mod P
     # it is x^P - 1 = h(x^P) with h = y - 1 separable: the lemma needs P > deg f.
     # (Only the walk is called: the exact path cannot expand f at this degree.)
-    assert family._scan(t(f(P, (1, -P), (0, P - 1)))) == (P, (), None)
+    assert family._scan(t(f(P, (1, -P), (0, P - 1))), P) == (P, (), None)
 
 
 def test_separable_mod_p_on_coefficient_lists() -> None:
@@ -388,44 +394,45 @@ def test_separable_mod_p_on_coefficient_lists() -> None:
     assert not is_separable_mod_p([P, 2 * P], P)       # zero mod P
 
 
-_INTEGER = st.one_of(st.integers(-6, 6), st.sampled_from((P, -P, 2 * P)))
-_NUMBER = st.one_of(
-    _INTEGER.map(QuadNum),
-    st.tuples(_INTEGER, st.integers(-3, 3)).map(lambda ab: QuadNum(*ab)))
-
-
 @st.composite
-def _factors(draw, max_degree: int = 4) -> tuple[Term, ...]:
-    coeffs = draw(st.lists(_NUMBER, min_size=1, max_size=max_degree + 1))
+def _factors(draw, p: int, max_degree: int = 4) -> tuple[Term, ...]:
+    integer = st.one_of(st.integers(-6, 6), st.sampled_from((p, -p, 2 * p)))
+    number = st.one_of(integer.map(QuadNum),
+                       st.tuples(integer, st.integers(-3, 3)).map(lambda ab: QuadNum(*ab)))
+    coeffs = draw(st.lists(number, min_size=1, max_size=max_degree + 1))
     terms = tuple(Term(e, c) for e, c in enumerate(coeffs) if c)
     return terms or (Term(0, QuadNum(1)),)
 
 
-@given(st.lists(_factors(), min_size=1, max_size=3))
-def test_certificate_never_accepts_an_inseparable_polynomial(factors) -> None:
-    tmpl = EquationTemplate(tuple(factors))
-    if certified(tmpl):
+@given(st.data())
+def test_certificate_never_accepts_an_inseparable_polynomial(data) -> None:
+    p = data.draw(_PRIME)
+    tmpl = EquationTemplate(tuple(data.draw(st.lists(_factors(p), min_size=1, max_size=3))))
+    if certified(tmpl, p):
         poly = tmpl.instantiate()
         assert poly.degree == tmpl.degree
         assert is_separable(poly)
 
 
-@given(_factors(), _factors().filter(lambda h: max(u.exponent for u in h) > 0))
-def test_certificate_rejects_every_square_factor(g, h) -> None:
-    assert not certified(EquationTemplate((g, h, h)))
+@given(st.data())
+def test_certificate_rejects_every_square_factor(data) -> None:
+    p = data.draw(_PRIME)
+    g = data.draw(_factors(p))
+    h = data.draw(_factors(p).filter(lambda h: max(u.exponent for u in h) > 0))
+    assert not certified(EquationTemplate((g, h, h)), p)
 
 
 # -- the reduced certificate equals the dense one ----------------------------------
 
-def _residue(q: QuadNum) -> int | None:
-    if q.a.denominator % P == 0 or q.b.denominator % P == 0:
+def _residue(q: QuadNum, p: int) -> int | None:
+    if q.a.denominator % p == 0 or q.b.denominator % p == 0:
         return None
-    return (q.a.numerator * pow(q.a.denominator, -1, P)
-            + q.b.numerator * pow(q.b.denominator, -1, P) * SQRT_MINUS_3_MOD_P) % P
+    return (q.a.numerator * pow(q.a.denominator, -1, p)
+            + q.b.numerator * pow(q.b.denominator, -1, p) * pow(-3, (p + 1) // 4, p)) % p
 
 
-def dense_reduce_mod_p(tmpl: EquationTemplate) -> list[int] | None:
-    """f mod P expanded densely in x, as the certificate did before y = x^m."""
+def dense_reduce_mod_p(tmpl: EquationTemplate, p: int) -> list[int] | None:
+    """f mod p expanded densely in x, as the certificate did before y = x^m."""
     product = [1]
     for factor in tmpl.factors:
         dense = [0] * (1 + max(u.exponent for u in factor))
@@ -433,7 +440,7 @@ def dense_reduce_mod_p(tmpl: EquationTemplate) -> list[int] | None:
             c = u.coeff
             if isinstance(c, ParamCoeff):              # a_i is the i-th prime from 5
                 c = QuadNum(int(sympy.prime(c.index + 2)) * Fraction(*c.scale.as_integer_ratio()))
-            c = _residue(c)
+            c = _residue(c, p)
             if c is None:
                 return None
             dense[u.exponent] = c
@@ -443,7 +450,7 @@ def dense_reduce_mod_p(tmpl: EquationTemplate) -> list[int] | None:
         for i, a in enumerate(product):
             for j, b in enumerate(dense):
                 out[i + j] += a * b
-        product = [c % P for c in out]
+        product = [c % p for c in out]
     return product
 
 
@@ -457,9 +464,6 @@ def _in_y(coeffs) -> list[int]:
 _SMALL = st.integers(-6, 6)
 _RATIONAL = st.one_of(_SMALL, st.builds(Fraction, _SMALL, st.sampled_from((2, 3))))
 _SQRT = st.tuples(_RATIONAL, _SMALL.filter(bool)).map(lambda ab: QuadNum(*ab))
-# numbers that vanish mod P or have no image in F_P
-_SPECIAL = st.sampled_from((QuadNum(P), QuadNum(-2 * P), QuadNum(Fraction(1, P)),
-                            QuadNum(Fraction(P, 2)), QuadNum(0, P), QuadNum(1, Fraction(1, P))))
 
 
 def _valued(c: QuadNum | ParamCoeff, values: dict) -> QuadNum | ParamCoeff:
@@ -473,7 +477,7 @@ def _valued(c: QuadNum | ParamCoeff, values: dict) -> QuadNum | ParamCoeff:
 
 
 @st.composite
-def _sparse_case(draw) -> EquationTemplate:
+def _sparse_case(draw, p: int) -> EquationTemplate:
     """Sparse factors with exponents lo + step*k (k = 0 alone: the monomial c x^lo).
 
     The lowest exponents give f = x^eps h(x^m) with eps 0 or 1, or x^2 | f
@@ -481,8 +485,11 @@ def _sparse_case(draw) -> EquationTemplate:
     parameters a_1, a_2 and maybe a_3 get drawn values; a_3 may keep its prime.
     """
     special = draw(st.booleans())
-    number = st.one_of(_RATIONAL.map(QuadNum), _SQRT, *([_SPECIAL] if special else []))
-    scale = st.sampled_from((1, -1, 2, Fraction(-1, 3), *((P, Fraction(1, P)) if special else ())))
+    # numbers that vanish mod p or have no image in F_p
+    specials = st.sampled_from((QuadNum(p), QuadNum(-2 * p), QuadNum(Fraction(1, p)),
+                                QuadNum(Fraction(p, 2)), QuadNum(0, p), QuadNum(1, Fraction(1, p))))
+    number = st.one_of(_RATIONAL.map(QuadNum), _SQRT, *([specials] if special else []))
+    scale = st.sampled_from((1, -1, 2, Fraction(-1, 3), *((p, Fraction(1, p)) if special else ())))
     coeff = st.one_of(number.filter(bool),
                       st.builds(ParamCoeff, st.integers(1, 3), scale))
     factors = []
@@ -500,13 +507,15 @@ def _sparse_case(draw) -> EquationTemplate:
 
 
 @settings(max_examples=200)
-@given(_sparse_case())
-def test_reduced_certificate_equals_the_dense_one(tmpl) -> None:
+@given(st.data())
+def test_reduced_certificate_equals_the_dense_one(data) -> None:
+    p = data.draw(_PRIME)
+    tmpl = data.draw(_sparse_case(p))
     family._euclid_mod_p.cache_clear()
-    f = dense_reduce_mod_p(tmpl)
-    assert certified(tmpl) == \
-        (f is not None and is_separable_mod_p(f, P))
-    degree, indices, h = family._scan(tmpl)
+    f = dense_reduce_mod_p(tmpl, p)
+    assert certified(tmpl, p) == \
+        (f is not None and is_separable_mod_p(f, p))
+    degree, indices, h = family._scan(tmpl, p)
     assert (degree, indices) == (tmpl.degree, tmpl.parameter_indices)
     if h is not None:                             # f = x^eps h(x^m), eps <= 1
         assert h[0] and any(f[:2]) and _in_y(h) == _in_y(f)
@@ -514,17 +523,17 @@ def test_reduced_certificate_equals_the_dense_one(tmpl) -> None:
         assert not any(f[:2])
 
 
-@given(_sparse_case())
+@given(_sparse_case(P))
 def test_the_factor_walk_memo_keys_on_the_object(tmpl) -> None:
     # a template rebuilt from fresh, equal terms and coefficients is walked
     # afresh and gives the same triple; the memo's entries keep their factors
     def fresh(c):
         return QuadNum(c.a, c.b) if isinstance(c, QuadNum) else ParamCoeff(c.index, c.scale)
 
-    scan = family._scan(tmpl)
+    scan = family._scan(tmpl, P)
     rebuilt = EquationTemplate(tuple(tuple(Term(u.exponent, fresh(u.coeff)) for u in factor)
                                      for factor in tmpl.factors))
     assert all(id(a) != id(b) for a, b in zip(rebuilt.factors, tmpl.factors))
-    assert family._scan(rebuilt) == scan == family._scan(tmpl)
+    assert family._scan(rebuilt, P) == scan == family._scan(tmpl, P)
     for factor in (*tmpl.factors, *rebuilt.factors):
-        assert family._WALKS[id(factor)][0] is factor
+        assert family._WALKS[id(factor), P][0] is factor

@@ -8,10 +8,10 @@ import json
 import pytest
 
 from superelliptic import dataset, family, tables, verify
-from superelliptic.arith import Rational
+from superelliptic.arith import QuadNum, Rational
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
-from superelliptic.family import EquationTemplate
+from superelliptic.family import CERTIFICATE_PRIMES, EquationTemplate
 from superelliptic.groups import ReducedGroup, parse_group_label
 from superelliptic.signature import Signature
 from superelliptic.tables import f, spread, t
@@ -303,23 +303,25 @@ def test_each_row_derives_its_group_and_parameters_once(ds, monkeypatch) -> None
 
 
 def test_a_cold_verify_walks_each_distinct_factor_once(monkeypatch) -> None:
-    # The 224 row walks read 92 factor walks: the terms of the 436 factor slots
-    # are reduced mod p 434 times (193 of them fixed numbers), not 1,307.
-    reduced = {"fixed": 0}
-    number_mod_p = family._number_mod_p
+    # The 224 row walks read 92 factor walks, all at the first certificate
+    # prime: the terms of the 436 factor slots are reduced mod p 434 times
+    # (193 fixed numbers and 241 parameter scales), not 1,307.
+    reduced = {"fixed": 0, "parameter": 0}
+    residue = family._residue
 
-    def counted(value):
-        reduced["fixed"] += 1
-        return number_mod_p(value)
+    def counted(value, p):
+        reduced["fixed" if isinstance(value, QuadNum) else "parameter"] += 1
+        return residue(value, p)
 
     monkeypatch.setattr(family, "_WALKS", {})
-    monkeypatch.setattr(family, "_number_mod_p", counted)
+    monkeypatch.setattr(family, "_residue", counted)
     ds = load_embedded()
     assert len(verify_dataset(ds).rows) == 224
     factors = {id(f): f for r in ds for f in r.equation.factors}
-    assert family._WALKS.keys() == factors.keys() and len(factors) == 92
+    assert family._WALKS.keys() == {(key, CERTIFICATE_PRIMES[0]) for key in factors}
+    assert len(factors) == 92
     assert sum(map(len, factors.values())) == 434
-    assert reduced == {"fixed": 193}
+    assert reduced == {"fixed": 193, "parameter": 241}
 
 
 def test_every_embedded_row_is_certified_with_42_euclid_runs(monkeypatch) -> None:

@@ -15,15 +15,14 @@ points give some order an odd multiplicity.
 
 When none applies the honest answer is "possibly not definable": the methods
 prove nothing either way, and the published tables highlight exactly these
-rows.  A :class:`Classification` stores only the proving :class:`Reason`, or
-None for "possibly not definable"; its verdict (the string "definable" or
-"possibly_not_definable") and theorem text derive from it.
+rows.  A :class:`Classification` stores only the proving :class:`Reason` (a
+string), or None for "possibly not definable"; its verdict (the string
+"definable" or "possibly_not_definable") and theorem text derive from it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .groups import ReducedGroup
 from .signature import Signature
@@ -31,7 +30,9 @@ from .signature import Signature
 __all__ = ["Reason", "Classification", "classify", "THEOREM_TEXT"]
 
 
-class Reason(Enum):
+class Reason:
+    """A proving criterion by name; each is the string the JSON ``reason`` field prints."""
+
     UNIQUE_SUBGROUP = "unique_subgroup"
     ODD_SIGNATURE = "odd_signature"
 
@@ -54,7 +55,7 @@ class Classification(namedtuple("Classification", "reason")):
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "reason": self.reason.value if self.reason else None,
+            "reason": self.reason,
             "theorem": self.theorem,
         }
 

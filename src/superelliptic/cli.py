@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failures, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import atexit
-import gc
 import os
 import sys
 from collections import namedtuple
@@ -189,7 +188,7 @@ def _record_summary(record, detail: bool = False) -> dict:
     out = {
         "genus": record.genus,
         "nr": record.number,
-        "block": record.block.value,
+        "block": record.block,
         "reduced_group": reduced.describe(),
         "full_group": record.label_text,
         "order": order,
@@ -365,13 +364,9 @@ def run(argv=None) -> None:
     """The process entry: :func:`main`, then an exit that skips the interpreter's teardown.
 
     Exit hooks still run and stdout and stderr are flushed; a tracer, a profiler,
-    ``-i`` or a failed flush takes the interpreter's exit.  The cyclic collector is
-    off throughout, but under ``-i``, which goes on to a prompt: what a call builds
-    stays alive until the exit, so its passes would free nothing.  Library code
-    calls ``main``, which leaves it as it is.
+    ``-i`` or a failed flush takes the interpreter's exit.  Library code calls
+    ``main``.
     """
-    if not sys.flags.inspect:
-        gc.disable()
     code = main(argv)
     if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
         sys.exit(code)

@@ -31,7 +31,7 @@ from ._quote import quote
 from .arith import QuadNum, Rational
 from .classify import Classification, classify
 from .family import EquationTemplate, ParamCoeff, Term
-from .groups import ReducedGroup, ReducedKind
+from .groups import _KINDS, ReducedGroup
 from .signature import Signature, SignatureRepair, complete_signature
 
 DATASET_VERSION = "v1"
@@ -184,15 +184,11 @@ def _record_from_json(obj: dict, memo: _Memo) -> FamilyRecord:
     return record
 
 
-_BLOCKS = {k.value: k for k in ReducedKind}
-
-
-def _block_from_json(value) -> ReducedKind:
-    kind = _BLOCKS.get(value) if type(value) is str else None
-    if kind is None:
-        raise ValueError(f"field 'block' must be one of {', '.join(_BLOCKS)}, "
+def _block_from_json(value) -> str:
+    if type(value) is not str or value not in _KINDS:
+        raise ValueError(f"field 'block' must be one of {', '.join(_KINDS)}, "
                          f"got {quote(value)}")
-    return kind
+    return value
 
 
 def _named_from_json(obj: dict, memo: _Memo) -> NamedCurve:
@@ -255,7 +251,7 @@ def to_json(dataset: Dataset) -> str:
         return "".join(out)
 
     families = [
-        '{\n      "block": ' + escape(r.block.value)
+        '{\n      "block": ' + escape(r.block)
         + ',\n      "dim": ' + str(r.delta)
         + ',\n      "equation": ' + equation(r.equation)
         + ',\n      "genus": ' + genus(r.genus)

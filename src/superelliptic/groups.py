@@ -16,7 +16,6 @@ handles both.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from functools import cache
 
 from ._quote import quote
@@ -30,12 +29,14 @@ __all__ = [
 ]
 
 
-class ReducedKind(Enum):
-    CYCLIC = "cyclic"             # C_m; C_1 is the trivial group
-    DIHEDRAL = "dihedral"
-    TETRAHEDRAL = "tetrahedral"   # A_4
-    OCTAHEDRAL = "octahedral"     # S_4
-    ICOSAHEDRAL = "icosahedral"   # A_5
+# The five kinds as the block column prints them, in the tables' block order.
+_KINDS = ("cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
+
+
+class ReducedKind:
+    """A reduced group's kind by name; ``ReducedKind.CYCLIC == "cyclic"``."""
+
+    CYCLIC, DIHEDRAL, TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL = _KINDS
 
 
 # Name and order of each polyhedral group; the label parser reads them too.
@@ -54,33 +55,33 @@ class ReducedGroup(namedtuple("ReducedGroup", "kind m")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
-    def __new__(cls, kind: ReducedKind, m: int | None = None) -> "ReducedGroup":
+    def __new__(cls, kind: str, m: int | None = None) -> "ReducedGroup":
         if kind in _POLYHEDRAL:
             if m:  # the tables print a polyhedral row's m as blank or 0
-                raise ValueError(f"{kind.value} block takes no m, got {m}")
+                raise ValueError(f"{kind} block takes no m, got {m}")
             m = None
         else:
-            least = 2 if kind is ReducedKind.DIHEDRAL else 1
+            least = 2 if kind == ReducedKind.DIHEDRAL else 1
             if m is None or m < least:
-                raise ValueError(f"{kind.value} block needs m >= {least}, got {m}")
+                raise ValueError(f"{kind} block needs m >= {least}, got {m}")
         return super().__new__(cls, kind, m)
 
     @property
     def order(self) -> int:
-        if self.kind is ReducedKind.CYCLIC:
+        if self.kind == ReducedKind.CYCLIC:
             return self.m
-        if self.kind is ReducedKind.DIHEDRAL:
+        if self.kind == ReducedKind.DIHEDRAL:
             return 2 * self.m
         return _POLYHEDRAL[self.kind][1]
 
     @property
     def is_cyclic_or_trivial(self) -> bool:
-        return self.kind is ReducedKind.CYCLIC
+        return self.kind == ReducedKind.CYCLIC
 
     def describe(self) -> str:
-        if self.kind is ReducedKind.CYCLIC:
+        if self.kind == ReducedKind.CYCLIC:
             return "{1}" if self.m == 1 else f"C_{self.m}"
-        if self.kind is ReducedKind.DIHEDRAL:
+        if self.kind == ReducedKind.DIHEDRAL:
             return "V_4" if self.m == 2 else f"D_{2 * self.m}"
         return _POLYHEDRAL[self.kind][0]
 

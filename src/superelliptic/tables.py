@@ -30,7 +30,7 @@ from functools import cache
 
 from .arith import QuadNum, Rational
 from .family import EquationTemplate, ParamCoeff, Term
-from .groups import ReducedKind
+from .groups import _KINDS
 
 
 @cache
@@ -76,8 +76,7 @@ X = f(1)
 # pencil with tetrahedral reduced symmetry that several genera share.
 F1 = f(12, (10, ("a1", -1)), (8, -33), (6, ("a1", 2)), (4, -33), (2, ("a1", -1)), 0)
 
-C, D, A4, S4, A5 = (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL, ReducedKind.TETRAHEDRAL,
-                     ReducedKind.OCTAHEDRAL, ReducedKind.ICOSAHEDRAL)
+C, D, A4, S4, A5 = _KINDS   # cyclic (C_1 is the trivial group), dihedral, A_4, S_4, A_5
 
 # (nr, block, label, level n, printed m, printed signature, printed delta,
 #  equation template, highlighted as possibly-not-definable)

@@ -53,7 +53,8 @@ def test_no_embedded_row_is_decided_by_quasiplatonic_rigidity() -> None:
     assert reasons.count(Reason.UNIQUE_SUBGROUP) == 125
     assert reasons.count(Reason.ODD_SIGNATURE) == 66
     assert reasons.count(None) == 33
-    assert len(Reason) == 2 and len(THEOREM_TEXT) == 3
+    constants = {v for k, v in vars(Reason).items() if not k.startswith("_")}
+    assert constants == {"unique_subgroup", "odd_signature"} and len(THEOREM_TEXT) == 3
 
 
 def test_no_criterion_applies() -> None:
@@ -83,7 +84,16 @@ def test_json_shapes() -> None:
 
 def test_a_classification_is_its_reason() -> None:
     assert Classification._fields == ("reason",)
-    for reason in (*Reason, None):
+    for reason in (Reason.UNIQUE_SUBGROUP, Reason.ODD_SIGNATURE, None):
         result = Classification(reason)
         assert result.theorem == THEOREM_TEXT[reason]
         assert result.verdict == ("definable" if reason else "possibly_not_definable")
+
+
+def test_a_reason_is_the_string_the_json_prints() -> None:
+    assert Reason.UNIQUE_SUBGROUP == "unique_subgroup"
+    assert Reason.ODD_SIGNATURE == "odd_signature"
+    for row in load_embedded():
+        result = classify_record(row)
+        assert result.reason is None or type(result.reason) is str
+        assert result.to_json_dict()["reason"] == result.reason

@@ -13,7 +13,7 @@ from superelliptic import dataset, tables
 from superelliptic.arith import Rational
 from superelliptic.dataset import (export_csv, from_json, load_embedded,
                                    repair_signature, to_json)
-from superelliptic.groups import ReducedKind, parse_group_label
+from superelliptic.groups import _KINDS, parse_group_label
 from superelliptic.verify import derive
 
 EXPECTED_ROW_COUNTS = {3: 5, 4: 9, 5: 20, 6: 36, 7: 27, 8: 22, 9: 50, 10: 55}
@@ -49,7 +49,7 @@ def test_row_numbers_are_contiguous(ds) -> None:
 
 
 def test_blocks_are_grouped_in_printed_order(ds) -> None:
-    rank = {b: i for i, b in enumerate(ReducedKind)}
+    rank = {b: i for i, b in enumerate(_KINDS)}
     for genus in ds.genera:
         ranks = [rank[r.block] for r in ds.genus_rows(genus)]
         assert ranks == sorted(ranks)
@@ -81,7 +81,7 @@ def test_count_by_level(ds) -> None:
 
 def test_count_by_block(ds) -> None:
     def count(genus):
-        return Counter(r.block.value for r in ds.genus_rows(genus))
+        return Counter(r.block for r in ds.genus_rows(genus))
 
     assert count(3) == {"cyclic": 4, "dihedral": 1}
     assert count(5) == {"cyclic": 7, "dihedral": 10, "tetrahedral": 1,
@@ -163,6 +163,14 @@ def test_json_round_trip_is_lossless_and_stable(ds) -> None:
     assert clone.named_curves == ds.named_curves
     assert to_json(clone) == text
     assert text.endswith("\n")
+
+
+def test_a_block_is_its_string_from_either_source(ds) -> None:
+    clone = from_json(to_json(ds))
+    for row, read in zip(ds, clone):
+        assert type(row.block) is str and type(read.block) is str
+        assert read.block == row.block and read.reduced_group() == row.reduced_group()
+        assert read.group_order() == row.group_order()
 
 
 def test_reading_builds_each_distinct_term_factor_and_signature_once(ds) -> None:

@@ -174,36 +174,6 @@ def _modules_at_exit(*argv: str) -> tuple[int, set[str]]:
     return code, set(err.splitlines()[-1].split()[1:])
 
 
-def _collections_in_run(*argv: str) -> tuple[int, int, int]:
-    """Exit code and the collections before and inside ``run``, as an exit hook counts
-    them, for ``python -m superelliptic.cli`` with ``argv``."""
-    code, _, err = child("-c", "import atexit, gc, runpy, sys\n"
-                         "counts = [0, 0]\n"
-                         "def count(phase, info):\n"
-                         "    if phase == 'start':\n"
-                         "        frame = sys._getframe(1)\n"
-                         "        while frame and frame.f_code.co_name != 'run':\n"
-                         "            frame = frame.f_back\n"
-                         "        counts[frame is not None] += 1\n"
-                         "gc.callbacks.append(count)\n"
-                         "atexit.register(lambda: print('collections:', *counts,"
-                         " file=sys.stderr))\n"
-                         f"sys.argv = ['superelliptic', *{list(argv)!r}]\n"
-                         "runpy.run_module('superelliptic.cli', run_name='__main__')\n")
-    before, inside = err.splitlines()[-1].split()[1:]
-    return code, int(before), int(inside)
-
-
-def test_the_process_entry_runs_no_collection(tmp_path) -> None:
-    # what a call builds stays alive until os._exit, so the collector is off in run
-    export = tmp_path / "families.json"
-    export.write_text(to_json(load_embedded()), encoding="utf-8")
-    for argv in (["verify"], ["list", "--data", str(export)]):
-        code, before, inside = _collections_in_run(*argv)
-        assert code == 0 and before > 0, argv     # the counter sees the import's collections
-        assert inside == 0, argv
-
-
 @pytest.mark.parametrize("argv", [
     ["row", "--genus", "3", "--nr", "1"],
     ["classify", "--genus", "6", "--nr", "11", "--format", "json"],

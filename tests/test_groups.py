@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superelliptic._quote import quote
-from superelliptic.groups import (GroupLabel, LabelError, ReducedGroup, ReducedKind,
-                                  parse_group_label)
+from superelliptic.groups import (_KINDS, GroupLabel, LabelError, ReducedGroup,
+                                  ReducedKind, parse_group_label)
 
 
 def test_reduced_group_construction() -> None:
@@ -47,8 +47,25 @@ def test_c1_is_the_trivial_group() -> None:
     assert trivial.order == 1
     assert trivial.describe() == "{1}"
     assert trivial.is_cyclic_or_trivial
-    assert {k.value for k in ReducedKind} == {"cyclic", "dihedral", "tetrahedral",
-                                              "octahedral", "icosahedral"}
+    assert set(_KINDS) == {"cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral"}
+
+
+def test_a_kind_is_the_string_the_block_column_prints() -> None:
+    # spelled once, in the tables' block order
+    assert (ReducedKind.CYCLIC, ReducedKind.DIHEDRAL, ReducedKind.TETRAHEDRAL,
+            ReducedKind.OCTAHEDRAL, ReducedKind.ICOSAHEDRAL) == _KINDS == (
+                "cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
+    # a block read from --data is an equal string, not the same object
+    for kind in _KINDS:
+        read = "".join(list(kind))
+        assert read == kind and read is not kind
+        m = None if kind in ("tetrahedral", "octahedral", "icosahedral") else 2
+        group, same = ReducedGroup(read, m), ReducedGroup(kind, m)
+        assert group == same and type(group.kind) is str
+        assert (group.order, group.describe(), group.is_cyclic_or_trivial) == (
+            same.order, same.describe(), same.is_cyclic_or_trivial)
+    with pytest.raises(ValueError, match="dihedral block needs m >= 2"):
+        ReducedGroup("".join(list("dihedral")), 1)
 
 
 @pytest.mark.parametrize("kind,m,message", [
@@ -57,7 +74,7 @@ def test_c1_is_the_trivial_group() -> None:
     (ReducedKind.DIHEDRAL, 1, "dihedral block needs m >= 2, got 1"),
     (ReducedKind.DIHEDRAL, None, "dihedral block needs m >= 2, got None"),
     (ReducedKind.OCTAHEDRAL, 3, "octahedral block takes no m, got 3"),
-])
+], ids=lambda v: f"ReducedKind.{v.upper()}" if v in _KINDS else None)   # the constant's name
 def test_reduced_group_is_the_one_block_and_m_validator(kind, m, message) -> None:
     with pytest.raises(ValueError, match=re.escape(message)):
         ReducedGroup(kind, m)

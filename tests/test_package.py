@@ -63,8 +63,8 @@ def _records() -> list:
     term = row.equation.factors[0][0]
     label = parse_group_label(row.label_text, row.group_order())
     # one Classification per outcome: the row's own (no criterion) and one per reason
-    proving = [pytest.param(Classification(reason), id=f"Classification-{reason.value}")
-               for reason in Reason]
+    proving = [pytest.param(Classification(reason), id=f"Classification-{reason}")
+               for reason in (Reason.UNIQUE_SUBGROUP, Reason.ODD_SIGNATURE)]
     return [row, row.signature, row.reduced_group(), label, row.equation, term,
             ParamCoeff(2, -1), resolution,
             classify_record(row), *proving, result, result.findings[0],
@@ -132,7 +132,7 @@ def _modules_after(code: str) -> set[str]:
 def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
     # fractions loads decimal and numbers: the package's rationals are arith.Rational
     heavy = {"dataclasses", "inspect", "csv", "datetime", "json", "typing",
-             "fractions", "decimal", "numbers", "re"}
+             "fractions", "decimal", "numbers", "re", "enum"}
     bare = _modules_after("")
     export = tmp_path / "families.json"
     text = to_json(load_embedded())
@@ -141,7 +141,7 @@ def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
     truncated.write_text(text[:text.index('"signature": "') + 16], encoding="utf-8")
     # each call, its exit code, and the heavy modules it may load: json's C scanner
     # reads a well-formed document, and only a malformed one takes json.loads,
-    # which imports re
+    # which imports re, and re enum
     for argv, code, needs in (
             (["list", "--genus", "3"], 0, set()), (["levels", "--genus", "5"], 0, set()),
             (["verify", "--genus", "3"], 0, set()),
@@ -151,7 +151,7 @@ def test_cli_call_imports_no_heavy_modules(tmp_path) -> None:
             (["list", "--data", str(export)], 0, set()),
             (["row", "--data", str(export), "--genus", "6", "--nr", "11"], 0, set()),
             (["export", "--data", str(export), "--what", "dataset"], 0, set()),
-            (["list", "--data", str(truncated)], 3, {"json", "re"})):
+            (["list", "--data", str(truncated)], 3, {"json", "re", "enum"})):
         loaded = _modules_after("import io, contextlib\n"
                                 "from superelliptic.cli import main\n"
                                 "with contextlib.redirect_stdout(io.StringIO()),"

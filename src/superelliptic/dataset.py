@@ -12,12 +12,13 @@ the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline,
 ``dump_json`` at about twice its speed.  Reading parses with json's C
 scanner and imports :mod:`json` only to report a malformed document in
 ``json.loads``'s words (:func:`_read_json`).  It checks each field and
-container where it reads it, in document order.  A document's terms, factors
-and signatures repeat (the export holds 1,340 terms, 92 of them distinct, and
-454 factors, 94 distinct), so :func:`from_json` checks and builds each
-distinct one once and shares the object.  The term memo is keyed on a term's
-raw fields together with their exact types (``true`` and ``1.0`` equal ``1``,
-yet neither is a valid integer), and holds only terms that passed every check.
+container where it reads it, in document order.  A document's terms and
+factors repeat (the export holds 1,340 terms, 92 of them distinct, and 454
+factors, 94 distinct), so :func:`from_json` checks and builds each distinct
+one once and shares the object; each row parses its own signature.  The
+term memo is keyed on a term's raw fields together with their exact types
+(``true`` and ``1.0`` equal ``1``, yet neither is a valid integer), and holds
+only terms that passed every check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ._quote import quote
 from .arith import QuadNum, Rational
 from .classify import Classification, classify
 from .family import EquationTemplate, ParamCoeff, Term
-from .groups import _KINDS, ReducedGroup
+from .groups import ReducedGroup
 from .signature import Signature, SignatureRepair, complete_signature
 
 DATASET_VERSION = "v1"
@@ -148,47 +149,24 @@ class Dataset:
 
 
 def _record_from_json(obj: dict, memo: _Memo) -> FamilyRecord:
-    # Each field is read, then checked, in the record's field order; _checked
-    # runs only on a failed check, to raise its message.
-    genus, number = obj["genus"], obj["nr"]
-    if type(number) is not int:
-        _checked(number, "nr", "an integer", int)
-    block = _block_from_json(obj["block"])
-    label = obj["label"]
-    if type(label) is not str:
-        _checked(label, "label", "a string", str)
-    level = obj["level"]
-    if type(level) is not int:
-        _checked(level, "level", "an integer", int)
-    m = obj["m"]
-    if m is not None and type(m) is not int:
-        _checked(m, "m", "an integer or null", int, type(None))
-    text = obj["signature"]
-    if type(text) is not str:
-        _checked(text, "signature", "a string", str)
-    signature = memo.signatures.get(text)
-    if signature is None:
-        signature = memo.signatures[text] = Signature.parse(text)
-    delta = obj["dim"]
-    if type(delta) is not int:
-        _checked(delta, "dim", "an integer", int)
-    equation = _equation_from_json(obj["equation"], memo)
-    highlighted = obj["highlighted"]
-    if type(highlighted) is not bool:
-        _checked(highlighted, "highlighted", "true or false", bool)
-    if level < 1:
-        raise ValueError(f"field 'level' must be at least 1, got {level}")
-    record = FamilyRecord(genus, number, block, label, level, m, signature, delta, equation,
-                          highlighted)
-    record.reduced_group()  # a bad block/m pair fails here, not at first use
+    # Each field is read and type-checked in the record's field order; the
+    # block is checked with m, by ReducedGroup, once every type has passed.
+    record = FamilyRecord(
+        genus=obj["genus"],
+        number=_checked(obj["nr"], "nr", "an integer", int),
+        block=obj["block"],
+        label_text=_checked(obj["label"], "label", "a string", str),
+        level=_checked(obj["level"], "level", "an integer", int),
+        m=_checked(obj["m"], "m", "an integer or null", int, type(None)),
+        signature=Signature.parse(_checked(obj["signature"], "signature", "a string", str)),
+        delta=_checked(obj["dim"], "dim", "an integer", int),
+        equation=_equation_from_json(obj["equation"], memo),
+        highlighted=_checked(obj["highlighted"], "highlighted", "true or false", bool),
+    )
+    if record.level < 1:
+        raise ValueError(f"field 'level' must be at least 1, got {record.level}")
+    record.reduced_group()  # a bad block, or block/m pair, fails here, not at first use
     return record
-
-
-def _block_from_json(value) -> str:
-    if type(value) is not str or value not in _KINDS:
-        raise ValueError(f"field 'block' must be one of {', '.join(_KINDS)}, "
-                         f"got {quote(value)}")
-    return value
 
 
 def _named_from_json(obj: dict, memo: _Memo) -> NamedCurve:
@@ -405,7 +383,7 @@ def from_json(text: str) -> Dataset:
 
 
 class _Memo:
-    """One document's objects, each built once per distinct JSON term, factor or signature.
+    """One document's objects, each built once per distinct JSON term or factor.
 
     ``terms`` is keyed on a term's raw ``e``, then the keys, the values and
     the values' exact types of its ``c`` (``1``, ``true`` and ``1.0`` hash
@@ -416,12 +394,11 @@ class _Memo:
     part.
     """
 
-    __slots__ = ("terms", "factors", "signatures")
+    __slots__ = ("terms", "factors")
 
     def __init__(self):
         self.terms: dict[tuple, Term] = {}
         self.factors: dict[tuple[int, ...], tuple[tuple[Term, ...], int, bool]] = {}
-        self.signatures: dict[str, Signature] = {}
 
 
 def _rows_from_json(name: str, objs, parse, memo: _Memo) -> list:
@@ -429,9 +406,7 @@ def _rows_from_json(name: str, objs, parse, memo: _Memo) -> list:
     out = []
     for i, obj in enumerate(_checked(objs, name, "a list", list)):
         try:
-            if type(obj) is not dict:
-                _checked(obj, None, "an object", dict)
-            out.append(parse(obj, memo))
+            out.append(parse(_checked(obj, None, "an object", dict), memo))
         except KeyError as exc:
             raise ValueError(f"{name}[{i}]: missing key {exc.args[0]!r}") from None
         except ValueError as exc:

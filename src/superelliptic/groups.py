@@ -56,6 +56,8 @@ class ReducedGroup(namedtuple("ReducedGroup", "kind m")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, kind: str, m: int | None = None) -> "ReducedGroup":
+        if kind not in _KINDS:  # a tuple: an unhashable kind is refused, not a TypeError
+            raise ValueError(f"block must be one of {', '.join(_KINDS)}, got {quote(kind)}")
         if kind in _POLYHEDRAL:
             if m:  # the tables print a polyhedral row's m as blank or 0
                 raise ValueError(f"{kind} block takes no m, got {m}")

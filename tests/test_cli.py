@@ -455,10 +455,17 @@ def _fresh_process(*argv: str, timeout: float) -> subprocess.CompletedProcess:
                  id="level-bool"),
     pytest.param(lambda p: p["families"][7].update(dim="1"), "field 'dim'", id="dim-str"),
     pytest.param(lambda p: p["families"][7].update(m="2"), "field 'm'", id="m-str"),
-    pytest.param(lambda p: p["families"][7].update(block="trivial"), "field 'block'",
+    pytest.param(lambda p: p["families"][7].update(block="trivial"), "block must be one of",
                  id="block-trivial"),
-    pytest.param(lambda p: p["families"][7].update(block="hexagonal"), "field 'block'",
+    pytest.param(lambda p: p["families"][7].update(block="hexagonal"), "block must be one of",
                  id="block-hexagonal"),
+    pytest.param(lambda p: p["families"][7].update(block=5), "block must be one of",
+                 id="block-int"),
+    pytest.param(lambda p: p["families"][7].update(block=["cyclic"]), "block must be one of",
+                 id="block-list"),
+    # every field's type is checked first, in field order; then the block with m
+    pytest.param(lambda p: p["families"][7].update(block="hexagonal", dim="1"),
+                 "field 'dim' must be an integer, got '1'", id="block-and-dim-str"),
     pytest.param(lambda p: p["families"][7].update(label=5), "field 'label'", id="label-int"),
     pytest.param(lambda p: p["families"][7].update(signature=5), "field 'signature'",
                  id="signature-int"),

@@ -112,6 +112,10 @@ def test_rows_survive_pickle_and_deepcopy() -> None:
     lambda: Term(2, QuadNum(1))._replace(exponent=-1),
     lambda: ParamCoeff(1)._replace(index=0),
     lambda: EquationTemplate(((Term(1, QuadNum(1)),),))._replace(factors=()),
+    # a kind outside the five, a hashable one and not, and one set by _replace
+    lambda: ReducedGroup("hexagonal", 2),
+    lambda: ReducedGroup(["cyclic"], 1),
+    lambda: ReducedGroup(ReducedKind.CYCLIC, 3)._replace(kind="trivial"),
 ])
 def test_validated_records_still_reject_bad_fields(build) -> None:
     with pytest.raises(ValueError):

@@ -509,21 +509,13 @@ def _rational_field(key: str, value) -> Rational:
     if type(value) not in (str, int):  # a float is inexact, and true is no number
         raise ValueError(f"coefficient field {key!r} must be a string or an integer, "
                          f"got {quote(value)}")
-    number = _rational(value)
-    if number is None:
-        raise ValueError(f"coefficient field {key!r} is not a rational number: "
-                         f"{quote(value)}")
-    return number
-
-
-@cache
-def _rational(text: str | int) -> Rational | None:
-    if type(text) is str and ("e" in text or "E" in text):
-        return None   # no exponent notation: Rational("1e10000000") builds 10^10000000
-    try:
-        return Rational(text)
-    except (ValueError, ZeroDivisionError):
-        return None
+    # no exponent notation: Rational("1e10000000") builds 10^10000000
+    if type(value) is int or not ("e" in value or "E" in value):
+        try:
+            return Rational(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"coefficient field {key!r} is not a rational number: {quote(value)}")
 
 
 def export_csv(dataset: Dataset, genus: int) -> str:

@@ -29,15 +29,16 @@ collect them.
 
 The certificate never expands f in x.  One walk over each factor's terms
 (``_walk``) gives its top exponent, parameter indices and nonzero residues mod
-p, and is memoised on the factor object and p: the embedded table holds 92
-factor objects in its 436 factor slots, all certified at the first prime, so a
-process walks 92 factors, not 436.  ``_scan`` combines a row's factor walks
-into the template's degree and parameter indices, which the probe returns for
-the genus and parameter checks of ``verify``, and h.  Each factor is x^lo times
-a polynomial in y = x^m, lo its lowest exponent with a nonzero residue, m the
-gcd of all exponents' distances from their factor's lo, and h, the product of
-those polynomials, gives f = x^eps h(x^m) with h(0) != 0.  A monomial factor
-c x^lo adds lo to eps and scales h by c.  For eps <= 1 and p not dividing m, f is
+p, and is memoised on the factor and p: the embedded table holds 92 distinct
+factors in its 436 factor slots, all certified at the first prime, so a
+process walks 92 factors, not 436, and equal factors from any document share
+one walk.  ``_scan`` combines a row's factor walks into the template's degree
+and parameter indices, which the probe returns for the genus and parameter
+checks of ``verify``, and h.  Each factor is x^lo times a polynomial in
+y = x^m, lo its lowest exponent with a nonzero residue, m the gcd of all
+exponents' distances from their factor's lo, and h, the product of those
+polynomials, gives f = x^eps h(x^m) with h(0) != 0.  A monomial factor c x^lo
+adds lo to eps and scales h by c.  For eps <= 1 and p not dividing m, f is
 separable iff h is: (h(x^m))' = m x^(m-1) h'(x^m), so a double root x0 != 0 of
 h(x^m) makes x0^m a double root of h, and conversely.  (eps >= 2 puts x^2 in
 gcd(f, f').)  The walk withholds the certificate when deg f >= p, as m may
@@ -93,6 +94,8 @@ class ParamCoeff(namedtuple("ParamCoeff", "index scale")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, index: int, scale: int | Rational = 1) -> "ParamCoeff":
+        if type(index) is not int:   # 1.0 and True equal 1, so they would share its walk
+            raise ValueError(f"parameter index must be an integer, got {quote(index)}")
         if index < 1:
             raise ValueError(f"parameter index must be positive, got {index}")
         if index > 1000:   # the probe sets a_i to the i-th prime: this keeps that search short
@@ -116,6 +119,8 @@ class Term(namedtuple("Term", "exponent coeff")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, exponent: int, coeff: QuadNum | ParamCoeff) -> "Term":
+        if type(exponent) is not int:
+            raise ValueError(f"exponent must be an integer, got {quote(exponent)}")
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent}")
         return super().__new__(cls, exponent, coeff)
@@ -131,6 +136,7 @@ class EquationTemplate(namedtuple("EquationTemplate", "factors")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace re-runs the checks
 
     def __new__(cls, factors: tuple[tuple[Term, ...], ...]) -> "EquationTemplate":
+        factors = tuple(map(tuple, factors))   # hashable: the walk memo keys on each factor
         if not factors or not all(factors):
             raise ValueError("template needs at least one non-empty factor")
         for factor in factors:
@@ -367,14 +373,7 @@ def _scan(template: EquationTemplate, p: int):
     return degree, indices, tuple(h)
 
 
-# (id(factor), p) -> (factor, its walk mod p).  Keyed on the object, not the
-# tuple of terms: the embedded table holds one object per distinct factor, and
-# so does from_json, while hashing a factor would run QuadNum's and Rational's
-# hashes, in Python.  The entry keeps the factor alive, so its id is never
-# reused.
-_WALKS: dict[tuple[int, int], tuple] = {}
-
-
+@cache
 def _walk(factor: tuple[Term, ...], p: int) -> tuple:
     """One factor's (top, nonzero residues mod p, indices, lo, gap, ok), computed once.
 
@@ -383,9 +382,6 @@ def _walk(factor: tuple[Term, ...], p: int) -> tuple:
     monomial.  ``ok`` is False when a coefficient has no image in F_p or the
     top term's residue is 0; then ``lo`` and ``gap`` are 0.
     """
-    known = _WALKS.get((id(factor), p))
-    if known is not None:
-        return known[1]
     top, residues, indices, ok = -1, [], set(), True
     for e, c in factor:
         if type(c) is ParamCoeff:
@@ -405,9 +401,7 @@ def _walk(factor: tuple[Term, ...], p: int) -> tuple:
         lo = min(residues)[0]       # exponents are distinct within a factor
         for e, _ in residues:
             gap = gcd(gap, e - lo)
-    walk = (top, residues, indices, lo, gap, bool(ok and lead))
-    _WALKS[id(factor), p] = (factor, walk)
-    return walk
+    return top, residues, indices, lo, gap, bool(ok and lead)
 
 
 def _residue(value: QuadNum | Rational, p: int) -> int | None:

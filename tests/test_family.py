@@ -56,6 +56,18 @@ def test_template_validation() -> None:
     assert ParamCoeff(1000).index == 1000
     with pytest.raises(ValueError, match="parameter index must be at most 1000, got 1001"):
         ParamCoeff(1001)
+    with pytest.raises(ValueError, match="parameter index must be an integer, got 1.0"):
+        ParamCoeff(1.0)
+    with pytest.raises(ValueError, match="exponent must be an integer, got True"):
+        Term(True, QuadNum(1))
+
+
+def test_a_template_built_from_lists_holds_tuples() -> None:
+    # the walk memo hashes each factor, so a factor given as a list is stored as a tuple
+    terms = [Term(3, QuadNum(1)), Term(0, QuadNum(1))]
+    tmpl = EquationTemplate([terms])
+    assert tmpl.factors == (tuple(terms),)
+    assert separability_probe(3, tmpl).ok
 
 
 def test_instantiate_default_probe() -> None:
@@ -524,9 +536,9 @@ def test_reduced_certificate_equals_the_dense_one(data) -> None:
 
 
 @given(_sparse_case(P))
-def test_the_factor_walk_memo_keys_on_the_object(tmpl) -> None:
-    # a template rebuilt from fresh, equal terms and coefficients is walked
-    # afresh and gives the same triple; the memo's entries keep their factors
+def test_the_factor_walk_memo_keys_on_the_value(tmpl) -> None:
+    # a template rebuilt from fresh, equal terms and coefficients gives the
+    # same triple, and each of its factors is a memo hit: no factor is walked again
     def fresh(c):
         return QuadNum(c.a, c.b) if isinstance(c, QuadNum) else ParamCoeff(c.index, c.scale)
 
@@ -534,6 +546,8 @@ def test_the_factor_walk_memo_keys_on_the_object(tmpl) -> None:
     rebuilt = EquationTemplate(tuple(tuple(Term(u.exponent, fresh(u.coeff)) for u in factor)
                                      for factor in tmpl.factors))
     assert all(id(a) != id(b) for a, b in zip(rebuilt.factors, tmpl.factors))
+    before = family._walk.cache_info()
     assert family._scan(rebuilt, P) == scan == family._scan(tmpl, P)
-    for factor in (*tmpl.factors, *rebuilt.factors):
-        assert family._WALKS[id(factor), P][0] is factor
+    after = family._walk.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 2 * len(tmpl.factors)

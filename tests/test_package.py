@@ -116,6 +116,10 @@ def test_rows_survive_pickle_and_deepcopy() -> None:
     lambda: ReducedGroup("hexagonal", 2),
     lambda: ReducedGroup(["cyclic"], 1),
     lambda: ReducedGroup(ReducedKind.CYCLIC, 3)._replace(kind="trivial"),
+    # an index or exponent equal to an int but not one would share that int's walk
+    lambda: ParamCoeff(1.0),
+    lambda: Term(1.0, QuadNum(1)),
+    lambda: Term(True, QuadNum(1)),
 ])
 def test_validated_records_still_reject_bad_fields(build) -> None:
     with pytest.raises(ValueError):

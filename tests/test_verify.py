@@ -11,7 +11,7 @@ from superelliptic import dataset, family, tables, verify
 from superelliptic.arith import QuadNum, Rational
 from superelliptic.classify import classify
 from superelliptic.dataset import load_embedded
-from superelliptic.family import CERTIFICATE_PRIMES, EquationTemplate
+from superelliptic.family import EquationTemplate
 from superelliptic.groups import ReducedGroup, parse_group_label
 from superelliptic.signature import Signature
 from superelliptic.tables import f, spread, t
@@ -313,15 +313,25 @@ def test_a_cold_verify_walks_each_distinct_factor_once(monkeypatch) -> None:
         reduced["fixed" if isinstance(value, QuadNum) else "parameter"] += 1
         return residue(value, p)
 
-    monkeypatch.setattr(family, "_WALKS", {})
+    family._walk.cache_clear()
     monkeypatch.setattr(family, "_residue", counted)
     ds = load_embedded()
     assert len(verify_dataset(ds).rows) == 224
+    info = family._walk.cache_info()
+    assert (info.misses, info.hits) == (92, 344)
     factors = {id(f): f for r in ds for f in r.equation.factors}
-    assert family._WALKS.keys() == {(key, CERTIFICATE_PRIMES[0]) for key in factors}
-    assert len(factors) == 92
+    assert len(factors) == len(set(factors.values())) == 92
     assert sum(map(len, factors.values())) == 434
     assert reduced == {"fixed": 193, "parameter": 241}
+
+
+def test_verifying_many_documents_keeps_one_walk_per_distinct_factor() -> None:
+    # equal factors read from six documents share the first document's walks,
+    # so the memo holds the embedded table's 92 factors, not 6 * 92
+    family._walk.cache_clear()
+    for _ in range(6):
+        assert verify_dataset(dataset.from_json(dataset.to_json(load_embedded()))).ok
+    assert family._walk.cache_info().currsize == 92
 
 
 def test_every_embedded_row_is_certified_with_42_euclid_runs(monkeypatch) -> None:
